@@ -99,9 +99,9 @@ SimdLevel DetectSimdLevel() {
 #if GTER_HAVE_AVX2 || GTER_HAVE_AVX512
   const CpuFeatures& f = DetectCpuFeatures();
 #if GTER_HAVE_AVX512
-  // The avx512 TUs use F (gather/scatter, 8×double math), BW (byte
-  // compares in the string kernels), DQ/VL (mask loads and 256-bit mixes),
-  // and VPOPCNTDQ (the Levenshtein score flush); all five must be present.
+  // The avx512 kernels' intrinsics need only F and BW. DQ, VL and
+  // VPOPCNTDQ are still required because no kernel has been measured on
+  // a host without them (e.g. Skylake-SP), so such hosts stay on avx2.
   if (f.avx2 && f.fma && f.avx512f && f.avx512bw && f.avx512dq &&
       f.avx512vl && f.avx512vpopcntdq) {
     return SimdLevel::kAvx512;

@@ -13,9 +13,9 @@ class TraceRecorder;
 /// §"SIMD dispatch & determinism contract").
 ///
 /// Every vectorized kernel in the compute core (packed GEMM, masked CSR
-/// product, ITER gather sweeps, bit-parallel Levenshtein) keeps its scalar
-/// twin compiled in and selects an implementation at call time from the
-/// process-wide `ActiveSimdLevel()`. The scalar path is the determinism
+/// product, batched Jaro-Winkler) keeps its scalar twin compiled in and
+/// selects an implementation at call time from the process-wide
+/// `ActiveSimdLevel()`. The scalar path is the determinism
 /// reference: forcing `--simd=scalar` reproduces the exact pre-SIMD
 /// numerics, and the differential tests (ctest label `simd`) pin each
 /// dispatched kernel against it.

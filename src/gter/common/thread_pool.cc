@@ -52,9 +52,16 @@ Status ThreadPool::Submit(std::function<void()> task) {
   return Submit(&default_group_, std::move(task));
 }
 
-void ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
-  Task task = std::move(tasks_.front());
-  tasks_.pop_front();
+std::deque<ThreadPool::Task>::iterator ThreadPool::FindTask(
+    TaskGroup* group) {
+  return std::find_if(tasks_.begin(), tasks_.end(),
+                      [group](const Task& t) { return t.group == group; });
+}
+
+void ThreadPool::RunTask(std::deque<Task>::iterator it,
+                         std::unique_lock<std::mutex>* lock) {
+  Task task = std::move(*it);
+  tasks_.erase(it);
   lock->unlock();
   {
     GTER_TRACE_SPAN("pool/task", "pool");
@@ -67,16 +74,17 @@ void ThreadPool::RunOneTask(std::unique_lock<std::mutex>* lock) {
 void ThreadPool::Wait(TaskGroup* group) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (group->pending_ > 0) {
-    if (!tasks_.empty()) {
-      // Help drain the queue instead of sleeping: the task we run may be
-      // ours or another group's, but either way the pool makes progress and
-      // a worker blocked here (nested ParallelFor) cannot deadlock.
-      RunOneTask(&lock);
+    auto it = FindTask(group);
+    if (it != tasks_.end()) {
+      // Run our own queued work instead of sleeping, so a worker blocked
+      // here (nested ParallelFor) cannot deadlock.
+      RunTask(it, &lock);
     } else {
       // Our remaining tasks are running on other threads; sleep until a
-      // completion or a new task to steal arrives.
+      // completion or a new task of ours arrives. Other groups' queued
+      // tasks must not wake us, or this would spin on them.
       wakeup_.wait(lock, [this, group] {
-        return group->pending_ == 0 || !tasks_.empty();
+        return group->pending_ == 0 || FindTask(group) != tasks_.end();
       });
     }
   }
@@ -92,7 +100,7 @@ void ThreadPool::WorkerLoop() {
       if (shutting_down_) return;
       continue;
     }
-    RunOneTask(&lock);
+    RunTask(tasks_.begin(), &lock);
   }
 }
 

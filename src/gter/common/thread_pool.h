@@ -50,11 +50,14 @@ class TaskGroup {
 /// Threading model (see DESIGN.md §"Threading model"):
 ///  * Every task belongs to a TaskGroup; `Wait(&group)` blocks until that
 ///    group's tasks — and only that group's tasks — have finished.
-///  * A thread blocked in `Wait()` helps drain the shared queue instead of
-///    sleeping while work is available. This makes `Wait()` safe to call
-///    from inside a worker task: nested `ParallelFor` cannot deadlock
-///    because the waiter executes queued tasks (its own group's or
-///    others') until its group completes.
+///  * A thread blocked in `Wait(&group)` runs that group's queued tasks
+///    instead of sleeping while any are queued. This makes `Wait()` safe to
+///    call from inside a worker task: nested `ParallelFor` cannot deadlock
+///    because the waiter can always run its own queued chunks.
+///  * A waiter never runs another group's task. The waiter may hold locks
+///    (a service worker inside an exclusive section running a parallel
+///    stage), and an unrelated queued task — another request taking the
+///    same lock — would then re-enter that lock on the waiter's thread.
 ///  * Concurrent `ParallelFor` calls from different threads are independent:
 ///    each waits on its own group, never on the union of all in-flight work.
 class ThreadPool {
@@ -76,8 +79,9 @@ class ThreadPool {
   /// prefer an explicit TaskGroup). Same shutdown semantics as above.
   Status Submit(std::function<void()> task);
 
-  /// Blocks until every task submitted to `group` has finished. Helps drain
-  /// the queue while waiting, so this is safe to call from a worker thread.
+  /// Blocks until every task submitted to `group` has finished. Runs the
+  /// group's queued tasks while waiting, so this is safe to call from a
+  /// worker thread; tasks of other groups are left to the workers.
   void Wait(TaskGroup* group);
 
   /// Blocks until the pool-wide default group is empty (legacy interface).
@@ -96,9 +100,12 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  /// Pops and runs one task. `lock` must be held; it is released while the
-  /// task runs and re-acquired before returning.
-  void RunOneTask(std::unique_lock<std::mutex>* lock);
+  /// The oldest queued task of `group`, or tasks_.end(). `mutex_` held.
+  std::deque<Task>::iterator FindTask(TaskGroup* group);
+  /// Dequeues and runs the task at `it`. `lock` must be held; it is
+  /// released while the task runs and re-acquired before returning.
+  void RunTask(std::deque<Task>::iterator it,
+               std::unique_lock<std::mutex>* lock);
 
   std::vector<std::thread> workers_;
   std::deque<Task> tasks_;

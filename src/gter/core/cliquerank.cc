@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
@@ -90,20 +91,14 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
     {
       ScopedTimer product_timer(metrics, recorder, "cliquerank/masked_product",
                                 TraceArg{"step", static_cast<double>(step)});
-      // Fused mode folds `accum += M^k` into the kernel's row readout (the
-      // positions are already in registers there); staged mode keeps the
-      // separate sweep below so the two paths can be differenced.
-      GTER_RETURN_IF_ERROR(ComputeMaskedProductCsr(
-          trans, cur.data(), pattern, next.data(),
-          options.fuse_passes ? accum.data() : nullptr, ctx));
+      GTER_RETURN_IF_ERROR(ComputeMaskedProductCsr(trans, cur.data(), pattern,
+                                                   next.data(), ctx));
     }
     cur.swap(next);
-    if (!options.fuse_passes) {
-      ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
-                  [&](size_t lo, size_t hi) {
-        for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
-      });
-    }
+    ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
+                [&](size_t lo, size_t hi) {
+      for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
+    });
   }
   if (metrics != nullptr && options.max_steps >= 2) {
     metrics->AddCounter("cliquerank/steps", options.max_steps - 1);
@@ -126,20 +121,17 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
   return probability;
 }
 
-/// Fused setup pass: fills `trans` (already a structural copy of the
-/// pattern, values ignored) with the Eq. 11/13 transition values and `m1`
-/// with the Eq. 12 boosted one-step values in one sweep over the graph's
-/// rows — replacing the staged TransitionMatrix() triplet build +
-/// FromTriplets sort plus the CliqueRankBoostedValues re-sweep over the
-/// value array. Bit-identity with the staged path: per row the row-max /
-/// power / normalize arithmetic is op-for-op the same, rows are visited in
-/// the same row-major neighbor-ascending order FromTriplets would emit, and
-/// the boost RNG therefore consumes draws in exactly the CSR value order
-/// CliqueRankBoostedValues consumes them.
-void FusedTransitionAndBoost(const RecordGraph& graph,
-                             const CliqueRankOptions& options,
-                             CsrMatrix* trans, std::vector<double>* m1) {
-  m1->resize(trans->nnz());
+}  // namespace
+
+CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
+                                   const CliqueRankOptions& options) {
+  CliqueRankSetup setup;
+  setup.pattern = graph.AdjacencyMatrix();
+  // A structural copy of the pattern whose values are overwritten row by
+  // row below; rows are visited in CSR order, so the sampled bonuses are
+  // drawn in CSR value order.
+  setup.transition = setup.pattern;
+  setup.boosted.resize(setup.transition.nnz());
   Rng rng(options.seed);
   double expected_boost = 0.0;
   if (options.use_boost && options.boost_mode == BoostMode::kExpected) {
@@ -150,8 +142,8 @@ void FusedTransitionAndBoost(const RecordGraph& graph,
   for (RecordId r = 0; r < graph.num_nodes(); ++r) {
     auto wts = graph.Weights(r);
     if (wts.empty()) continue;
-    std::span<double> tv = trans->MutableRowValues(r);
-    double* bv = m1->data() + trans->RowStart(r);
+    std::span<double> tv = setup.transition.MutableRowValues(r);
+    double* bv = setup.boosted.data() + setup.transition.RowStart(r);
     double row_max = 0.0;
     for (double w : wts) row_max = std::max(row_max, w);
     if (row_max <= 0.0) {
@@ -178,37 +170,7 @@ void FusedTransitionAndBoost(const RecordGraph& graph,
       bv[k] = t;
     }
   }
-}
-
-}  // namespace
-
-/// Boosted one-step values M_b on the structural pattern, derived from the
-/// transition matrix: with t = M_t[i,j] and per-directed-edge bonus factor
-/// B = (1+b)^α,
-///   M_b[i,j] = B·t / (1 − t + B·t)
-/// which is Eq. 12 after dividing numerator and denominator by the row's
-/// unboosted normalizer.
-std::vector<double> CliqueRankBoostedValues(const CsrMatrix& trans,
-                                            const CliqueRankOptions& options) {
-  std::vector<double> values(trans.values().begin(), trans.values().end());
-  if (!options.use_boost) return values;
-  Rng rng(options.seed);
-  double expected_boost = 0.0;
-  if (options.boost_mode == BoostMode::kExpected) {
-    // E[(1+b)^α] for b ~ U(0,1) = (2^{α+1} − 1) / (α + 1).
-    expected_boost =
-        (std::pow(2.0, options.alpha + 1.0) - 1.0) / (options.alpha + 1.0);
-  }
-  for (double& t : values) {
-    if (t <= 0.0) continue;
-    double boost = expected_boost;
-    if (options.boost_mode == BoostMode::kSampled) {
-      double b = rng.OpenUniformDouble();
-      boost = std::pow(1.0 + b, options.alpha);
-    }
-    t = boost * t / (1.0 - t + boost * t);
-  }
-  return values;
+  return setup;
 }
 
 Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
@@ -222,20 +184,7 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   TraceRecorder* recorder = ctx.trace_or_ambient();
   ScopedTimer total_timer(metrics, recorder, "cliquerank/total");
   Stopwatch watch;
-  CsrMatrix pattern = graph.AdjacencyMatrix();
-  CsrMatrix trans;
-  std::vector<double> m1;
-  if (options.fuse_passes) {
-    // Transition values and boosted M¹ in one sweep over the graph's rows,
-    // written into a structural twin of the pattern (same CSR layout, so
-    // nnz/positions line up by construction).
-    trans = pattern;
-    FusedTransitionAndBoost(graph, options, &trans, &m1);
-  } else {
-    trans = graph.TransitionMatrix(options.alpha);
-    GTER_CHECK(trans.nnz() == pattern.nnz());  // identical structure
-    m1 = CliqueRankBoostedValues(trans, options);
-  }
+  const CliqueRankSetup setup = TransitionAndBoost(graph, options);
 
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {
@@ -254,10 +203,10 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   result.engine_used = engine;
   Result<std::vector<double>> probability =
       engine == CliqueRankEngine::kDense
-          ? RunDense(trans, pattern, m1, options, pairs, metrics, recorder,
-                     ctx)
-          : RunMasked(trans, pattern, m1, options, pairs, metrics, recorder,
-                      ctx);
+          ? RunDense(setup.transition, setup.pattern, setup.boosted, options,
+                     pairs, metrics, recorder, ctx)
+          : RunMasked(setup.transition, setup.pattern, setup.boosted, options,
+                      pairs, metrics, recorder, ctx);
   GTER_RETURN_IF_ERROR(probability.status());
   result.pair_probability = std::move(probability).value();
   result.seconds = watch.ElapsedSeconds();

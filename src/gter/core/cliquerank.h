@@ -46,16 +46,6 @@ struct CliqueRankOptions {
   CliqueRankEngine engine = CliqueRankEngine::kAuto;
   /// kAuto switches to the dense engine above this edge density.
   double dense_density_threshold = 0.25;
-  /// Fuse the hot passes (default). Setup: transition row-normalize and the
-  /// Eq. 12 boost run as one sweep over the graph's rows writing straight
-  /// into a structural copy of the pattern, instead of the staged triplet
-  /// build + FromTriplets sort + boost re-sweep. Masked engine: the per-step
-  /// `accum += M^k` sweep folds into the masked-product row readout.
-  /// Both fusions are bit-identical to the staged passes (RNG draw order
-  /// and every arithmetic op are preserved — see FusedTransitionAndBoost
-  /// and masked_multiply.h); the flag exists so the differential tests can
-  /// pin fused against staged.
-  bool fuse_passes = true;
 };
 
 /// Output of one CliqueRank run.
@@ -77,12 +67,29 @@ Result<CliqueRankResult> RunCliqueRank(
     const CliqueRankOptions& options = {},
     const ExecContext& ctx = DefaultExecContext());
 
-/// The boosted one-step values M_b of Eq. 12 on the structural pattern of
-/// `trans` (shared by both engines; exposed for property tests and
-/// ablations): with t = M_t[i,j] and per-directed-edge bonus B = (1+b)^α,
-/// M_b[i,j] = B·t / (1 − t + B·t). Zero entries stay zero.
-std::vector<double> CliqueRankBoostedValues(const CsrMatrix& trans,
-                                            const CliqueRankOptions& options);
+/// The one-step matrices CliqueRank's recurrence starts from, all on the
+/// record graph's edge pattern (same CSR layout, so positions line up).
+struct CliqueRankSetup {
+  /// M_n: the symmetric 0/1 adjacency (RecordGraph::AdjacencyMatrix).
+  CsrMatrix pattern;
+  /// M_t of Eq. 11/13: row i holds s(i,j)^α / Σ_k s(i,k)^α over i's
+  /// neighbors. Rows are stabilized by dividing weights by the row maximum
+  /// before powering; rows whose weights are all zero fall back to uniform
+  /// transitions.
+  CsrMatrix transition;
+  /// M_b of Eq. 12, parallel to `transition`'s value array: with
+  /// t = M_t[i,j] and per-directed-edge bonus B = (1+b)^α,
+  /// M_b[i,j] = B·t / (1 − t + B·t) (Eq. 12 after dividing by the row's
+  /// unboosted normalizer). Equals M_t when `use_boost` is off; zero
+  /// entries stay zero. Sampled bonuses are drawn from `options.seed` in
+  /// CSR value order.
+  std::vector<double> boosted;
+};
+
+/// Builds M_n, M_t and M_b in one sweep over the graph's rows (shared by
+/// both engines; exposed for property tests and ablations).
+CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
+                                   const CliqueRankOptions& options);
 
 }  // namespace gter
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "gter/common/logging.h"
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
-#include "gter/common/simd_ops.h"
 #include "gter/common/status.h"
 #include "gter/common/thread_pool.h"
 
@@ -43,93 +44,21 @@ double ChunkedSum(ThreadPool* pool, size_t n, PerElement f) {
   return total;
 }
 
-/// The fused per-term passes of one sweep (IterOptions::fuse_sweeps): the
-/// lines 5–6 weight update, the line 7 normalization and the convergence
-/// delta in one pass over the term vector (two for L2, which needs the
-/// global norm between update and scale). Work is chunked at kReduceChunk —
-/// the exact chunking of the staged ChunkedSum reductions — with partials
-/// combined serially in chunk order, and every per-element operation is
-/// op-for-op the staged arithmetic, so weights and delta are bit-identical
-/// to the staged sweep at any thread count. `x_prev` is scratch for the L2
-/// path (the logistic path keeps the pre-update value in a register
-/// instead of copying the vector). Returns Σ_t |Δx_t|.
-double FusedTermSweep(const BipartiteGraph& graph,
-                      const std::vector<double>& edge_probability,
-                      const std::vector<double>& s,
-                      IndexedWeightedSumFn weighted_sum,
-                      IterNormalization kind, ThreadPool* pool,
-                      std::vector<double>* x_io,
-                      std::vector<double>* x_prev) {
-  std::vector<double>& x = *x_io;
-  const size_t n = x.size();
-  const size_t num_chunks = (n + kReduceChunk - 1) / kReduceChunk;
-  std::vector<double> partial(num_chunks, 0.0);
-  const auto update = [&](size_t t) {
-    auto adjacent = graph.PairsOfTerm(t);
-    if (adjacent.empty()) return 0.0;
-    return weighted_sum(edge_probability.data(), s.data(), adjacent.data(),
-                        adjacent.size()) /
-           graph.Pt(t);
-  };
+/// Σ_i values[idx[i]], accumulated left to right: s(r_i, r_j) of Algorithm
+/// 1 lines 3–4, and the dirty-region term update's gathered score mass.
+double GatherSum(const double* values, std::span<const uint32_t> idx) {
+  double acc = 0.0;
+  for (uint32_t i : idx) acc += values[i];
+  return acc;
+}
 
-  if (kind == IterNormalization::kLogistic) {
-    ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
-      for (size_t chunk = lo; chunk < hi; ++chunk) {
-        const size_t begin = chunk * kReduceChunk;
-        const size_t end = std::min(begin + kReduceChunk, n);
-        double delta = 0.0;
-        for (size_t t = begin; t < end; ++t) {
-          const double old = x[t];
-          double v = update(t);
-          v = v / (1.0 + v);  // the division-safe 1/(1 + 1/x)
-          x[t] = v;
-          delta += std::fabs(v - old);
-        }
-        partial[chunk] = delta;
-      }
-    });
-    double change = 0.0;
-    for (double p : partial) change += p;
-    return change;
-  }
-
-  // L2: pass 1 updates, saves the old weights and reduces Σx²; pass 2
-  // scales and reduces the delta.
-  std::vector<double>& prev = *x_prev;
-  ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
-    for (size_t chunk = lo; chunk < hi; ++chunk) {
-      const size_t begin = chunk * kReduceChunk;
-      const size_t end = std::min(begin + kReduceChunk, n);
-      double norm_sq = 0.0;
-      for (size_t t = begin; t < end; ++t) {
-        prev[t] = x[t];
-        const double v = update(t);
-        x[t] = v;
-        norm_sq += v * v;
-      }
-      partial[chunk] = norm_sq;
-    }
-  });
-  double norm_sq = 0.0;
-  for (double p : partial) norm_sq += p;
-  const bool scale = norm_sq > 0.0;  // staged Normalize skips a zero norm
-  const double inv = scale ? 1.0 / std::sqrt(norm_sq) : 1.0;
-  ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
-    for (size_t chunk = lo; chunk < hi; ++chunk) {
-      const size_t begin = chunk * kReduceChunk;
-      const size_t end = std::min(begin + kReduceChunk, n);
-      double delta = 0.0;
-      for (size_t t = begin; t < end; ++t) {
-        const double v = scale ? x[t] * inv : x[t];
-        x[t] = v;
-        delta += std::fabs(v - prev[t]);
-      }
-      partial[chunk] = delta;
-    }
-  });
-  double change = 0.0;
-  for (double p : partial) change += p;
-  return change;
+/// Σ_i weights[idx[i]] · values[idx[i]], accumulated left to right: the
+/// Σ_p p(r_i, r_j)·s(p) of Algorithm 1 lines 5–6.
+double GatherWeightedSum(const double* weights, const double* values,
+                         std::span<const uint32_t> idx) {
+  double acc = 0.0;
+  for (uint32_t i : idx) acc += weights[i] * values[i];
+  return acc;
 }
 
 void Normalize(std::vector<double>* x, IterNormalization kind,
@@ -185,12 +114,7 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
   // Both sweeps are gather-style — every output element reads only from the
   // previous phase's vector and accumulates its own adjacency in storage
   // order — so the parallel chunks are independent and bit-identical to the
-  // serial sweep. The accumulations run through the dispatched gather-reduce
-  // primitives: resolved once here, on the calling thread, so a level change
-  // mid-run can never mix kernels within one sweep.
-  const IndexedSumFn indexed_sum = ResolveIndexedSum(ctx.simd_level());
-  const IndexedWeightedSumFn weighted_sum =
-      ResolveIndexedWeightedSum(ctx.simd_level());
+  // serial sweep.
   ThreadPool* pool = ctx.pool;
   const size_t grain = options.grain;
   for (size_t iteration = 0; iteration < options.max_iterations; ++iteration) {
@@ -203,43 +127,32 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
     // Lines 3–4: s(r_i, r_j) ← Σ_{t shared} x_t.
     ParallelFor(pool, 0, num_pairs, grain, [&](size_t lo, size_t hi) {
       for (PairId p = lo; p < hi; ++p) {
-        auto terms = graph.TermsOfPair(p);
-        s[p] = indexed_sum(x.data(), terms.data(), terms.size());
+        s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
       }
     });
 
-    double change;
-    if (options.fuse_sweeps) {
-      // Lines 5–7 and the convergence delta in one fused pass (two for L2)
-      // — bit-identical to the staged arm below, see FusedTermSweep.
-      change = FusedTermSweep(graph, edge_probability, s, weighted_sum,
-                              options.normalization, pool, &x, &x_prev);
-    } else {
-      x_prev = x;
+    x_prev = x;
 
-      // Lines 5–6: x_t ← Σ_p p(r_i, r_j)·s(p) / P_t.
-      ParallelFor(pool, 0, num_terms, grain, [&](size_t lo, size_t hi) {
-        for (TermId t = lo; t < hi; ++t) {
-          auto adjacent = graph.PairsOfTerm(t);
-          if (adjacent.empty()) {
-            x[t] = 0.0;
-            continue;
-          }
-          x[t] = weighted_sum(edge_probability.data(), s.data(),
-                              adjacent.data(), adjacent.size()) /
-                 graph.Pt(t);
-        }
-      });
+    // Lines 5–6: x_t ← Σ_p p(r_i, r_j)·s(p) / P_t.
+    ParallelFor(pool, 0, num_terms, grain, [&](size_t lo, size_t hi) {
+      for (TermId t = lo; t < hi; ++t) {
+        auto adjacent = graph.PairsOfTerm(t);
+        x[t] = adjacent.empty()
+                   ? 0.0
+                   : GatherWeightedSum(edge_probability.data(), s.data(),
+                                       adjacent) /
+                         graph.Pt(t);
+      }
+    });
 
-      // Line 7: normalization keeps the additive rule bounded.
-      Normalize(&x, options.normalization, pool, grain);
+    // Line 7: normalization keeps the additive rule bounded.
+    Normalize(&x, options.normalization, pool, grain);
 
-      const double* xp = x.data();
-      const double* xq = x_prev.data();
-      change = ChunkedSum(pool, num_terms, [xp, xq](size_t i) {
-        return std::fabs(xp[i] - xq[i]);
-      });
-    }
+    const double* xp = x.data();
+    const double* xq = x_prev.data();
+    const double change = ChunkedSum(pool, num_terms, [xp, xq](size_t i) {
+      return std::fabs(xp[i] - xq[i]);
+    });
     if (options.track_convergence) result.update_trace.push_back(change);
     if (metrics != nullptr) {
       metrics->AddCounter("iter/sweeps");
@@ -258,8 +171,7 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
   // Final pair scores from the converged weights.
   ParallelFor(pool, 0, num_pairs, grain, [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) {
-      auto terms = graph.TermsOfPair(p);
-      s[p] = indexed_sum(x.data(), terms.data(), terms.size());
+      s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
     }
   });
   return result;
@@ -308,7 +220,6 @@ Result<IterDirtyResult> RunIterDirty(const DynamicBipartiteGraph& graph,
 
   std::vector<double>& x = *term_weights;
   std::vector<double>& s = *pair_scores;
-  const IndexedSumFn indexed_sum = ResolveIndexedSum(ctx.simd_level());
   ThreadPool* pool = ctx.pool;
   const size_t grain = options.grain;
 
@@ -332,8 +243,7 @@ Result<IterDirtyResult> RunIterDirty(const DynamicBipartiteGraph& graph,
     ParallelFor(pool, 0, list.size(), grain, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         const PairId p = list[i];
-        auto terms = graph.TermsOfPair(p);
-        s[p] = indexed_sum(x.data(), terms.data(), terms.size());
+        s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
       }
     });
     for (PairId p : list) pair_touched[p] = 1;
@@ -341,8 +251,7 @@ Result<IterDirtyResult> RunIterDirty(const DynamicBipartiteGraph& graph,
   const auto refresh_all_pairs = [&] {
     ParallelFor(pool, 0, num_pairs, grain, [&](size_t lo, size_t hi) {
       for (PairId p = lo; p < hi; ++p) {
-        auto terms = graph.TermsOfPair(p);
-        s[p] = indexed_sum(x.data(), terms.data(), terms.size());
+        s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
       }
     });
     std::fill(pair_touched.begin(), pair_touched.end(), 1);
@@ -374,8 +283,7 @@ Result<IterDirtyResult> RunIterDirty(const DynamicBipartiteGraph& graph,
       return 0.0;
     }
     const double deg = static_cast<double>(adjacent.size());
-    const double total =
-        indexed_sum(s.data(), adjacent.data(), adjacent.size());
+    const double total = GatherSum(s.data(), adjacent);
     *scale_out = total;
     const double c = total - deg * x[t];  // cross-term mass
     const double b = graph.Pt(t) + c - deg;
@@ -486,9 +394,7 @@ Result<IterDirtyResult> RunIterDirty(const DynamicBipartiteGraph& graph,
       xs[i] = x[t];
     }
     for (size_t i = 0; i < n; ++i) {
-      auto adjacent = graph.PairsOfTerm(T[i]);
-      const double total =
-          indexed_sum(s.data(), adjacent.data(), adjacent.size());
+      const double total = GatherSum(s.data(), graph.PairsOfTerm(T[i]));
       double coupled = 0.0;
       for (size_t j = 0; j < n; ++j) coupled += m[i * n + j] * xs[j];
       base[i] = total - coupled;

@@ -31,16 +31,6 @@ struct IterOptions {
   bool track_convergence = false;
   /// Minimum terms/pairs per parallel chunk.
   size_t grain = 256;
-  /// Fuse the per-term passes of each sweep (default): the weight update
-  /// (lines 5–6), the normalization (line 7) and the convergence-delta
-  /// reduction run as one pass over the term vector — chunked at the same
-  /// fixed reduction width as the staged ChunkedSum and combined serially
-  /// in chunk order, so the delta (and hence the convergence decision and
-  /// every weight) is bit-identical to the staged three-pass sweep at any
-  /// thread count. L2 normalization needs the global norm and therefore
-  /// keeps two passes (update+norm², then scale+delta). The flag exists so
-  /// the differential tests can pin fused against staged.
-  bool fuse_sweeps = true;
 };
 
 /// Output of one ITER run.
@@ -60,10 +50,10 @@ struct IterResult {
 /// Eq. 6 — pass a vector of 1.0 for the first fusion round (§V-C), or the
 /// CliqueRank output in later rounds.
 ///
-/// Execution (worker pool, metrics/trace sinks, SIMD level, cancellation)
-/// comes from `ctx`. The propagation sweeps are parallelized over
-/// `ctx.pool`; each term/pair accumulates over its own adjacency in a
-/// fixed order, so results are bit-identical for any thread count.
+/// Execution (worker pool, metrics/trace sinks, cancellation) comes from
+/// `ctx`. The propagation sweeps are parallelized over `ctx.pool`; each
+/// term/pair accumulates over its own adjacency in a fixed order, so
+/// results are bit-identical for any thread count and any SIMD level.
 /// Cancellation is polled at entry and once per sweep; a tripped token
 /// yields `Cancelled`/`DeadlineExceeded` instead of a result.
 Result<IterResult> RunIter(const BipartiteGraph& graph,

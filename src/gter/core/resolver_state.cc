@@ -241,12 +241,18 @@ Result<IngestStats> ResolverState::Ingest(uint32_t source,
   }
   GTER_CHECK(ingested_records_ == dataset_->size());  // no unresolved tail
   dataset_->AddRecord(source, std::move(raw_text));
-  return IngestExisting(ctx);
+  // No poll between the append and the structural ingest: a cancel there
+  // would leave the dataset one record ahead of the state.
+  return IngestNext(ctx);
 }
 
 Result<IngestStats> ResolverState::IngestExisting(const ExecContext& ctx) {
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
   GTER_CHECK(ingested_records_ < dataset_->size());
+  return IngestNext(ctx);
+}
+
+Result<IngestStats> ResolverState::IngestNext(const ExecContext& ctx) {
   MetricsRegistry* metrics = ctx.metrics_or_ambient();
   TraceRecorder* recorder = ctx.trace_or_ambient();
   ScopedTimer timer(metrics, recorder, "resolver_state/ingest");

@@ -99,7 +99,11 @@ class ResolverState {
                     size_t limit_records = std::numeric_limits<size_t>::max());
 
   /// Tokenizes and appends a record to the dataset, then resolves it
-  /// incrementally. The serving-path entry point.
+  /// incrementally. The serving-path entry point. Cancellation is polled
+  /// before the append and then only inside the converge: once appended,
+  /// the record is always structurally ingested, so the dataset never runs
+  /// ahead of the state. A cancelled converge leaves the record committed
+  /// with its decisions pending (the next ingest or Converge resumes).
   Result<IngestStats> Ingest(uint32_t source, std::string raw_text,
                              const ExecContext& ctx = DefaultExecContext());
 
@@ -158,6 +162,9 @@ class ResolverState {
   /// Appends record `r`'s structures: posting upsert, neighbor discovery,
   /// pair append, N_t bump, dirty marking. O(neighborhood); no convergence.
   void StructuralIngest(RecordId r);
+  /// Structural ingest of the next dataset record plus its converge; no
+  /// cancellation poll before the structural step.
+  Result<IngestStats> IngestNext(const ExecContext& ctx);
   /// Re-ITER from the pending frontier, then refresh decisions reachable
   /// from the touched scores.
   Status ConvergeAndRefresh(const ExecContext& ctx);

@@ -1,7 +1,6 @@
 #include "gter/graph/record_graph.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "gter/common/status.h"
 
@@ -85,37 +84,6 @@ CsrMatrix RecordGraph::AdjacencyMatrix() const {
   for (RecordId r = 0; r < num_nodes(); ++r) {
     for (RecordId nb : Neighbors(r)) {
       triplets.push_back({r, nb, 1.0});
-    }
-  }
-  return CsrMatrix::FromTriplets(num_nodes(), num_nodes(),
-                                 std::move(triplets));
-}
-
-CsrMatrix RecordGraph::TransitionMatrix(double alpha) const {
-  std::vector<CsrMatrix::Triplet> triplets;
-  triplets.reserve(adjacency_.size());
-  for (RecordId r = 0; r < num_nodes(); ++r) {
-    auto neigh = Neighbors(r);
-    auto wts = Weights(r);
-    if (neigh.empty()) continue;
-    double row_max = 0.0;
-    for (double w : wts) row_max = std::max(row_max, w);
-    if (row_max <= 0.0) {
-      // Degenerate row: all similarities zero → uniform transitions.
-      double uniform = 1.0 / static_cast<double>(neigh.size());
-      for (size_t k = 0; k < neigh.size(); ++k) {
-        triplets.push_back({r, neigh[k], uniform});
-      }
-      continue;
-    }
-    double denom = 0.0;
-    std::vector<double> powered(neigh.size());
-    for (size_t k = 0; k < neigh.size(); ++k) {
-      powered[k] = std::pow(wts[k] / row_max, alpha);
-      denom += powered[k];
-    }
-    for (size_t k = 0; k < neigh.size(); ++k) {
-      triplets.push_back({r, neigh[k], powered[k] / denom});
     }
   }
   return CsrMatrix::FromTriplets(num_nodes(), num_nodes(),

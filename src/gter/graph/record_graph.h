@@ -52,13 +52,8 @@ class RecordGraph {
   bool HasEdge(RecordId a, RecordId b) const;
 
   /// The symmetric 0/1 adjacency matrix M_n as CSR (diagonal excluded).
+  /// CliqueRank's TransitionAndBoost derives M_t on the same layout.
   CsrMatrix AdjacencyMatrix() const;
-
-  /// The transition matrix M_t of Eq. 11/13: row i holds
-  /// s(i,j)^α / Σ_k s(i,k)^α over i's neighbors. Rows are numerically
-  /// stabilized by dividing weights by the row maximum before powering.
-  /// Rows whose weights are all zero fall back to uniform transitions.
-  CsrMatrix TransitionMatrix(double alpha) const;
 
  private:
   std::vector<size_t> offsets_;

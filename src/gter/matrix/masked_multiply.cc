@@ -15,18 +15,6 @@ Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
   GTER_CHECK(trans.rows() == pattern.rows());
   GTER_CHECK(trans.cols() == pattern.rows());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-#if GTER_HAVE_AVX512
-  if (ctx.simd_level() >= SimdLevel::kAvx512) {
-    return internal::MaskedProductDenseAvx512(trans, prev_dense, pattern,
-                                              out_values, ctx);
-  }
-#endif
-#if GTER_HAVE_AVX2
-  if (ctx.simd_level() >= SimdLevel::kAvx2) {
-    return internal::MaskedProductDenseAvx2(trans, prev_dense, pattern,
-                                            out_values, ctx);
-  }
-#endif
   const size_t n = pattern.cols();
   ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8,
               [&](size_t lo, size_t hi) {
@@ -55,27 +43,13 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
                                const double* prev_values,
                                const CsrMatrix& pattern, double* out_values,
                                const ExecContext& ctx) {
-  return ComputeMaskedProductCsr(trans, prev_values, pattern, out_values,
-                                 /*accum_values=*/nullptr, ctx);
-}
-
-Status ComputeMaskedProductCsr(const CsrMatrix& trans,
-                               const double* prev_values,
-                               const CsrMatrix& pattern, double* out_values,
-                               double* accum_values, const ExecContext& ctx) {
   GTER_CHECK(trans.rows() == pattern.rows());
   GTER_CHECK(trans.cols() == pattern.rows());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-#if GTER_HAVE_AVX512
-  if (ctx.simd_level() >= SimdLevel::kAvx512) {
-    return internal::MaskedProductCsrAvx512(trans, prev_values, pattern,
-                                            out_values, accum_values, ctx);
-  }
-#endif
 #if GTER_HAVE_AVX2
   if (ctx.simd_level() >= SimdLevel::kAvx2) {
     return internal::MaskedProductCsrAvx2(trans, prev_values, pattern,
-                                          out_values, accum_values, ctx);
+                                          out_values, ctx);
   }
 #endif
   const size_t n = pattern.cols();
@@ -104,11 +78,6 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
       const size_t base = pattern.RowStart(i);
       for (size_t e = 0; e < pat_cols.size(); ++e) {
         out_values[base + e] = acc[pat_cols[e]];
-      }
-      if (accum_values != nullptr) {
-        for (size_t e = 0; e < pat_cols.size(); ++e) {
-          accum_values[base + e] += out_values[base + e];
-        }
       }
       // Zero exactly the entries the gather touched.
       for (size_t p = 0; p < t_cols.size(); ++p) {

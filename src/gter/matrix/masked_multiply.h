@@ -26,9 +26,10 @@ namespace gter {
 /// Cost: Σ_{(i,j)∈pattern} nnz(trans row i) — linear in pattern edges times
 /// average degree, vs. n³ for the dense product.
 ///
-/// Parallelized over row chunks via `ctx.pool`, dispatched at
-/// `ctx.simd_level()`, polled per row chunk; on cancellation returns early
-/// with `out_values` partially written.
+/// This dense-scratch kernel is the tests' bitwise reference for
+/// `ComputeMaskedProductCsr`; CliqueRank runs the CSR kernel. Parallelized
+/// over row chunks via `ctx.pool`, polled per row chunk; on cancellation
+/// returns early with `out_values` partially written.
 Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
                             const CsrMatrix& pattern, double* out_values,
                             const ExecContext& ctx = DefaultExecContext());
@@ -42,26 +43,11 @@ Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
 ///
 /// Summation order per output entry matches the dense-scratch kernel
 /// (ascending k over trans row i), so the two kernels are bit-identical.
+/// Dispatched at `ctx.simd_level()` to a scalar or AVX2 twin; both are
+/// bit-identical too.
 Status ComputeMaskedProductCsr(const CsrMatrix& trans,
                                const double* prev_values,
                                const CsrMatrix& pattern, double* out_values,
-                               const ExecContext& ctx = DefaultExecContext());
-
-/// Fused-accumulate variant: in the same pass that reads row i's results
-/// out of the dense accumulator, also performs
-///   accum_values[pos] += out_values[pos]
-/// for every structural position of the row (`accum_values` parallel to
-/// `pattern`'s value array; may be null, which degrades to the plain
-/// kernel). This removes CliqueRank's separate accumulation sweep over the
-/// value array each step. Determinism argument: the accumulate is
-/// elementwise on positions this worker just wrote — it reorders nothing,
-/// adds no cross-thread sharing, and leaves `out_values` untouched, so the
-/// fused kernel is bit-identical to running the plain kernel followed by a
-/// separate `accum += out` sweep.
-Status ComputeMaskedProductCsr(const CsrMatrix& trans,
-                               const double* prev_values,
-                               const CsrMatrix& pattern, double* out_values,
-                               double* accum_values,
                                const ExecContext& ctx = DefaultExecContext());
 
 /// Scatters CSR `values` (parallel to `pattern`'s value array) into the

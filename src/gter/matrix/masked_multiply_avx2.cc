@@ -1,12 +1,9 @@
-// AVX2 twins of the masked-product kernels. Both carry a stricter contract
-// than the packed GEMM: outputs are BIT-IDENTICAL to their scalar twins
-// (and hence to each other — cliquerank_differential_test asserts the two
-// masked kernels agree with ASSERT_EQ). The dense variant achieves this by
-// vectorizing ACROSS output entries — each lane runs the exact scalar
-// per-entry recurrence (separate mul then add, ascending k, no FMA). The
-// CSR variant vectorizes only the multiply of the Gustavson scatter (exact
-// per lane) and the position read-out (a copy); the adds into the dense
-// accumulator stay scalar in the original order.
+// AVX2 twin of the CSR masked-product kernel. It carries a stricter
+// contract than the packed GEMM: outputs are BIT-IDENTICAL to the scalar
+// twin (and hence to the dense-scratch reference kernel). It vectorizes
+// only the multiply of the Gustavson scatter (exact per lane) and the
+// position read-out (a copy); the adds into the dense accumulator stay
+// scalar in the original order.
 
 #include "gter/matrix/matrix_simd.h"
 
@@ -22,50 +19,9 @@
 namespace gter {
 namespace internal {
 
-Status MaskedProductDenseAvx2(const CsrMatrix& trans, const double* prev_dense,
-                              const CsrMatrix& pattern, double* out_values,
-                              const ExecContext& ctx) {
-  const size_t n = pattern.cols();
-  ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8, [&](size_t lo,
-                                                            size_t hi) {
-    if (ctx.cancelled()) return;
-    for (size_t i = lo; i < hi; ++i) {
-      auto pat_cols = pattern.RowCols(i);
-      if (pat_cols.empty()) continue;
-      auto t_cols = trans.RowCols(i);
-      auto t_vals = trans.RowValues(i);
-      const size_t base = pattern.RowStart(i);
-      size_t e = 0;
-      for (; e + 4 <= pat_cols.size(); e += 4) {
-        const __m128i cols = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(pat_cols.data() + e));
-        __m256d acc = _mm256_setzero_pd();
-        for (size_t p = 0; p < t_cols.size(); ++p) {
-          const double* prev_row =
-              prev_dense + static_cast<size_t>(t_cols[p]) * n;
-          const __m256d v = _mm256_i32gather_pd(prev_row, cols, 8);
-          // mul + add (not fmadd): each lane reproduces the scalar
-          // `acc += w * prev[k·n + j]` bit for bit.
-          acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(t_vals[p]), v));
-        }
-        _mm256_storeu_pd(out_values + base + e, acc);
-      }
-      for (; e < pat_cols.size(); ++e) {
-        const size_t j = pat_cols[e];
-        double acc = 0.0;
-        for (size_t p = 0; p < t_cols.size(); ++p) {
-          acc += t_vals[p] * prev_dense[static_cast<size_t>(t_cols[p]) * n + j];
-        }
-        out_values[base + e] = acc;
-      }
-    }
-  });
-  return ctx.CheckCancel();
-}
-
 Status MaskedProductCsrAvx2(const CsrMatrix& trans, const double* prev_values,
                             const CsrMatrix& pattern, double* out_values,
-                            double* accum_values, const ExecContext& ctx) {
+                            const ExecContext& ctx) {
   const size_t n = pattern.cols();
   ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8, [&](size_t lo,
                                                             size_t hi) {
@@ -102,19 +58,11 @@ Status MaskedProductCsrAvx2(const CsrMatrix& trans, const double* prev_values,
       for (; e + 4 <= pat_cols.size(); e += 4) {
         const __m128i cols = _mm_loadu_si128(
             reinterpret_cast<const __m128i*>(pat_cols.data() + e));
-        const __m256d out = _mm256_i32gather_pd(acc.data(), cols, 8);
-        _mm256_storeu_pd(out_values + base + e, out);
-        if (accum_values != nullptr) {
-          // Fused `accum += out` on positions this worker just produced:
-          // elementwise, so it can't perturb `out` (see masked_multiply.h).
-          _mm256_storeu_pd(
-              accum_values + base + e,
-              _mm256_add_pd(_mm256_loadu_pd(accum_values + base + e), out));
-        }
+        _mm256_storeu_pd(out_values + base + e,
+                         _mm256_i32gather_pd(acc.data(), cols, 8));
       }
       for (; e < pat_cols.size(); ++e) {
         out_values[base + e] = acc[pat_cols[e]];
-        if (accum_values != nullptr) accum_values[base + e] += acc[pat_cols[e]];
       }
       for (size_t p = 0; p < t_cols.size(); ++p) {
         for (uint32_t c : pattern.RowCols(t_cols[p])) acc[c] = 0.0;

@@ -2,9 +2,9 @@
 #define GTER_MATRIX_MATRIX_SIMD_H_
 
 // Internal declarations of the AVX2/AVX-512 matrix kernels (gemm_avx2.cc,
-// masked_multiply_avx2.cc, gemm_avx512.cc, masked_multiply_avx512.cc). Only
-// the dispatchers in gemm.cc and masked_multiply.cc include this; the
-// public API stays in gemm.h / masked_multiply.h.
+// masked_multiply_avx2.cc, gemm_avx512.cc). Only the dispatchers in gemm.cc
+// and masked_multiply.cc include this; the public API stays in gemm.h /
+// masked_multiply.h.
 
 #include "gter/common/cpu.h"
 #include "gter/common/exec_context.h"
@@ -24,19 +24,11 @@ namespace internal {
 Status GemmPackedAvx2(const DenseMatrix& a, const DenseMatrix& b,
                       DenseMatrix* c, const ExecContext& ctx);
 
-/// AVX2 twin of ComputeMaskedProduct: 4 pattern entries per vector, the
-/// k-reduction per entry kept in scalar order (mul then add per step), so
-/// outputs are bit-identical to the scalar kernel.
-Status MaskedProductDenseAvx2(const CsrMatrix& trans, const double* prev_dense,
-                              const CsrMatrix& pattern, double* out_values,
-                              const ExecContext& ctx);
-
-/// AVX2 twin of ComputeMaskedProductCsr; same bit-identical contract.
-/// `accum_values` (may be null) receives `accum[e] += out[e]` fused into
-/// the row readout — elementwise, so fusing cannot change `out`.
+/// AVX2 twin of ComputeMaskedProductCsr: vector multiplies, scalar adds in
+/// the scalar order, so outputs are bit-identical to the scalar kernel.
 Status MaskedProductCsrAvx2(const CsrMatrix& trans, const double* prev_values,
                             const CsrMatrix& pattern, double* out_values,
-                            double* accum_values, const ExecContext& ctx);
+                            const ExecContext& ctx);
 
 #endif  // GTER_HAVE_AVX2
 
@@ -47,22 +39,6 @@ Status MaskedProductCsrAvx2(const CsrMatrix& trans, const double* prev_values,
 /// vs the scalar kernel; bit-stable across thread counts.
 Status GemmPackedAvx512(const DenseMatrix& a, const DenseMatrix& b,
                         DenseMatrix* c, const ExecContext& ctx);
-
-/// AVX-512 twin of ComputeMaskedProduct: 8 pattern entries per vector,
-/// masked gathers for the ragged tail; bit-identical to scalar.
-Status MaskedProductDenseAvx512(const CsrMatrix& trans,
-                                const double* prev_dense,
-                                const CsrMatrix& pattern, double* out_values,
-                                const ExecContext& ctx);
-
-/// AVX-512 twin of ComputeMaskedProductCsr: Gustavson accumulation via
-/// 8-wide gather-modify-scatter (conflict-free because pattern rows have
-/// unique sorted columns); bit-identical to scalar. Same optional fused
-/// `accum_values` as the AVX2 twin.
-Status MaskedProductCsrAvx512(const CsrMatrix& trans,
-                              const double* prev_values,
-                              const CsrMatrix& pattern, double* out_values,
-                              double* accum_values, const ExecContext& ctx);
 
 #endif  // GTER_HAVE_AVX512
 

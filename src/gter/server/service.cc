@@ -390,10 +390,13 @@ Result<JsonValue> ResolutionService::AddRecord(const JsonValue& params,
     // Incremental mode: a real ingest — O(neighborhood) structural update
     // plus a dirty-region re-ITER under the request's deadline. The
     // response reports the cluster the record resolved into.
+    const size_t records_before = dataset_.size();
     Result<IngestStats> ingest = state_->Ingest(source, text.value(), ctx);
+    // A cancelled converge still commits the record, so source_of_ follows
+    // the dataset whatever the status: the clusterers index it per record.
+    if (dataset_.size() > records_before) source_of_.push_back(source);
     if (!ingest.ok()) return ingest.status();
     const IngestStats& stats = ingest.value();
-    source_of_.push_back(source);
     records_added_.fetch_add(1, std::memory_order_relaxed);
     out.Set("record", JsonValue::MakeNumber(stats.record));
     out.Set("cluster", JsonValue::MakeNumber(stats.cluster));

@@ -96,13 +96,6 @@ size_t MyersBlocked(std::string_view pattern, std::string_view text) {
 
 }  // namespace
 
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (ActiveSimdLevel() == SimdLevel::kScalar) {
-    return LevenshteinDistanceDp(a, b);
-  }
-  return LevenshteinDistanceMyers(a, b);
-}
-
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
   if (b.empty()) return a.size();
@@ -121,31 +114,11 @@ size_t LevenshteinDistanceDp(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-size_t LevenshteinDistanceMyers(std::string_view a, std::string_view b) {
+size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // b becomes the pattern
   if (b.empty()) return a.size();
   if (b.size() <= 64) return MyersSingleWord(b, a);
   return MyersBlocked(b, a);
-}
-
-void LevenshteinDistanceBatch(std::string_view a,
-                              const std::vector<std::string>& b,
-                              std::vector<size_t>* out) {
-  out->resize(b.size());
-  const SimdLevel level = ActiveSimdLevel();
-#if GTER_HAVE_AVX512
-  // The lane-parallel kernel fixes `a` as the pattern regardless of which
-  // string is shorter; edit distance is symmetric and Myers is exact, so
-  // the integer result matches the per-call role-swapping entry point.
-  if (level >= SimdLevel::kAvx512 && !a.empty() && a.size() <= 64) {
-    internal::LevenshteinBatchAvx512(a, b, out->data());
-    return;
-  }
-#endif
-  for (size_t j = 0; j < b.size(); ++j) {
-    (*out)[j] = level == SimdLevel::kScalar ? LevenshteinDistanceDp(a, b[j])
-                                            : LevenshteinDistanceMyers(a, b[j]);
-  }
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {

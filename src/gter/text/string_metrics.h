@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,33 +14,16 @@ namespace gter {
 /// All similarity functions return values in [0, 1]; distances return raw
 /// edit counts.
 
-/// Levenshtein edit distance (insert/delete/substitute, unit costs).
-/// Dispatches on the active SIMD level: `--simd=scalar` pins the classic
-/// row DP (`LevenshteinDistanceDp`), anything above runs Myers' bit-parallel
-/// algorithm (`LevenshteinDistanceMyers`). The two return identical
-/// distances by construction — Myers computes the same DP, 64 cells per
-/// word — which the "simd"-labelled property tests enforce over randomized
-/// byte strings.
+/// Levenshtein edit distance (insert/delete/substitute, unit costs) by
+/// Myers/Hyyrö's bit-parallel algorithm: O(|a|·⌈|b|/64⌉) time. It computes
+/// the classic DP exactly, 64 cells per word, over bytes (UTF-8 included —
+/// both count byte edits); the "simd"-labelled property tests pin it to
+/// `LevenshteinDistanceDp` over randomized byte strings.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
-/// Classic row DP: O(|a|·|b|) time, O(min(|a|,|b|)) space. The scalar
-/// reference implementation.
+/// Classic row DP: O(|a|·|b|) time, O(min(|a|,|b|)) space. The reference
+/// implementation the tests check `LevenshteinDistance` against.
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b);
-
-/// Myers/Hyyrö bit-parallel edit distance: O(|a|·⌈|b|/64⌉) time. Matches
-/// bytes (so it agrees with the DP on any input, UTF-8 included — both
-/// count byte edits).
-size_t LevenshteinDistanceMyers(std::string_view a, std::string_view b);
-
-/// Batched Levenshtein: out[j] = LevenshteinDistance(a, b[j]), resized to
-/// b.size(). Same per-pair dispatch as the single-shot entry point, plus an
-/// AVX-512 tier that runs 8 candidates per __m512i through a lane-parallel
-/// single-word Myers kernel when |a| ≤ 64 (the common case for record
-/// fields). Edit distance is symmetric and every tier computes the exact
-/// DP, so all tiers return identical integer distances.
-void LevenshteinDistanceBatch(std::string_view a,
-                              const std::vector<std::string>& b,
-                              std::vector<size_t>* out);
 
 /// 1 - distance / max(|a|, |b|); 1.0 for two empty strings.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
@@ -111,16 +93,6 @@ double SoftTfIdfSimilarity(const std::vector<std::string>& a,
 
 namespace internal {
 #if GTER_HAVE_AVX512
-/// 8-lane batched single-word Myers (string_metrics_avx512.cc): texts
-/// stream through one __m512i of per-lane DP states, eq words gathered from
-/// a shared peq table, hout bits popcount-flushed into per-lane scores
-/// (VPOPCNTQ). Requires 1 ≤ |pattern| ≤ 64; texts of any length (a lane
-/// goes inactive past its text's end). Writes texts.size() exact distances
-/// to `out`.
-void LevenshteinBatchAvx512(std::string_view pattern,
-                            const std::vector<std::string>& texts,
-                            size_t* out);
-
 /// Mask-parallel Jaro–Winkler (string_metrics_avx512.cc): `b` lives in one
 /// byte-masked zmm, each a[i] scans its match window with a 64-bit compare
 /// mask, and the first unmatched equal char falls out of a tzcnt — the same

@@ -1,11 +1,8 @@
-// AVX-512 string-metric kernels: an 8-lane batched single-word Myers
-// Levenshtein and a mask-parallel Jaro–Winkler. Both are exact — Myers is
-// an integer DP (lane-wise it computes the same bits the scalar kernel
-// does), and the Jaro kernel picks the same first-unmatched-equal-char
-// match the scalar window walk picks (lowest j via tzcnt over a compare
-// mask), then evaluates the identical double formula — so both are
-// bit-identical to their scalar twins, which the simd differential tests
-// assert with ASSERT_EQ.
+// AVX-512 mask-parallel Jaro–Winkler. It is exact: the kernel picks the
+// same first-unmatched-equal-char match the scalar window walk picks
+// (lowest j via tzcnt over a compare mask), then evaluates the identical
+// double formula, so it is bit-identical to the scalar twin, which the simd
+// differential tests assert with ASSERT_EQ.
 
 #include "gter/text/string_metrics.h"
 
@@ -15,15 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 namespace gter {
 namespace internal {
 namespace {
-
-/// 3-input boolean A | ~(B | C) as a vpternlogq immediate: the Myers
-/// vertical-delta updates ph = mv | ~(xh | pv) and pv' = mh | ~(xv | ph').
-constexpr int kOrNotOr = 0xF1;
 
 /// Jaro core on bitset match state. Both strings ≤ 64 bytes; `b` lives in
 /// one byte-masked zmm and each a[i] resolves its whole match window with
@@ -74,94 +66,6 @@ double JaroMasked(std::string_view a, std::string_view b) {
 }
 
 }  // namespace
-
-void LevenshteinBatchAvx512(std::string_view pattern,
-                            const std::vector<std::string>& texts,
-                            size_t* out) {
-  const size_t m = pattern.size();
-  alignas(64) uint64_t peq[256] = {};
-  for (size_t i = 0; i < m; ++i) {
-    peq[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
-  }
-  const __m512i last =
-      _mm512_set1_epi64(static_cast<long long>(uint64_t{1} << (m - 1)));
-  const __m512i one = _mm512_set1_epi64(1);
-
-  std::vector<unsigned char> columns;  // column-major: byte of lane l at
-                                       // column c lives at columns[c*8+l]
-  alignas(64) uint64_t lens[8];
-  alignas(64) uint64_t scores[8];
-
-  for (size_t g = 0; g < texts.size(); g += 8) {
-    const size_t lanes = std::min<size_t>(8, texts.size() - g);
-    size_t max_len = 0;
-    for (size_t l = 0; l < 8; ++l) {
-      lens[l] = l < lanes ? texts[g + l].size() : 0;
-      max_len = std::max<size_t>(max_len, lens[l]);
-    }
-    columns.assign(max_len * 8, 0);
-    for (size_t l = 0; l < lanes; ++l) {
-      const std::string& t = texts[g + l];
-      for (size_t c = 0; c < t.size(); ++c) {
-        columns[c * 8 + l] = static_cast<unsigned char>(t[c]);
-      }
-    }
-    const __m512i lens_v =
-        _mm512_load_si512(reinterpret_cast<const void*>(lens));
-    __m512i pv = _mm512_set1_epi64(-1);
-    __m512i mv = _mm512_setzero_si512();
-    __m512i score = _mm512_set1_epi64(static_cast<long long>(m));
-    // hout events are recorded as bits (one per column mod 64) and folded
-    // into the scores with VPOPCNTQ once per 64 columns — cheaper than a
-    // masked add + masked sub every column.
-    __m512i plus_acc = _mm512_setzero_si512();
-    __m512i minus_acc = _mm512_setzero_si512();
-    for (size_t col = 0; col < max_len; ++col) {
-      // A lane is active while this column is inside its text. Past the
-      // end its state keeps evolving on padding bytes, but with hout
-      // masked off below the garbage never reaches the score.
-      const __mmask8 active = _mm512_cmpgt_epu64_mask(
-          lens_v, _mm512_set1_epi64(static_cast<long long>(col)));
-      const __m512i idx = _mm512_cvtepu8_epi64(_mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(columns.data() + col * 8)));
-      const __m512i eq = _mm512_i64gather_epi64(idx, peq, 8);
-      // Lane-wise Myers step: identical bit algebra to MyersSingleWord;
-      // the block-carry add works per 64-bit lane, and GCC lowers the
-      // 3-input or/not chains to vpternlogq (kOrNotOr).
-      const __m512i xv = _mm512_or_epi64(eq, mv);
-      const __m512i xh = _mm512_or_epi64(
-          _mm512_xor_epi64(
-              _mm512_add_epi64(_mm512_and_epi64(eq, pv), pv), pv),
-          eq);
-      __m512i ph = _mm512_ternarylogic_epi64(mv, xh, pv, kOrNotOr);
-      __m512i mh = _mm512_and_epi64(pv, xh);
-      const __mmask8 plus_m = _mm512_test_epi64_mask(ph, last) & active;
-      const __mmask8 minus_m =
-          _mm512_test_epi64_mask(mh, last) & active & ~plus_m;
-      const __m512i col_bit = _mm512_set1_epi64(
-          static_cast<long long>(uint64_t{1} << (col & 63)));
-      plus_acc = _mm512_mask_or_epi64(plus_acc, plus_m, plus_acc, col_bit);
-      minus_acc =
-          _mm512_mask_or_epi64(minus_acc, minus_m, minus_acc, col_bit);
-      if ((col & 63) == 63) {
-        score = _mm512_add_epi64(score, _mm512_popcnt_epi64(plus_acc));
-        score = _mm512_sub_epi64(score, _mm512_popcnt_epi64(minus_acc));
-        plus_acc = _mm512_setzero_si512();
-        minus_acc = _mm512_setzero_si512();
-      }
-      ph = _mm512_or_epi64(_mm512_slli_epi64(ph, 1), one);
-      mh = _mm512_slli_epi64(mh, 1);
-      pv = _mm512_ternarylogic_epi64(mh, xv, ph, kOrNotOr);
-      mv = _mm512_and_epi64(ph, xv);
-    }
-    score = _mm512_add_epi64(score, _mm512_popcnt_epi64(plus_acc));
-    score = _mm512_sub_epi64(score, _mm512_popcnt_epi64(minus_acc));
-    _mm512_store_si512(reinterpret_cast<void*>(scores), score);
-    for (size_t l = 0; l < lanes; ++l) {
-      out[g + l] = static_cast<size_t>(scores[l]);
-    }
-  }
-}
 
 double JaroWinklerAvx512(std::string_view a, std::string_view b,
                          double prefix_scale) {

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -124,6 +126,47 @@ TEST(TaskGroupTest, WaitCoversOnlyOwnGroup) {
   EXPECT_FALSE(slow_done.load());  // we did not wait for the other group
   pool.Wait(&slow);
   EXPECT_TRUE(slow_done.load());
+}
+
+TEST(TaskGroupTest, WaiterNeverRunsAnotherGroupsQueuedTask) {
+  // A service worker holding a lock exclusively runs a parallel stage
+  // while another request, which takes the same lock, sits in the queue.
+  // A waiter that picked that request up would re-lock the mutex on its
+  // own thread (std::system_error, or a self-deadlock).
+  ThreadPool pool(2);
+  // Park both workers so queued tasks stay queued until a waiter runs them.
+  std::atomic<bool> release{false};
+  std::atomic<int> parked{0};
+  TaskGroup blockers;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(pool.Submit(&blockers, [&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    }).ok());
+  }
+  while (parked.load() < 2) std::this_thread::yield();
+
+  std::shared_mutex mu;
+  TaskGroup other;
+  std::atomic<bool> other_ran{false};
+  ASSERT_TRUE(pool.Submit(&other, [&] {
+    std::shared_lock lock(mu);
+    other_ran.store(true);
+  }).ok());
+
+  std::atomic<int> covered{0};
+  {
+    std::unique_lock lock(mu);
+    ParallelFor(&pool, 0, 64, 1, [&](size_t lo, size_t hi) {
+      covered.fetch_add(static_cast<int>(hi - lo));
+    });
+    EXPECT_FALSE(other_ran.load());
+  }
+  EXPECT_EQ(covered.load(), 64);
+  release.store(true);
+  pool.Wait(&other);
+  pool.Wait(&blockers);
+  EXPECT_TRUE(other_ran.load());
 }
 
 TEST(TaskGroupTest, GroupIsReusableAfterWait) {

@@ -1,12 +1,14 @@
 // Differential tests over the CliqueRank engines: the dense GEMM engine
 // and the masked-sparse engine implement the same recurrence and must
 // agree on ANY graph — checked on Erdős–Rényi graphs whose densities
-// straddle the kAuto switch point, across seeds and boost modes. A second
+// straddle the kAuto switch point, across seeds and boost modes, and each
+// engine is pinned bitwise against itself under a thread pool. A second
 // harness pins the CSR-gather masked kernel bit-identically to the
 // dense-scratch reference kernel at a size where the O(n²) scratch is the
 // thing being replaced.
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -62,26 +64,48 @@ TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
   auto [n, density, seed] = GetParam();
   ErdosRenyiWorld world(n, density, seed);
   if (world.pairs.size() == 0) GTEST_SKIP() << "empty graph";
+  ThreadPool pool(4);
 
   for (BoostMode mode : {BoostMode::kSampled, BoostMode::kExpected}) {
-    CliqueRankOptions dense;
-    dense.engine = CliqueRankEngine::kDense;
-    dense.boost_mode = mode;
-    dense.seed = seed * 1000 + 3;
-    CliqueRankOptions masked = dense;
-    masked.engine = CliqueRankEngine::kMaskedSparse;
+    for (bool use_boost : {true, false}) {
+      CliqueRankOptions dense;
+      dense.engine = CliqueRankEngine::kDense;
+      dense.boost_mode = mode;
+      dense.use_boost = use_boost;
+      dense.seed = seed * 1000 + 3;
+      CliqueRankOptions masked = dense;
+      masked.engine = CliqueRankEngine::kMaskedSparse;
+      const std::string where =
+          std::string("mode ") +
+          (mode == BoostMode::kSampled ? "sampled" : "expected") +
+          " boost " + (use_boost ? "on" : "off");
 
-    CliqueRankResult rd =
-        RunCliqueRank(world.graph, world.pairs, dense).value();
-    CliqueRankResult rm =
-        RunCliqueRank(world.graph, world.pairs, masked).value();
-    ASSERT_EQ(rd.engine_used, CliqueRankEngine::kDense);
-    ASSERT_EQ(rm.engine_used, CliqueRankEngine::kMaskedSparse);
-    ASSERT_EQ(rd.pair_probability.size(), world.pairs.size());
-    for (PairId p = 0; p < world.pairs.size(); ++p) {
-      EXPECT_NEAR(rd.pair_probability[p], rm.pair_probability[p], 1e-12)
-          << "pair " << p << " mode "
-          << (mode == BoostMode::kSampled ? "sampled" : "expected");
+      CliqueRankResult rd =
+          RunCliqueRank(world.graph, world.pairs, dense).value();
+      CliqueRankResult rm =
+          RunCliqueRank(world.graph, world.pairs, masked).value();
+      ASSERT_EQ(rd.engine_used, CliqueRankEngine::kDense);
+      ASSERT_EQ(rm.engine_used, CliqueRankEngine::kMaskedSparse);
+      ASSERT_EQ(rd.pair_probability.size(), world.pairs.size());
+      for (PairId p = 0; p < world.pairs.size(); ++p) {
+        EXPECT_NEAR(rd.pair_probability[p], rm.pair_probability[p], 1e-12)
+            << "pair " << p << " " << where;
+      }
+
+      // Both engines are bit-identical to themselves under a thread pool.
+      const ExecContext pooled = ExecContext::WithPool(&pool);
+      EXPECT_EQ(
+          RunCliqueRank(world.graph, world.pairs, dense, pooled)
+              .value()
+              .pair_probability,
+          rd.pair_probability)
+          << "dense engine, pool vs serial, " << where;
+      EXPECT_EQ(
+          RunCliqueRank(world.graph, world.pairs, masked, pooled)
+              .value()
+              .pair_probability,
+          rm.pair_probability)
+          << "masked engine, pool vs serial, " << where;
     }
   }
 }

@@ -98,7 +98,7 @@ TEST(CliqueRankTest, SingleStepEqualsBoostedTransition) {
   options.max_steps = 1;
   options.use_boost = false;  // then M¹ = M_t exactly
   auto result = RunCliqueRank(graph, f.pairs, options).value();
-  CsrMatrix mt = graph.TransitionMatrix(options.alpha);
+  const CsrMatrix mt = TransitionAndBoost(graph, options).transition;
   for (PairId p = 0; p < f.pairs.size(); ++p) {
     const RecordPair& rp = f.pairs.pair(p);
     double expected = (mt.At(rp.a, rp.b) + mt.At(rp.b, rp.a)) / 2.0;

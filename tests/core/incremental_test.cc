@@ -11,6 +11,7 @@
 //     IngestExisting, Converge, RunIterDirty, RunProgressive) polls at
 //     entry — k = 0 always cancels — and a cancelled converge is resumable:
 //     Converge() recovers and the final weights match the uncancelled run.
+//     A cancel at any poll of Ingest leaves the next ingest able to run.
 //  3. The progressive scheduler with an unlimited budget emits exactly the
 //     batch match set and clustering; a tripped budget yields a valid
 //     partial snapshot, never an error.
@@ -361,6 +362,53 @@ TEST(IncrementalCancelTest, CancelledConvergeResumesToSameFixedPoint) {
           << "k=" << k << " t=" << t;
     }
     ASSERT_EQ(state.cluster_of(), reference.cluster_of()) << "k=" << k;
+  }
+}
+
+TEST(IncrementalCancelTest, CancelledIngestNeverAbortsTheNextOne) {
+  // Sweep a cancel point through Ingest: its entry poll, the converge's
+  // entry and its sweeps. A cancel before the append leaves nothing
+  // behind; one after it leaves the record committed with its converge
+  // pending. Either way the following ingest must succeed, and the stream
+  // must still land on the batch fixed point.
+  Dataset data = MakeData();
+  const size_t n = data.size();
+  constexpr size_t kTail = 6;
+  ResolverState batch(&data);
+  ASSERT_TRUE(batch.BuildBatch().ok());
+  std::vector<RecordId> identity(n);
+  for (size_t i = 0; i < n; ++i) identity[i] = static_cast<RecordId>(i);
+
+  for (int64_t k = 0; k < 10; ++k) {
+    Dataset head(data.name(), data.num_sources());
+    for (size_t i = 0; i + kTail < n; ++i) {
+      head.AddRecord(data.record(i).source, data.record(i).raw_text,
+                     data.record(i).fields);
+    }
+    ResolverState stream(&head);
+    ASSERT_TRUE(stream.BuildBatch().ok());
+    for (size_t i = n - kTail; i < n; ++i) {
+      const Record& rec = data.record(i);
+      CancelToken token;
+      ExecContext ctx;
+      ctx.cancel = &token;
+      token.CancelAfterPolls(k);
+      auto cancelled = stream.Ingest(rec.source, rec.raw_text, ctx);
+      if (!cancelled.ok()) {
+        ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+            << "k=" << k;
+      }
+      // The dataset never runs ahead of the state.
+      ASSERT_EQ(stream.num_records(), head.size()) << "k=" << k;
+      if (head.size() == i) {
+        // Cancelled before the append: ingest the record cleanly.
+        auto clean = stream.Ingest(rec.source, rec.raw_text);
+        ASSERT_TRUE(clean.ok()) << "k=" << k << ": " << clean.status();
+      }
+    }
+    ASSERT_TRUE(stream.Converge().ok()) << "k=" << k;
+    ExpectArmsAgree(batch, stream, identity, 1e-10);
+    ASSERT_EQ(stream.cluster_of(), batch.cluster_of()) << "k=" << k;
   }
 }
 

@@ -87,7 +87,9 @@ TEST_P(RandomGraphProperties, TransitionRowsAreStochastic) {
     ++degree[rp.a];
     ++degree[rp.b];
   }
-  CsrMatrix mt = world.graph.TransitionMatrix(alpha);
+  CliqueRankOptions options;
+  options.alpha = alpha;
+  const CsrMatrix mt = TransitionAndBoost(world.graph, options).transition;
   ASSERT_EQ(mt.rows(), world.ds.size());
   for (size_t r = 0; r < mt.rows(); ++r) {
     auto values = mt.RowValues(r);
@@ -118,8 +120,9 @@ TEST_P(RandomGraphProperties, BoostedValuesStayInUnitInterval) {
     options.alpha = 1.0 + 3.0 * rng.UniformDouble();  // α ∈ [1, 4]
     options.boost_mode = mode;
     options.seed = seed;
-    CsrMatrix trans = world.graph.TransitionMatrix(options.alpha);
-    std::vector<double> boosted = CliqueRankBoostedValues(trans, options);
+    const CliqueRankSetup setup = TransitionAndBoost(world.graph, options);
+    const CsrMatrix& trans = setup.transition;
+    const std::vector<double>& boosted = setup.boosted;
     ASSERT_EQ(boosted.size(), trans.nnz());
     size_t e = 0;
     for (size_t r = 0; r < trans.rows(); ++r) {

@@ -4,8 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/core/cliquerank.h"
+
 namespace gter {
 namespace {
+
+// M_t of Eq. 11/13 over `g` — built by CliqueRank's setup pass, the one
+// place the transition matrix is derived from the record graph.
+CsrMatrix Transition(const RecordGraph& g, double alpha) {
+  CliqueRankOptions options;
+  options.alpha = alpha;
+  return TransitionAndBoost(g, options).transition;
+}
 
 // Triangle of three records all sharing one term, with distinct weights.
 struct Fixture {
@@ -94,7 +104,7 @@ TEST(RecordGraphTest, TransitionMatrixRowsAreStochastic) {
   Fixture f;
   RecordGraph g = RecordGraph::Build(f.ds.size(), f.pairs, f.sims);
   for (double alpha : {1.0, 5.0, 20.0}) {
-    CsrMatrix mt = g.TransitionMatrix(alpha);
+    CsrMatrix mt = Transition(g, alpha);
     for (size_t r = 0; r < 3; ++r) {
       double sum = 0.0;
       for (double v : mt.RowValues(r)) sum += v;
@@ -107,8 +117,8 @@ TEST(RecordGraphTest, LargerAlphaSharpensTransitions) {
   Fixture f;
   RecordGraph g = RecordGraph::Build(f.ds.size(), f.pairs, f.sims);
   // From node 0: neighbor 1 has weight 0.9, neighbor 2 has 0.3.
-  CsrMatrix soft = g.TransitionMatrix(1.0);
-  CsrMatrix sharp = g.TransitionMatrix(20.0);
+  CsrMatrix soft = Transition(g, 1.0);
+  CsrMatrix sharp = Transition(g, 20.0);
   EXPECT_GT(sharp.At(0, 1), soft.At(0, 1));
   EXPECT_LT(sharp.At(0, 2), soft.At(0, 2));
   EXPECT_GT(sharp.At(0, 1), 0.999);  // (0.3/0.9)^20 ≈ 3e-10
@@ -122,7 +132,7 @@ TEST(RecordGraphTest, ZeroWeightRowFallsBackToUniform) {
   PairSpace pairs = PairSpace::Build(ds);
   std::vector<double> zeros(pairs.size(), 0.0);
   RecordGraph g = RecordGraph::Build(ds.size(), pairs, zeros);
-  CsrMatrix mt = g.TransitionMatrix(20.0);
+  CsrMatrix mt = Transition(g, 20.0);
   EXPECT_NEAR(mt.At(0, 1), 0.5, 1e-12);
   EXPECT_NEAR(mt.At(0, 2), 0.5, 1e-12);
 }
@@ -131,7 +141,7 @@ TEST(RecordGraphTest, HugeWeightsDoNotOverflowAtHighAlpha) {
   Fixture f;
   f.sims = {500.0, 400.0, 450.0};  // s^α would overflow without row-max trick
   RecordGraph g = RecordGraph::Build(f.ds.size(), f.pairs, f.sims);
-  CsrMatrix mt = g.TransitionMatrix(100.0);
+  CsrMatrix mt = Transition(g, 100.0);
   for (size_t r = 0; r < 3; ++r) {
     double sum = 0.0;
     for (double v : mt.RowValues(r)) {

@@ -23,7 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "gter/common/prom.h"
+#include "gter/common/thread_pool.h"
 #include "gter/core/clusterer.h"
+#include "gter/datagen/datagen.h"
+#include "gter/er/preprocess.h"
 #include "gter/server/client.h"
 
 namespace gter {
@@ -315,6 +318,92 @@ TEST(GterdServerTest, IncrementalStatsExposesIngestCounters) {
   ASSERT_TRUE(batch_stats.ok());
   EXPECT_FALSE(batch_stats.value().Find("incremental")->boolean());
   EXPECT_EQ(batch_stats.value().Find("ingest"), nullptr);
+}
+
+TEST(GterdServerTest, IncrementalIngestBesideResolvesOnSharedPool) {
+  // Requests and their stages share one 2-thread pool. An add_record
+  // holds the service's exclusive lock while RunIterDirty waits on its
+  // ParallelFor chunks; queued resolves (which take the same lock) must
+  // never run on that waiting thread.
+  GeneratedDataset data = GenerateBenchmark(BenchmarkKind::kRestaurant, 1.0, 7);
+  RemoveFrequentTerms(&data.dataset);
+  std::vector<std::string> texts;
+  for (const Record& r : data.dataset.records()) texts.push_back(r.raw_text);
+  ThreadPool pool(2);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
+  auto built = ResolutionService::Create(std::move(data.dataset),
+                                         IncrementalOptions(), ctx);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto started = GterdServer::Start(built.value().get(), {}, ctx);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  const uint16_t port = started.value()->port();
+
+  constexpr int kConnections = 4;
+  constexpr int kRequests = 30;
+  std::atomic<int> ok{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kConnections; ++c) {
+    workers.emplace_back([&, c] {
+      auto connected = GterdClient::Connect("127.0.0.1", port);
+      if (!connected.ok()) {
+        errors += kRequests;
+        return;
+      }
+      GterdClient client = std::move(connected).value();
+      for (int i = 0; i < kRequests; ++i) {
+        JsonValue params = JsonValue::MakeObject();
+        params.Set("text", JsonValue::MakeString(
+                               texts[(c * kRequests + i) * 7 % texts.size()]));
+        const char* method = (c + i) % 2 == 0 ? "add_record" : "resolve";
+        if (client.Call(method, std::move(params)).ok()) {
+          ++ok;
+        } else {
+          ++errors;
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(ok.load(), kConnections * kRequests);
+}
+
+TEST(ResolutionServiceTest, CancelledAddRecordKeepsSourcesAligned) {
+  // Two sources, incremental mode. A cancel that lands inside the converge
+  // leaves the record committed; the per-record source list the
+  // unique_mapping clusterer reads must still cover it.
+  Dataset dataset = GenerateBenchmark(BenchmarkKind::kProduct, 0.1, 5).dataset;
+  RemoveFrequentTerms(&dataset);
+  ASSERT_EQ(dataset.num_sources(), 2u);
+  const std::string text = dataset.record(0).raw_text;
+  auto built =
+      ResolutionService::Create(std::move(dataset), IncrementalOptions());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ResolutionService& service = *built.value();
+
+  for (int64_t k = 0; k < 6; ++k) {
+    GterdRequest add;
+    add.method = "add_record";
+    add.params.Set("source", JsonValue::MakeNumber(1));
+    add.params.Set("text", JsonValue::MakeString(text));
+    CancelToken token;
+    token.CancelAfterPolls(k);
+    ExecContext ctx;
+    ctx.cancel = &token;
+    Result<JsonValue> added = service.Handle(add, ctx);
+    if (!added.ok()) {
+      EXPECT_EQ(added.status().code(), StatusCode::kCancelled) << "k=" << k;
+    }
+
+    GterdRequest resolve;
+    resolve.method = "resolve";
+    resolve.params.Set("text", JsonValue::MakeString(text));
+    resolve.params.Set("clusterer", JsonValue::MakeString("unique_mapping"));
+    Result<JsonValue> resolved = service.Handle(resolve, DefaultExecContext());
+    ASSERT_TRUE(resolved.ok()) << "k=" << k << ": "
+                               << resolved.status().ToString();
+  }
 }
 
 TEST(GterdServerTest, MalformedJsonAnswersErrorAndKeepsConnection) {

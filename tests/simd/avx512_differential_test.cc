@@ -1,15 +1,11 @@
-// AVX-512-vs-scalar differentials for the 512-bit kernel tier (gather
-// reduces ≤1e-12, packed GEMM ≤1e-12, masked products bitwise, the 8-lane
-// batched Levenshtein exact, the mask-parallel Jaro-Winkler bitwise), plus
-// the fused-vs-staged pipeline differentials pinning IterOptions::
-// fuse_sweeps and CliqueRankOptions::fuse_passes bit-identically to their
-// staged twins at every thread count. AVX-512-dependent cases GTEST_SKIP on
-// machines or builds without the tier (the batch entry points and the
-// fusion flags still run everywhere — they dispatch to whatever the host
-// has), so the suite passes on any x86-64 or none.
+// AVX-512-vs-scalar differentials for the 512-bit kernel tier: packed
+// GEMM (≤1e-12) and the mask-parallel Jaro-Winkler (bitwise). The CSR
+// masked product has no avx512 twin — at that level it runs the AVX2
+// kernel, which simd_kernel_differential_test pins bitwise. AVX-512-
+// dependent cases GTEST_SKIP on machines or builds without the tier, so
+// the suite passes on any x86-64 or none.
 
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,62 +14,14 @@
 
 #include "gter/common/cpu.h"
 #include "gter/common/random.h"
-#include "gter/common/simd_ops.h"
 #include "gter/common/thread_pool.h"
-#include "gter/core/cliquerank.h"
-#include "gter/core/iter.h"
-#include "gter/er/dataset.h"
-#include "gter/er/pair_space.h"
-#include "gter/graph/bipartite_graph.h"
-#include "gter/graph/record_graph.h"
-#include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/gemm.h"
-#include "gter/matrix/masked_multiply.h"
 #include "gter/text/string_metrics.h"
 
 namespace gter {
 namespace {
 
 bool Avx512Available() { return DetectSimdLevel() >= SimdLevel::kAvx512; }
-
-// ---------------------------------------------------------------------------
-// Gather-reduce primitives at the avx512 tier.
-
-class Avx512IndexedSumDifferential
-    : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(Avx512IndexedSumDifferential, MatchesScalarWithinTolerance) {
-  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512";
-  const size_t n = GetParam();
-  Rng rng(n * 13 + 3);
-  std::vector<double> values(1000);
-  std::vector<double> weights(1000);
-  for (double& v : values) v = rng.UniformDouble(-1.0, 1.0);
-  for (double& w : weights) w = rng.UniformDouble(0.0, 1.0);
-  std::vector<uint32_t> idx(n);
-  for (uint32_t& i : idx) i = static_cast<uint32_t>(rng.NextBounded(1000));
-
-  const IndexedSumFn simd_sum = ResolveIndexedSum(SimdLevel::kAvx512);
-  const IndexedWeightedSumFn simd_wsum =
-      ResolveIndexedWeightedSum(SimdLevel::kAvx512);
-  ASSERT_NE(simd_sum, &IndexedSumScalar);
-  ASSERT_NE(simd_sum, ResolveIndexedSum(SimdLevel::kAvx2));
-
-  const double ref = IndexedSumScalar(values.data(), idx.data(), n);
-  const double got = simd_sum(values.data(), idx.data(), n);
-  EXPECT_NEAR(got, ref, 1e-12 * std::max(1.0, std::fabs(ref))) << "n=" << n;
-
-  const double wref =
-      IndexedWeightedSumScalar(weights.data(), values.data(), idx.data(), n);
-  const double wgot = simd_wsum(weights.data(), values.data(), idx.data(), n);
-  EXPECT_NEAR(wgot, wref, 1e-12 * std::max(1.0, std::fabs(wref))) << "n=" << n;
-}
-
-// Sizes cover the scalar tail (<8), one vector, the unroll-by-16 main
-// loop, the 8-wide remainder step, and every remainder class mod 8.
-INSTANTIATE_TEST_SUITE_P(Sizes, Avx512IndexedSumDifferential,
-                         ::testing::Values(0, 1, 7, 8, 9, 15, 16, 17, 23, 24,
-                                           31, 32, 33, 100, 1000));
 
 // ---------------------------------------------------------------------------
 // Packed GEMM at the avx512 tier.
@@ -167,170 +115,19 @@ TEST(Avx512Gemm, PackedKernelIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Masked-product kernels: the bitwise contract extends to the avx512 tier.
-
-CsrMatrix ErdosRenyiCsr(size_t n, size_t edges_per_node, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<CsrMatrix::Triplet> triplets;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (size_t e = 0; e < edges_per_node; ++e) {
-      uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
-      if (j == i) continue;
-      triplets.push_back({i, j, rng.OpenUniformDouble()});
-      triplets.push_back({j, i, rng.OpenUniformDouble()});
-    }
-  }
-  return CsrMatrix::FromTriplets(n, n, triplets);
-}
-
-class Avx512MaskedProductDifferential
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(Avx512MaskedProductDifferential, MatchesScalarBitwise) {
-  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512";
-  const uint64_t seed = GetParam();
-  const size_t n = 400;
-  CsrMatrix trans = ErdosRenyiCsr(n, 6, seed);
-  trans.NormalizeRows();
-  CsrMatrix pattern = trans;  // same structure
-  Rng rng(seed + 99);
-  std::vector<double> prev(pattern.nnz());
-  for (double& v : prev) v = rng.OpenUniformDouble();
-  std::vector<double> dense(n * n, 0.0);
-  ScatterToDense(pattern, prev.data(), dense.data());
-
-  std::vector<double> ref_dense(pattern.nnz()), got_dense(pattern.nnz());
-  std::vector<double> ref_csr(pattern.nnz()), got_csr(pattern.nnz());
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    ComputeMaskedProduct(trans, dense.data(), pattern, ref_dense.data());
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, ref_csr.data());
-  }
-  {
-    ScopedSimdLevel avx512(SimdLevel::kAvx512);
-    ComputeMaskedProduct(trans, dense.data(), pattern, got_dense.data());
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, got_csr.data());
-  }
-  // Gather-modify-scatter preserves the scalar per-entry summation order
-  // exactly (no FMA, -ffp-contract=off on the TU), so equality is exact.
-  for (size_t e = 0; e < pattern.nnz(); ++e) {
-    ASSERT_EQ(got_dense[e], ref_dense[e]) << "dense kernel entry " << e;
-    ASSERT_EQ(got_csr[e], ref_csr[e]) << "csr kernel entry " << e;
-    ASSERT_EQ(got_csr[e], got_dense[e]) << "cross-kernel entry " << e;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Avx512MaskedProductDifferential,
-                         ::testing::Values(21, 22, 23));
-
-// The fused-accumulate overload must equal "staged kernel, then a separate
-// accum += out sweep" bit for bit at every tier the host has — the fusion
-// only moves the elementwise add into the row readout.
-TEST(FusedAccumMaskedCsr, MatchesStagedAccumulateBitwiseAtEveryLevel) {
-  const size_t n = 300;
-  CsrMatrix trans = ErdosRenyiCsr(n, 5, 31);
-  trans.NormalizeRows();
-  CsrMatrix pattern = trans;
-  Rng rng(131);
-  std::vector<double> prev(pattern.nnz());
-  for (double& v : prev) v = rng.OpenUniformDouble();
-  std::vector<double> accum_init(pattern.nnz());
-  for (double& v : accum_init) v = rng.UniformDouble(-1.0, 1.0);
-
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (DetectSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (DetectSimdLevel() >= SimdLevel::kAvx512) {
-    levels.push_back(SimdLevel::kAvx512);
-  }
-  for (SimdLevel level : levels) {
-    ScopedSimdLevel scoped(level);
-    std::vector<double> staged_out(pattern.nnz(), 0.0);
-    std::vector<double> staged_accum = accum_init;
-    ASSERT_TRUE(ComputeMaskedProductCsr(trans, prev.data(), pattern,
-                                        staged_out.data())
-                    .ok());
-    for (size_t e = 0; e < pattern.nnz(); ++e) staged_accum[e] += staged_out[e];
-
-    std::vector<double> fused_out(pattern.nnz(), 0.0);
-    std::vector<double> fused_accum = accum_init;
-    ASSERT_TRUE(ComputeMaskedProductCsr(trans, prev.data(), pattern,
-                                        fused_out.data(), fused_accum.data())
-                    .ok());
-    for (size_t e = 0; e < pattern.nnz(); ++e) {
-      ASSERT_EQ(fused_out[e], staged_out[e])
-          << "out entry " << e << " level " << SimdLevelName(level);
-      ASSERT_EQ(fused_accum[e], staged_accum[e])
-          << "accum entry " << e << " level " << SimdLevelName(level);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched Levenshtein: the 8-lane Myers kernel computes the exact DP.
+// Mask-parallel Jaro-Winkler: bitwise against the scalar window walk.
 
 std::string RandomBytes(size_t len, Rng* rng, bool full_range) {
   std::string s(len, '\0');
   for (char& c : s) {
-    // Half the corpus from a 4-letter alphabet (dense matches, carries
-    // through every lane), half from the full byte range including NUL
-    // (the peq table must index all 256 values).
+    // Half the corpus from a 4-letter alphabet (dense matches), half from
+    // the full byte range including NUL (the zeroed lanes past a string's
+    // end must never match a NUL byte).
     c = full_range ? static_cast<char>(rng->NextBounded(256))
                    : static_cast<char>('a' + rng->NextBounded(4));
   }
   return s;
 }
-
-TEST(LevenshteinBatch, MatchesRowDpOverRandomizedByteStrings) {
-  // Runs at the detected level: on an avx512 host the |pattern| ≤ 64 cases
-  // go through the 8-lane kernel, everything else through the per-pair
-  // cores — all must equal the classic DP exactly. Pattern lengths straddle
-  // the 64-char single-word boundary; batch sizes straddle the 8-lane group
-  // width; text lengths straddle both.
-  Rng rng(77);
-  for (size_t pattern_len : {size_t{0}, size_t{1}, size_t{5}, size_t{63},
-                             size_t{64}, size_t{65}, size_t{100}}) {
-    for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                              size_t{9}, size_t{20}}) {
-      const std::string pattern =
-          RandomBytes(pattern_len, &rng, pattern_len % 2 == 0);
-      std::vector<std::string> texts(batch_size);
-      for (size_t j = 0; j < batch_size; ++j) {
-        texts[j] = RandomBytes(rng.NextBounded(150), &rng, j % 2 == 0);
-      }
-      std::vector<size_t> got;
-      LevenshteinDistanceBatch(pattern, texts, &got);
-      ASSERT_EQ(got.size(), batch_size);
-      for (size_t j = 0; j < batch_size; ++j) {
-        ASSERT_EQ(got[j], LevenshteinDistanceDp(pattern, texts[j]))
-            << "|pattern|=" << pattern_len << " batch=" << batch_size
-            << " candidate " << j << " |text|=" << texts[j].size();
-      }
-    }
-  }
-}
-
-TEST(LevenshteinBatch, Avx512LaneKernelMatchesScalarDispatch) {
-  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512";
-  Rng rng(91);
-  const std::string pattern = RandomBytes(40, &rng, false);
-  std::vector<std::string> texts(13);
-  for (size_t j = 0; j < texts.size(); ++j) {
-    texts[j] = RandomBytes(rng.NextBounded(120), &rng, j % 3 == 0);
-  }
-  std::vector<size_t> scalar_out, avx512_out;
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    LevenshteinDistanceBatch(pattern, texts, &scalar_out);
-  }
-  {
-    ScopedSimdLevel avx512(SimdLevel::kAvx512);
-    LevenshteinDistanceBatch(pattern, texts, &avx512_out);
-  }
-  EXPECT_EQ(scalar_out, avx512_out);
-}
-
-// ---------------------------------------------------------------------------
-// Mask-parallel Jaro-Winkler: bitwise against the scalar window walk.
 
 TEST(JaroWinklerBatchAvx512, BitIdenticalToScalarOverRandomizedStrings) {
   if (!Avx512Available()) GTEST_SKIP() << "no AVX-512";
@@ -364,170 +161,6 @@ TEST(JaroWinklerBatchAvx512, BitIdenticalToScalarOverRandomizedStrings) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Fused-vs-staged pipeline differentials.
-
-struct IterWorld {
-  Dataset ds{"test"};
-  PairSpace pairs;
-  BipartiteGraph graph;
-  std::vector<double> probability;
-
-  explicit IterWorld(uint64_t seed, size_t num_records = 60,
-                     size_t vocab = 150) {
-    Rng rng(seed);
-    for (size_t r = 0; r < num_records; ++r) {
-      std::string text;
-      const size_t k = 2 + rng.NextBounded(10);
-      for (size_t t = 0; t < k; ++t) {
-        if (!text.empty()) text += ' ';
-        text += 't';
-        text += std::to_string(rng.NextBounded(vocab));
-      }
-      ds.AddRecord(0, text);
-    }
-    pairs = PairSpace::Build(ds);
-    graph = BipartiteGraph::Build(ds, pairs);
-    probability.resize(pairs.size());
-    for (double& p : probability) p = rng.UniformDouble();
-  }
-};
-
-TEST(FusedIterDifferential, FusedSweepIsBitIdenticalToStaged) {
-  IterWorld world(51);
-  ThreadPool pool(4);
-  for (IterNormalization norm :
-       {IterNormalization::kLogistic, IterNormalization::kL2}) {
-    for (bool parallel : {false, true}) {
-      IterOptions staged;
-      staged.max_iterations = 25;
-      staged.normalization = norm;
-      staged.track_convergence = true;
-      staged.fuse_sweeps = false;
-      IterOptions fused = staged;
-      fused.fuse_sweeps = true;
-      ExecContext ctx;
-      if (parallel) ctx.pool = &pool;
-      IterResult a = RunIter(world.graph, world.probability, staged, ctx)
-                         .value();
-      IterResult b =
-          RunIter(world.graph, world.probability, fused, ctx).value();
-      // Same chunking, same per-element ops, serial partial combine: the
-      // weights, scores, per-sweep deltas and the convergence decision all
-      // match bit for bit.
-      EXPECT_EQ(a.term_weights, b.term_weights);
-      EXPECT_EQ(a.pair_scores, b.pair_scores);
-      EXPECT_EQ(a.update_trace, b.update_trace);
-      EXPECT_EQ(a.iterations, b.iterations);
-      EXPECT_EQ(a.converged, b.converged);
-    }
-  }
-}
-
-TEST(FusedIterDifferential, MultiChunkFusedSweepIsThreadCountInvariant) {
-  // Terms span several 4096-wide reduction chunks, so the fused sweep's
-  // parallel partial combine is exercised proper.
-  IterWorld world(29, /*num_records=*/1200, /*vocab=*/12000);
-  ASSERT_GT(world.graph.num_terms(), 4096u);
-  IterOptions options;
-  options.normalization = IterNormalization::kL2;
-  options.max_iterations = 3;
-  options.tolerance = 0.0;
-  options.fuse_sweeps = true;
-  IterResult serial = RunIter(world.graph, world.probability, options).value();
-  ThreadPool pool(5);
-  IterResult parallel = RunIter(world.graph, world.probability, options,
-                                ExecContext::WithPool(&pool))
-                            .value();
-  EXPECT_EQ(serial.term_weights, parallel.term_weights);
-  EXPECT_EQ(serial.pair_scores, parallel.pair_scores);
-
-  options.fuse_sweeps = false;
-  IterResult staged = RunIter(world.graph, world.probability, options).value();
-  EXPECT_EQ(serial.term_weights, staged.term_weights);
-}
-
-struct ErdosRenyiWorld {
-  PairSpace pairs;
-  std::vector<double> sims;
-  RecordGraph graph;
-
-  ErdosRenyiWorld(size_t n, double density, uint64_t seed)
-      : pairs(BuildPairs(n, density, seed)), graph(BuildGraph(n, seed)) {}
-
-  static PairSpace BuildPairs(size_t n, double density, uint64_t seed) {
-    Rng rng(seed);
-    std::vector<RecordPair> edges;
-    for (uint32_t a = 0; a < n; ++a) {
-      for (uint32_t b = a + 1; b < n; ++b) {
-        if (rng.UniformDouble() < density) edges.push_back({a, b});
-      }
-    }
-    return PairSpace::FromPairs(std::move(edges));
-  }
-
-  RecordGraph BuildGraph(size_t n, uint64_t seed) {
-    Rng rng(seed + 1);
-    sims.resize(pairs.size());
-    for (double& s : sims) s = rng.UniformDouble();
-    return RecordGraph::Build(n, pairs, sims);
-  }
-};
-
-class FusedCliqueRankDifferential
-    : public ::testing::TestWithParam<std::tuple<double, uint64_t>> {};
-
-TEST_P(FusedCliqueRankDifferential, FusedPassesAreBitIdenticalToStaged) {
-  auto [density, seed] = GetParam();
-  ErdosRenyiWorld world(48, density, seed);
-  if (world.pairs.size() == 0) GTEST_SKIP() << "empty graph";
-  ThreadPool pool(4);
-  for (CliqueRankEngine engine :
-       {CliqueRankEngine::kDense, CliqueRankEngine::kMaskedSparse}) {
-    for (BoostMode mode : {BoostMode::kSampled, BoostMode::kExpected}) {
-      for (bool use_boost : {true, false}) {
-        CliqueRankOptions staged;
-        staged.engine = engine;
-        staged.boost_mode = mode;
-        staged.use_boost = use_boost;
-        staged.seed = seed * 1000 + 7;
-        staged.max_steps = 8;
-        staged.fuse_passes = false;
-        CliqueRankOptions fused = staged;
-        fused.fuse_passes = true;
-
-        CliqueRankResult rs =
-            RunCliqueRank(world.graph, world.pairs, staged).value();
-        CliqueRankResult rf =
-            RunCliqueRank(world.graph, world.pairs, fused).value();
-        // The fused setup preserves RNG draw order and every arithmetic
-        // op; the fused accumulate is elementwise — bit for bit.
-        EXPECT_EQ(rs.pair_probability, rf.pair_probability)
-            << "engine " << static_cast<int>(engine) << " mode "
-            << static_cast<int>(mode) << " boost " << use_boost;
-
-        CliqueRankResult rp = RunCliqueRank(world.graph, world.pairs, fused,
-                                            ExecContext::WithPool(&pool))
-                                  .value();
-        EXPECT_EQ(rf.pair_probability, rp.pair_probability)
-            << "fused pool run diverged, engine " << static_cast<int>(engine);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DensitySweep, FusedCliqueRankDifferential,
-    ::testing::Combine(::testing::Values(0.1, 0.4),
-                       ::testing::Values<uint64_t>(1, 2, 3)),
-    [](const auto& info) {
-      std::string name = "d";
-      name += std::to_string(static_cast<int>(std::get<0>(info.param) * 100));
-      name += "_s";
-      name += std::to_string(std::get<1>(info.param));
-      return name;
-    });
 
 }  // namespace
 }  // namespace gter

@@ -1,16 +1,15 @@
-// Property tests for Myers' bit-parallel Levenshtein vs the classic row
-// DP. The two must return IDENTICAL distances on every input — Myers
-// computes the same dynamic program, 64 cells per machine word — so the
-// whole contract is exact equality: 10k seeded random byte-string pairs
-// (lengths 0..200, spanning the single-word / blocked switch at 64, with
-// bytes above 127), plus crafted edge cases and the dispatch wiring.
+// Property tests for LevenshteinDistance (Myers' bit-parallel algorithm)
+// vs the classic row DP. The two must return IDENTICAL distances on every
+// input — Myers computes the same dynamic program, 64 cells per machine
+// word — so the whole contract is exact equality: 10k seeded random
+// byte-string pairs (lengths 0..200, spanning the single-word / blocked
+// switch at 64, with bytes above 127), plus crafted edge cases.
 
 #include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "gter/common/cpu.h"
 #include "gter/common/random.h"
 #include "gter/text/string_metrics.h"
 
@@ -53,7 +52,7 @@ TEST(LevenshteinMyers, MatchesDpOnRandomPairs) {
     // Lengths up to 200 cover 1-, 2-, and 4-block patterns.
     const std::string a = RandomBytes(&rng, 200);
     const std::string b = RandomBytes(&rng, 200);
-    ASSERT_EQ(LevenshteinDistanceMyers(a, b), LevenshteinDistanceDp(a, b))
+    ASSERT_EQ(LevenshteinDistance(a, b), LevenshteinDistanceDp(a, b))
         << "random pair " << i << " |a|=" << a.size() << " |b|=" << b.size();
   }
 }
@@ -63,34 +62,34 @@ TEST(LevenshteinMyers, MatchesDpOnMutatedPairs) {
   for (int i = 0; i < 5000; ++i) {
     const std::string a = RandomBytes(&rng, 150);
     const std::string b = Mutate(a, &rng);
-    ASSERT_EQ(LevenshteinDistanceMyers(a, b), LevenshteinDistanceDp(a, b))
+    ASSERT_EQ(LevenshteinDistance(a, b), LevenshteinDistanceDp(a, b))
         << "mutated pair " << i;
   }
 }
 
 TEST(LevenshteinMyers, EmptyStrings) {
-  EXPECT_EQ(LevenshteinDistanceMyers("", ""), 0u);
-  EXPECT_EQ(LevenshteinDistanceMyers("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistanceMyers("abc", ""), 3u);
+  EXPECT_EQ(LevenshteinDistance("", ""), 0u);
+  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
+  EXPECT_EQ(LevenshteinDistance("abc", ""), 3u);
   const std::string long_one(300, 'x');
-  EXPECT_EQ(LevenshteinDistanceMyers(long_one, ""), 300u);
+  EXPECT_EQ(LevenshteinDistance(long_one, ""), 300u);
 }
 
 TEST(LevenshteinMyers, EqualStrings) {
-  EXPECT_EQ(LevenshteinDistanceMyers("a", "a"), 0u);
+  EXPECT_EQ(LevenshteinDistance("a", "a"), 0u);
   const std::string s = "arnie mortons of chicago 435 s la cienega blvd";
-  EXPECT_EQ(LevenshteinDistanceMyers(s, s), 0u);
+  EXPECT_EQ(LevenshteinDistance(s, s), 0u);
   const std::string block_edge(64, 'q');
-  EXPECT_EQ(LevenshteinDistanceMyers(block_edge, block_edge), 0u);
+  EXPECT_EQ(LevenshteinDistance(block_edge, block_edge), 0u);
   const std::string multi_block(200, 'q');
-  EXPECT_EQ(LevenshteinDistanceMyers(multi_block, multi_block), 0u);
+  EXPECT_EQ(LevenshteinDistance(multi_block, multi_block), 0u);
 }
 
 TEST(LevenshteinMyers, KnownDistances) {
-  EXPECT_EQ(LevenshteinDistanceMyers("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistanceMyers("flaw", "lawn"), 2u);
-  EXPECT_EQ(LevenshteinDistanceMyers("abc", "abcd"), 1u);  // prefix
-  EXPECT_EQ(LevenshteinDistanceMyers("abcd", "bcd"), 1u);  // suffix
+  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
+  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
+  EXPECT_EQ(LevenshteinDistance("abc", "abcd"), 1u);  // prefix
+  EXPECT_EQ(LevenshteinDistance("abcd", "bcd"), 1u);  // suffix
 }
 
 TEST(LevenshteinMyers, Utf8BytesCountAsBytes) {
@@ -98,9 +97,9 @@ TEST(LevenshteinMyers, Utf8BytesCountAsBytes) {
   // costs 2 (one substitute + one delete), identically in both.
   const std::string accented = "caf\xc3\xa9";
   const std::string plain = "cafe";
-  EXPECT_EQ(LevenshteinDistanceMyers(accented, plain),
+  EXPECT_EQ(LevenshteinDistance(accented, plain),
             LevenshteinDistanceDp(accented, plain));
-  EXPECT_EQ(LevenshteinDistanceMyers(accented, plain), 2u);
+  EXPECT_EQ(LevenshteinDistance(accented, plain), 2u);
 }
 
 TEST(LevenshteinMyers, BlockBoundaryLengths) {
@@ -110,31 +109,8 @@ TEST(LevenshteinMyers, BlockBoundaryLengths) {
     std::string a(len, 'a');
     for (char& c : a) c = static_cast<char>('a' + rng.NextBounded(4));
     const std::string b = Mutate(a, &rng);
-    ASSERT_EQ(LevenshteinDistanceMyers(a, b), LevenshteinDistanceDp(a, b))
+    ASSERT_EQ(LevenshteinDistance(a, b), LevenshteinDistanceDp(a, b))
         << "len " << len;
-  }
-}
-
-TEST(LevenshteinDispatch, ScalarLevelPinsTheDp) {
-  // Under --simd=scalar the public entry point must run the DP; above it,
-  // Myers. Distances agree either way, so the observable contract is just
-  // that both dispatch targets return the right answer.
-  ScopedSimdLevel scalar(SimdLevel::kScalar);
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-}
-
-TEST(LevenshteinDispatch, DispatchedDistanceMatchesBothImplementations) {
-  Rng rng(11);
-  for (int i = 0; i < 200; ++i) {
-    const std::string a = RandomBytes(&rng, 100);
-    const std::string b = RandomBytes(&rng, 100);
-    const size_t expected = LevenshteinDistanceDp(a, b);
-    {
-      ScopedSimdLevel scalar(SimdLevel::kScalar);
-      ASSERT_EQ(LevenshteinDistance(a, b), expected);
-    }
-    ASSERT_EQ(LevenshteinDistance(a, b), expected);
   }
 }
 

@@ -1,12 +1,16 @@
 // SIMD-vs-scalar differential tests for the dispatched compute core:
-// packed GEMM (≤1e-12 relative, FMA-reassociated), the masked-product
-// kernels (bitwise — they share the scalar summation order), the
-// gather-reduce primitives behind the ITER sweeps, the batched
-// Jaro-Winkler (bitwise), the end-to-end RunIter, and the dispatch
-// machinery itself. AVX2-dependent cases GTEST_SKIP on machines or builds
-// without the level, so the suite passes everywhere.
+// packed GEMM (≤1e-12 relative, FMA-reassociated), the CSR masked-product
+// kernel (bitwise — it shares the scalar summation order), the batched
+// Jaro-Winkler (bitwise), the dispatch machinery itself, and tier
+// independence end to end: RunIter, ResolverState::BuildBatch and a
+// masked-engine FusionPipeline::Run give bitwise-identical output at every
+// level the host supports. AVX2-dependent cases GTEST_SKIP on machines or
+// builds without the level, so the suite passes everywhere.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,12 +20,15 @@
 #include "gter/common/cpu.h"
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
-#include "gter/common/simd_ops.h"
 #include "gter/common/thread_pool.h"
 #include "gter/common/trace.h"
+#include "gter/core/fusion.h"
 #include "gter/core/iter.h"
+#include "gter/core/resolver_state.h"
+#include "gter/datagen/datagen.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
+#include "gter/er/preprocess.h"
 #include "gter/graph/bipartite_graph.h"
 #include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/gemm.h"
@@ -120,49 +127,6 @@ TEST(SimdDispatch, EmitCpuInfoRecordsGaugesAndTraceLabel) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather-reduce primitives (the ITER sweep inner loops).
-
-class IndexedSumDifferential : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IndexedSumDifferential, Avx2MatchesScalarWithinTolerance) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  const size_t n = GetParam();
-  Rng rng(n * 7 + 1);
-  std::vector<double> values(1000);
-  std::vector<double> weights(1000);
-  for (double& v : values) v = rng.UniformDouble(-1.0, 1.0);
-  for (double& w : weights) w = rng.UniformDouble(0.0, 1.0);
-  std::vector<uint32_t> idx(n);
-  for (uint32_t& i : idx) i = static_cast<uint32_t>(rng.NextBounded(1000));
-
-  const IndexedSumFn simd_sum = ResolveIndexedSum(SimdLevel::kAvx2);
-  const IndexedWeightedSumFn simd_wsum =
-      ResolveIndexedWeightedSum(SimdLevel::kAvx2);
-  ASSERT_NE(simd_sum, &IndexedSumScalar);
-
-  const double ref = IndexedSumScalar(values.data(), idx.data(), n);
-  const double got = simd_sum(values.data(), idx.data(), n);
-  EXPECT_NEAR(got, ref, 1e-12 * std::max(1.0, std::fabs(ref))) << "n=" << n;
-
-  const double wref =
-      IndexedWeightedSumScalar(weights.data(), values.data(), idx.data(), n);
-  const double wgot = simd_wsum(weights.data(), values.data(), idx.data(), n);
-  EXPECT_NEAR(wgot, wref, 1e-12 * std::max(1.0, std::fabs(wref))) << "n=" << n;
-}
-
-// Sizes cover the scalar tail (<4), one vector, the unroll-by-8 main loop,
-// and every remainder class mod 8.
-INSTANTIATE_TEST_SUITE_P(Sizes, IndexedSumDifferential,
-                         ::testing::Values(0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16,
-                                           33, 100, 1000));
-
-TEST(IndexedSum, ScalarResolutionIsTheReferenceFunction) {
-  EXPECT_EQ(ResolveIndexedSum(SimdLevel::kScalar), &IndexedSumScalar);
-  EXPECT_EQ(ResolveIndexedWeightedSum(SimdLevel::kScalar),
-            &IndexedWeightedSumScalar);
-}
-
-// ---------------------------------------------------------------------------
 // Packed GEMM.
 
 DenseMatrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -256,7 +220,7 @@ TEST(GemmSimd, PackedKernelIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Masked-product kernels: bitwise contract.
+// CSR masked-product kernel: bitwise contract.
 
 CsrMatrix ErdosRenyiCsr(size_t n, size_t edges_per_node, uint64_t seed) {
   Rng rng(seed);
@@ -287,25 +251,23 @@ TEST_P(MaskedProductDifferential, Avx2MatchesScalarBitwise) {
   std::vector<double> dense(n * n, 0.0);
   ScatterToDense(pattern, prev.data(), dense.data());
 
-  std::vector<double> ref_dense(pattern.nnz()), got_dense(pattern.nnz());
+  std::vector<double> ref_dense(pattern.nnz());
   std::vector<double> ref_csr(pattern.nnz()), got_csr(pattern.nnz());
+  ComputeMaskedProduct(trans, dense.data(), pattern, ref_dense.data());
   {
     ScopedSimdLevel scalar(SimdLevel::kScalar);
-    ComputeMaskedProduct(trans, dense.data(), pattern, ref_dense.data());
     ComputeMaskedProductCsr(trans, prev.data(), pattern, ref_csr.data());
   }
   {
     ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    ComputeMaskedProduct(trans, dense.data(), pattern, got_dense.data());
     ComputeMaskedProductCsr(trans, prev.data(), pattern, got_csr.data());
   }
-  // The AVX2 twins preserve the scalar per-entry summation order exactly
-  // (no FMA, lane == entry), so equality is exact, keeping the existing
-  // dense-vs-CSR ASSERT_EQ contract intact at every dispatch level.
+  // The AVX2 twin preserves the scalar per-entry summation order exactly
+  // (exact per-lane products, scalar adds), so equality is exact, keeping
+  // the dense-reference-vs-CSR ASSERT_EQ contract intact at every level.
   for (size_t e = 0; e < pattern.nnz(); ++e) {
-    ASSERT_EQ(got_dense[e], ref_dense[e]) << "dense kernel entry " << e;
     ASSERT_EQ(got_csr[e], ref_csr[e]) << "csr kernel entry " << e;
-    ASSERT_EQ(got_csr[e], got_dense[e]) << "cross-kernel entry " << e;
+    ASSERT_EQ(got_csr[e], ref_dense[e]) << "dense reference entry " << e;
   }
 }
 
@@ -344,26 +306,76 @@ struct IterWorld {
   }
 };
 
-TEST(IterSimd, SimdRunMatchesScalarRunWithinTolerance) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
+// Every level up to what the host supports; on an AVX-512 host all three.
+std::vector<SimdLevel> SupportedLevels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= DetectSimdLevel()) levels.push_back(level);
+  }
+  return levels;
+}
+
+// Only GEMM may change numerics between tiers: ITER, the incremental
+// engine and the masked CliqueRank engine run scalar code or bitwise SIMD
+// twins, so their output must not depend on the level at all.
+TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
+  if (!Avx2Available()) GTEST_SKIP() << "no SIMD tier to compare";
   IterWorld world(42);
-  IterOptions options;
-  options.max_iterations = 30;
-  IterResult ref, got;
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    ref = RunIter(world.graph, world.probability, options).value();
-  }
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    got = RunIter(world.graph, world.probability, options).value();
-  }
-  ASSERT_EQ(ref.term_weights.size(), got.term_weights.size());
-  for (size_t t = 0; t < ref.term_weights.size(); ++t) {
-    EXPECT_NEAR(got.term_weights[t], ref.term_weights[t], 1e-10) << t;
-  }
-  for (size_t p = 0; p < ref.pair_scores.size(); ++p) {
-    EXPECT_NEAR(got.pair_scores[p], ref.pair_scores[p], 1e-10) << p;
+  IterOptions iter_options;
+  iter_options.max_iterations = 30;
+
+  Dataset batch_data =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.12, 11).dataset;
+
+  Dataset fusion_data =
+      GenerateBenchmark(BenchmarkKind::kProduct, 0.1, 3).dataset;
+  RemoveFrequentTerms(&fusion_data);
+  FusionConfig fusion_config;
+  fusion_config.rounds = 3;
+  fusion_config.cliquerank.engine = CliqueRankEngine::kMaskedSparse;
+
+  IterResult iter_ref;
+  std::unique_ptr<ResolverState> batch_ref;
+  FusionResult fusion_ref;
+  for (SimdLevel level : SupportedLevels()) {
+    SCOPED_TRACE(SimdLevelName(level));
+    ExecContext ctx;
+    ctx.simd = level;
+    ASSERT_EQ(ctx.simd_level(), level);
+
+    IterResult iter =
+        RunIter(world.graph, world.probability, iter_options, ctx).value();
+
+    auto batch = std::make_unique<ResolverState>(&batch_data);
+    ASSERT_TRUE(batch->BuildBatch(ctx).ok());
+
+    FusionPipeline pipeline(fusion_data, fusion_config);
+    FusionResult fusion = pipeline.Run(ctx).value();
+
+    if (level == SimdLevel::kScalar) {
+      iter_ref = std::move(iter);
+      batch_ref = std::move(batch);
+      fusion_ref = std::move(fusion);
+      continue;
+    }
+    EXPECT_EQ(iter.term_weights, iter_ref.term_weights);
+    EXPECT_EQ(iter.pair_scores, iter_ref.pair_scores);
+    EXPECT_EQ(iter.iterations, iter_ref.iterations);
+
+    EXPECT_EQ(batch->term_weights(), batch_ref->term_weights());
+    EXPECT_EQ(batch->pair_scores(), batch_ref->pair_scores());
+    EXPECT_EQ(batch->cluster_of(), batch_ref->cluster_of());
+
+    EXPECT_EQ(fusion.matches, fusion_ref.matches);
+    EXPECT_EQ(fusion.cluster_of, fusion_ref.cluster_of);
+    ASSERT_EQ(fusion.pair_probability.size(),
+              fusion_ref.pair_probability.size());
+    for (size_t p = 0; p < fusion.pair_probability.size(); ++p) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(fusion.pair_probability[p]),
+                std::bit_cast<uint64_t>(fusion_ref.pair_probability[p]))
+          << "pair " << p;
+    }
   }
 }
 

@@ -7,14 +7,16 @@
 //   gter_cli resolve --in data.csv [--sources 1] [--eta 0.98]
 //                    [--rounds 5] [--matches out.csv] [--weights w.csv]
 //                    [--clusterer connected_components] [--merge_threshold T]
-//                    [--simd scalar|avx2|auto] [--deadline_ms N]
+//                    [--simd scalar|avx2|avx512|auto] [--deadline_ms N]
 //                    [--budget_ms N] [--incremental]
 //       Resolve a CSV dataset; write matched pairs and term weights.
 //       --clusterer picks the clustering endgame that turns pairwise
 //       probabilities into entities (connected_components, correlation,
 //       the clean-clean matching family, hierarchical).
-//       --simd=scalar pins the scalar reference kernels (bit-reproducible
-//       against pre-SIMD runs); auto picks the best level CPUID reports.
+//       --simd=scalar pins the scalar reference kernels; auto picks the
+//       best level CPUID reports. Only the dense CliqueRank engine's GEMM
+//       numerics depend on the level (by at most 1e-12 relative), so a
+//       sparse corpus resolves byte-identically at every level.
 //       Ctrl-C (or an elapsed --deadline_ms) cancels the run at the next
 //       stage boundary: the partial results seen so far are reported,
 //       --metrics_out/--trace_out are still written, and the exit code
