@@ -108,8 +108,6 @@ void BM_MaskedProductCsr(benchmark::State& state) {
   // Random graph with n nodes and ~8n edges; the CliqueRank inner kernel,
   // with the previous power in CSR form (no n×n scratch).
   size_t n = static_cast<size_t>(state.range(0));
-  auto pin = PinSimdLevel(state, state.range(1));
-  if (pin == nullptr) return;
   Rng rng(2);
   std::vector<CsrMatrix::Triplet> triplets;
   for (uint32_t i = 0; i < n; ++i) {
@@ -125,18 +123,13 @@ void BM_MaskedProductCsr(benchmark::State& state) {
   CsrMatrix pattern = trans;  // same structure
   std::vector<double> values(pattern.nnz(), 0.5);
   std::vector<double> out(pattern.nnz(), 0.0);
-  TimedLoop(state, TimerName("masked_csr", ActiveSimdLevel(), n), [&] {
+  TimedLoop(state, TimerName("masked_csr", n), [&] {
     ComputeMaskedProductCsr(trans, values.data(), pattern, out.data());
     benchmark::DoNotOptimize(out.data());
   });
   state.counters["edges"] = static_cast<double>(pattern.nnz());
 }
-BENCHMARK(BM_MaskedProductCsr)
-    ->ArgNames({"n", "simd"})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({2048, 0})
-    ->Args({2048, 1});
+BENCHMARK(BM_MaskedProductCsr)->ArgNames({"n"})->Arg(512)->Arg(2048);
 
 // Restaurant-style field pairs: long enough to exercise the bit-parallel
 // cores, small enough to stay cache-resident. Each round adds 8 noisy
@@ -251,11 +244,10 @@ void BM_IterSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_IterSweep);
 
-// CliqueRank through the masked-sparse engine on the same corpus, at each
-// level of the masked CSR product it dispatches.
+// CliqueRank through the masked-sparse engine on the same corpus. The
+// Paper graph has triangles, so all 8 steps run (a bipartite graph would
+// stop after step 1).
 void BM_CliqueRankMasked(benchmark::State& state) {
-  auto pin = PinSimdLevel(state, state.range(0));
-  if (pin == nullptr) return;
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
   RemoveFrequentTerms(&data.dataset);
   PairSpace pairs = PairSpace::Build(data.dataset);
@@ -264,17 +256,13 @@ void BM_CliqueRankMasked(benchmark::State& state) {
   CliqueRankOptions options;
   options.engine = CliqueRankEngine::kMaskedSparse;
   options.max_steps = 8;
-  TimedLoop(state,
-            TimerName("cliquerank_masked", ActiveSimdLevel(),
-                      data.dataset.size()),
-            [&] {
-              auto result = RunCliqueRank(graph, pairs, options);
-              benchmark::DoNotOptimize(
-                  result.value().pair_probability.data());
-            });
+  TimedLoop(state, TimerName("cliquerank_masked", data.dataset.size()), [&] {
+    auto result = RunCliqueRank(graph, pairs, options);
+    benchmark::DoNotOptimize(result.value().pair_probability.data());
+  });
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
-BENCHMARK(BM_CliqueRankMasked)->ArgNames({"simd"})->Arg(0)->Arg(1);
+BENCHMARK(BM_CliqueRankMasked);
 
 // RSS over the Paper-like record graph, pair loop split across a pool of
 // range(0) threads. Results are bit-identical for every thread count

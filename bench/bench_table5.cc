@@ -53,6 +53,11 @@ int main(int argc, char** argv) {
   gter::FlagSet flags;
   flags.AddInt("rounds", 5, "reinforcement rounds");
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
+  if (gter::Status s = gter::RequirePositiveFlags(flags, {"rounds"});
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),

@@ -1,6 +1,7 @@
 #include "gter/common/common_flags.h"
 
 #include <cstring>
+#include <string>
 
 #include "gter/common/cpu.h"
 #include "gter/common/logging.h"
@@ -44,6 +45,19 @@ Status ApplyCommonStageFlags(const FlagSet& flags) {
                                    flags.GetString("simd") + "'");
   }
   SetSimdLevel(level);
+  return Status::OK();
+}
+
+Status RequirePositiveFlags(const FlagSet& flags,
+                            std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    const int64_t value = flags.GetInt(name);
+    if (value < 1) {
+      return Status::InvalidArgument("--" + std::string(name) +
+                                     " must be at least 1, got " +
+                                     std::to_string(value));
+    }
+  }
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef GTER_COMMON_COMMON_FLAGS_H_
 #define GTER_COMMON_COMMON_FLAGS_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -38,6 +39,12 @@ void AddCommonStageFlags(FlagSet* flags);
 /// --threads/--metrics_out/--trace_out are read by the caller (MakePool,
 /// the observability scope) rather than installed globally.
 Status ApplyCommonStageFlags(const FlagSet& flags);
+
+/// InvalidArgument naming the first of `names` (int flags) below 1. Counts
+/// such as --rounds and --steps are cast to size_t, where 0 fails a
+/// GTER_CHECK and a negative value wraps to a near-endless loop bound.
+Status RequirePositiveFlags(const FlagSet& flags,
+                            std::initializer_list<const char*> names);
 
 /// Pool for a --threads value, or nullptr for threads == 1 — the
 /// sequential path, which every stage treats as the no-pool ExecContext.

@@ -19,8 +19,7 @@ namespace {
 Result<std::vector<double>> RunDense(const CsrMatrix& trans,
                                      const CsrMatrix& pattern,
                                      const std::vector<double>& m1_values,
-                                     const CliqueRankOptions& options,
-                                     const PairSpace& pairs,
+                                     size_t steps, const PairSpace& pairs,
                                      MetricsRegistry* metrics,
                                      TraceRecorder* recorder,
                                      const ExecContext& ctx) {
@@ -39,7 +38,7 @@ Result<std::vector<double>> RunDense(const CsrMatrix& trans,
                       static_cast<double>(5 * n * n * sizeof(double)));
   }
   DenseMatrix masked;
-  for (size_t step = 2; step <= options.max_steps; ++step) {
+  for (size_t step = 2; step <= steps; ++step) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
     masked = m.Hadamard(mn);
     {
@@ -48,9 +47,6 @@ Result<std::vector<double>> RunDense(const CsrMatrix& trans,
       GTER_RETURN_IF_ERROR(Gemm(mt, masked, &m, ctx));
     }
     accum.Add(m);
-  }
-  if (metrics != nullptr && options.max_steps >= 2) {
-    metrics->AddCounter("cliquerank/steps", options.max_steps - 1);
   }
 
   std::vector<double> probability(pairs.size(), 0.0);
@@ -68,8 +64,7 @@ Result<std::vector<double>> RunDense(const CsrMatrix& trans,
 Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
                                       const CsrMatrix& pattern,
                                       const std::vector<double>& m1_values,
-                                      const CliqueRankOptions& options,
-                                      const PairSpace& pairs,
+                                      size_t steps, const PairSpace& pairs,
                                       MetricsRegistry* metrics,
                                       TraceRecorder* recorder,
                                       const ExecContext& ctx) {
@@ -86,7 +81,7 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
   }
   // The iterate lives on the CSR pattern for the whole run; each step is a
   // Gustavson gather confined to the pattern (no n×n scratch).
-  for (size_t step = 2; step <= options.max_steps; ++step) {
+  for (size_t step = 2; step <= steps; ++step) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
     {
       ScopedTimer product_timer(metrics, recorder, "cliquerank/masked_product",
@@ -99,9 +94,6 @@ Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
                 [&](size_t lo, size_t hi) {
       for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
     });
-  }
-  if (metrics != nullptr && options.max_steps >= 2) {
-    metrics->AddCounter("cliquerank/steps", options.max_steps - 1);
   }
 
   std::vector<double> probability(pairs.size(), 0.0);
@@ -184,7 +176,11 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   TraceRecorder* recorder = ctx.trace_or_ambient();
   ScopedTimer total_timer(metrics, recorder, "cliquerank/total");
   Stopwatch watch;
-  const CliqueRankSetup setup = TransitionAndBoost(graph, options);
+  CliqueRankSetup setup;
+  {
+    ScopedTimer setup_timer(metrics, recorder, "cliquerank/setup");
+    setup = TransitionAndBoost(graph, options);
+  }
 
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {
@@ -192,6 +188,10 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
                  ? CliqueRankEngine::kDense
                  : CliqueRankEngine::kMaskedSparse;
   }
+  // On an edge (i,j), step s ≥ 2 sums M_t(i,k)·M^{s−1}(k,j) over the common
+  // neighbours k of i and j. A bipartite graph has none, so those steps add
+  // exactly +0.0 and p is the one-step M_b term (DESIGN.md §4).
+  const size_t steps = graph.IsBipartite() ? 1 : options.max_steps;
   if (metrics != nullptr) {
     metrics->AddCounter("cliquerank/runs");
     metrics->AddCounter(engine == CliqueRankEngine::kDense
@@ -203,11 +203,15 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   result.engine_used = engine;
   Result<std::vector<double>> probability =
       engine == CliqueRankEngine::kDense
-          ? RunDense(setup.transition, setup.pattern, setup.boosted, options,
+          ? RunDense(setup.transition, setup.pattern, setup.boosted, steps,
                      pairs, metrics, recorder, ctx)
-          : RunMasked(setup.transition, setup.pattern, setup.boosted, options,
+          : RunMasked(setup.transition, setup.pattern, setup.boosted, steps,
                       pairs, metrics, recorder, ctx);
   GTER_RETURN_IF_ERROR(probability.status());
+  if (metrics != nullptr) {
+    // The matrix products that ran: 0 when the graph is bipartite.
+    metrics->AddCounter("cliquerank/steps", steps - 1);
+  }
   result.pair_probability = std::move(probability).value();
   result.seconds = watch.ElapsedSeconds();
   return result;

@@ -37,7 +37,8 @@ enum class BoostMode {
 struct CliqueRankOptions {
   /// Exponent α of the non-linear transition probability (Eq. 11).
   double alpha = 20.0;
-  /// Maximum steps S (matrix powers accumulated).
+  /// Maximum steps S (matrix powers accumulated). A bipartite record graph
+  /// runs step 1 only: every later step is exactly zero on its edges.
   size_t max_steps = 20;
   /// Disable to ablate the big-clique boost (then M¹ = M_t).
   bool use_boost = true;
@@ -59,9 +60,9 @@ struct CliqueRankResult {
 
 /// Runs CliqueRank over the record graph built from ITER's similarities.
 /// Matrix kernels run on `ctx.pool` at `ctx.simd_level()`; metrics (engine
-/// chosen, per-step kernel time, scratch bytes) go to `ctx.metrics` with
-/// ambient fallback. Cancellation is polled at entry and once per matrix
-/// step in both engines.
+/// chosen, setup and per-step kernel time, matrix steps run, scratch bytes)
+/// go to `ctx.metrics` with ambient fallback. Cancellation is polled at
+/// entry and once per matrix step in both engines.
 Result<CliqueRankResult> RunCliqueRank(
     const RecordGraph& graph, const PairSpace& pairs,
     const CliqueRankOptions& options = {},

@@ -66,6 +66,31 @@ double RecordGraph::Density() const {
   return static_cast<double>(num_edges()) / possible;
 }
 
+bool RecordGraph::IsBipartite() const {
+  // 0 = not reached yet; 1 and 2 are the two sides. One queue serves every
+  // component: each node is pushed once, so `head` only moves forward.
+  std::vector<uint8_t> side(num_nodes(), 0);
+  std::vector<RecordId> queue;
+  queue.reserve(num_nodes());
+  size_t head = 0;
+  for (RecordId root = 0; root < num_nodes(); ++root) {
+    if (side[root] != 0) continue;
+    side[root] = 1;
+    queue.push_back(root);
+    for (; head < queue.size(); ++head) {
+      const RecordId r = queue[head];
+      for (RecordId nb : Neighbors(r)) {
+        if (side[nb] == side[r]) return false;
+        if (side[nb] == 0) {
+          side[nb] = static_cast<uint8_t>(3 - side[r]);
+          queue.push_back(nb);
+        }
+      }
+    }
+  }
+  return true;
+}
+
 double RecordGraph::EdgeWeight(RecordId a, RecordId b) const {
   auto neigh = Neighbors(a);
   auto it = std::lower_bound(neigh.begin(), neigh.end(), b);

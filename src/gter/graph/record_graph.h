@@ -29,6 +29,12 @@ class RecordGraph {
   /// Fraction of possible undirected edges present.
   double Density() const;
 
+  /// True when the graph has no odd cycle (a BFS 2-colouring, O(n + m)).
+  /// Two-source pair spaces keep only cross-source pairs, so their record
+  /// graphs always are; CliqueRank then stops after one step (DESIGN.md
+  /// §4).
+  bool IsBipartite() const;
+
   /// Neighbor record ids of node r.
   std::span<const RecordId> Neighbors(RecordId r) const {
     return {adjacency_.data() + offsets_[r], offsets_[r + 1] - offsets_[r]};

@@ -2,10 +2,8 @@
 
 #include <vector>
 
-#include "gter/common/cpu.h"
 #include "gter/common/status.h"
 #include "gter/common/thread_pool.h"
-#include "gter/matrix/matrix_simd.h"
 
 namespace gter {
 
@@ -46,12 +44,6 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
   GTER_CHECK(trans.rows() == pattern.rows());
   GTER_CHECK(trans.cols() == pattern.rows());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-#if GTER_HAVE_AVX2
-  if (ctx.simd_level() >= SimdLevel::kAvx2) {
-    return internal::MaskedProductCsrAvx2(trans, prev_values, pattern,
-                                          out_values, ctx);
-  }
-#endif
   const size_t n = pattern.cols();
   ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8,
               [&](size_t lo, size_t hi) {

@@ -43,8 +43,6 @@ Status ComputeMaskedProduct(const CsrMatrix& trans, const double* prev_dense,
 ///
 /// Summation order per output entry matches the dense-scratch kernel
 /// (ascending k over trans row i), so the two kernels are bit-identical.
-/// Dispatched at `ctx.simd_level()` to a scalar or AVX2 twin; both are
-/// bit-identical too.
 Status ComputeMaskedProductCsr(const CsrMatrix& trans,
                                const double* prev_values,
                                const CsrMatrix& pattern, double* out_values,

@@ -1,14 +1,12 @@
 #ifndef GTER_MATRIX_MATRIX_SIMD_H_
 #define GTER_MATRIX_MATRIX_SIMD_H_
 
-// Internal declarations of the AVX2/AVX-512 matrix kernels (gemm_avx2.cc,
-// masked_multiply_avx2.cc, gemm_avx512.cc). Only the dispatchers in gemm.cc
-// and masked_multiply.cc include this; the public API stays in gemm.h /
-// masked_multiply.h.
+// Internal declarations of the AVX2/AVX-512 GEMM kernels (gemm_avx2.cc,
+// gemm_avx512.cc). Only the dispatcher in gemm.cc includes this; the public
+// API stays in gemm.h.
 
 #include "gter/common/cpu.h"
 #include "gter/common/exec_context.h"
-#include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/dense_matrix.h"
 
 namespace gter {
@@ -23,12 +21,6 @@ namespace internal {
 /// polled per row block.
 Status GemmPackedAvx2(const DenseMatrix& a, const DenseMatrix& b,
                       DenseMatrix* c, const ExecContext& ctx);
-
-/// AVX2 twin of ComputeMaskedProductCsr: vector multiplies, scalar adds in
-/// the scalar order, so outputs are bit-identical to the scalar kernel.
-Status MaskedProductCsrAvx2(const CsrMatrix& trans, const double* prev_values,
-                            const CsrMatrix& pattern, double* out_values,
-                            const ExecContext& ctx);
 
 #endif  // GTER_HAVE_AVX2
 

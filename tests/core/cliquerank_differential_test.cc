@@ -1,12 +1,15 @@
 // Differential tests over the CliqueRank engines: the dense GEMM engine
 // and the masked-sparse engine implement the same recurrence and must
-// agree on ANY graph — checked on Erdős–Rényi graphs whose densities
-// straddle the kAuto switch point, across seeds and boost modes, and each
-// engine is pinned bitwise against itself under a thread pool. A second
-// harness pins the CSR-gather masked kernel bit-identically to the
-// dense-scratch reference kernel at a size where the O(n²) scratch is the
-// thing being replaced.
+// agree on ANY graph — checked on one- and two-source Erdős–Rényi graphs
+// whose densities straddle the kAuto switch point, across seeds and boost
+// modes, and each engine is pinned bitwise against itself under a thread
+// pool. The full S-step recurrence, computed here, pins the masked engine
+// bitwise everywhere and both engines on two-source (bipartite) graphs,
+// where they stop after step 1. A second harness pins the CSR-gather
+// masked kernel bit-identically to the dense-scratch reference kernel at a
+// size where the O(n²) scratch is the thing being replaced.
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/metrics.h"
 #include "gter/common/random.h"
 #include "gter/common/thread_pool.h"
 #include "gter/core/cliquerank.h"
@@ -25,21 +29,27 @@
 namespace gter {
 namespace {
 
-/// An Erdős–Rényi record graph: each of the n·(n−1)/2 pairs joins the
-/// candidate space with probability `density`, with uniform similarities.
+/// An Erdős–Rényi record graph: each candidate pair joins the pair space
+/// with probability `density`, with uniform similarities. With one source
+/// every pair of the n records is a candidate. With two sources (even and
+/// odd record ids) only cross-source pairs are, as in PairSpace::Build, so
+/// the graph is bipartite and its overall density is about density / 2.
 struct ErdosRenyiWorld {
   PairSpace pairs;
   std::vector<double> sims;
   RecordGraph graph;
 
-  ErdosRenyiWorld(size_t n, double density, uint64_t seed)
-      : pairs(BuildPairs(n, density, seed)), graph(BuildGraph(n, seed)) {}
+  ErdosRenyiWorld(size_t n, double density, uint64_t seed, uint32_t sources)
+      : pairs(BuildPairs(n, density, seed, sources)),
+        graph(BuildGraph(n, seed)) {}
 
-  static PairSpace BuildPairs(size_t n, double density, uint64_t seed) {
+  static PairSpace BuildPairs(size_t n, double density, uint64_t seed,
+                              uint32_t sources) {
     Rng rng(seed);
     std::vector<RecordPair> edges;
     for (uint32_t a = 0; a < n; ++a) {
       for (uint32_t b = a + 1; b < n; ++b) {
+        if (sources == 2 && a % 2 == b % 2) continue;
         if (rng.UniformDouble() < density) edges.push_back({a, b});
       }
     }
@@ -54,16 +64,50 @@ struct ErdosRenyiWorld {
   }
 };
 
-// (records, density, seed): densities straddle dense_density_threshold
-// (0.25) so both sides of the kAuto switch are differentially covered.
+/// CliqueRank's p with every one of the `max_steps` products run: the
+/// recurrence from TransitionAndBoost and ComputeMaskedProductCsr, summed
+/// on the edge pattern and clamped the way RunMasked does it.
+std::vector<double> FullRecurrence(const RecordGraph& graph,
+                                   const PairSpace& pairs,
+                                   const CliqueRankOptions& options) {
+  const CliqueRankSetup setup = TransitionAndBoost(graph, options);
+  std::vector<double> cur = setup.boosted;
+  std::vector<double> accum = cur;
+  std::vector<double> next(cur.size(), 0.0);
+  for (size_t step = 2; step <= options.max_steps; ++step) {
+    EXPECT_TRUE(ComputeMaskedProductCsr(setup.transition, cur.data(),
+                                        setup.pattern, next.data())
+                    .ok());
+    cur.swap(next);
+    for (size_t e = 0; e < cur.size(); ++e) accum[e] += cur[e];
+  }
+  std::vector<double> probability(pairs.size(), 0.0);
+  for (PairId p = 0; p < pairs.size(); ++p) {
+    const RecordPair& rp = pairs.pair(p);
+    const double avg =
+        (accum[static_cast<size_t>(setup.pattern.PositionOf(rp.a, rp.b))] +
+         accum[static_cast<size_t>(setup.pattern.PositionOf(rp.b, rp.a))]) /
+        2.0;
+    probability[p] = std::clamp(avg, 0.0, 1.0);
+  }
+  return probability;
+}
+
+// (records, density, seed, sources): densities straddle
+// dense_density_threshold (0.25) so both sides of the kAuto switch are
+// differentially covered. Two-source worlds have about half the overall
+// density, so only their 0.6 arm (about 0.3) sits above the switch.
 class CliqueRankEngineDifferential
-    : public ::testing::TestWithParam<std::tuple<size_t, double, uint64_t>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, double, uint64_t, uint32_t>> {};
 
 TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
-  auto [n, density, seed] = GetParam();
-  ErdosRenyiWorld world(n, density, seed);
+  auto [n, density, seed, sources] = GetParam();
+  ErdosRenyiWorld world(n, density, seed, sources);
   if (world.pairs.size() == 0) GTEST_SKIP() << "empty graph";
+  if (sources == 2) {
+    ASSERT_TRUE(world.graph.IsBipartite());
+  }
   ThreadPool pool(4);
 
   for (BoostMode mode : {BoostMode::kSampled, BoostMode::kExpected}) {
@@ -80,16 +124,32 @@ TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
           (mode == BoostMode::kSampled ? "sampled" : "expected") +
           " boost " + (use_boost ? "on" : "off");
 
+      MetricsRegistry dense_metrics, masked_metrics;
+      ExecContext dense_ctx, masked_ctx;
+      dense_ctx.metrics = &dense_metrics;
+      masked_ctx.metrics = &masked_metrics;
       CliqueRankResult rd =
-          RunCliqueRank(world.graph, world.pairs, dense).value();
+          RunCliqueRank(world.graph, world.pairs, dense, dense_ctx).value();
       CliqueRankResult rm =
-          RunCliqueRank(world.graph, world.pairs, masked).value();
+          RunCliqueRank(world.graph, world.pairs, masked, masked_ctx).value();
       ASSERT_EQ(rd.engine_used, CliqueRankEngine::kDense);
       ASSERT_EQ(rm.engine_used, CliqueRankEngine::kMaskedSparse);
       ASSERT_EQ(rd.pair_probability.size(), world.pairs.size());
       for (PairId p = 0; p < world.pairs.size(); ++p) {
         EXPECT_NEAR(rd.pair_probability[p], rm.pair_probability[p], 1e-12)
             << "pair " << p << " " << where;
+      }
+
+      // The masked engine is the reference recurrence, bit for bit, also
+      // where it stops early. On a bipartite graph the dense engine runs no
+      // GEMM, so it matches bit for bit too, and no product runs at all.
+      const std::vector<double> reference =
+          FullRecurrence(world.graph, world.pairs, dense);
+      EXPECT_EQ(rm.pair_probability, reference) << "masked engine, " << where;
+      if (sources == 2) {
+        EXPECT_EQ(rd.pair_probability, reference) << "dense engine, " << where;
+        EXPECT_EQ(dense_metrics.Counter("cliquerank/steps"), 0u) << where;
+        EXPECT_EQ(masked_metrics.Counter("cliquerank/steps"), 0u) << where;
       }
 
       // Both engines are bit-identical to themselves under a thread pool.
@@ -114,7 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
     DensitySweep, CliqueRankEngineDifferential,
     ::testing::Combine(::testing::Values<size_t>(24, 60),
                        ::testing::Values(0.05, 0.15, 0.35, 0.6),
-                       ::testing::Values<uint64_t>(1, 2, 3, 4, 5, 6)),
+                       ::testing::Values<uint64_t>(1, 2, 3, 4, 5, 6),
+                       ::testing::Values<uint32_t>(1, 2)),
     [](const auto& info) {
       std::string name = "n";
       name += std::to_string(std::get<0>(info.param));
@@ -122,6 +183,7 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
       name += "_s";
       name += std::to_string(std::get<2>(info.param));
+      if (std::get<3>(info.param) == 2) name += "_two_source";
       return name;
     });
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/metrics.h"
 #include "gter/common/thread_pool.h"
 #include "gter/core/rss.h"
 
@@ -103,6 +104,22 @@ TEST(CliqueRankTest, SingleStepEqualsBoostedTransition) {
     const RecordPair& rp = f.pairs.pair(p);
     double expected = (mt.At(rp.a, rp.b) + mt.At(rp.b, rp.a)) / 2.0;
     EXPECT_NEAR(result.pair_probability[p], std::min(expected, 1.0), 1e-12);
+  }
+}
+
+TEST(CliqueRankTest, StepsCounterCountsEveryProductOnGraphWithTriangles) {
+  TwoCliques f;
+  RecordGraph graph = f.Graph();
+  ASSERT_FALSE(graph.IsBipartite());
+  for (CliqueRankEngine engine :
+       {CliqueRankEngine::kDense, CliqueRankEngine::kMaskedSparse}) {
+    MetricsRegistry registry;
+    ExecContext ctx;
+    ctx.metrics = &registry;
+    CliqueRankOptions options;
+    options.engine = engine;
+    ASSERT_TRUE(RunCliqueRank(graph, f.pairs, options, ctx).ok());
+    EXPECT_EQ(registry.Counter("cliquerank/steps"), options.max_steps - 1);
   }
 }
 

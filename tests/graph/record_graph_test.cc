@@ -1,6 +1,7 @@
 #include "gter/graph/record_graph.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,51 @@ TEST(RecordGraphTest, HugeWeightsDoNotOverflowAtHighAlpha) {
       sum += v;
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
+  }
+}
+
+// A record graph over n records with the given undirected edges (unit
+// weights); only the structure matters to IsBipartite.
+RecordGraph GraphOf(size_t n, std::vector<RecordPair> edges) {
+  PairSpace pairs = PairSpace::FromPairs(std::move(edges));
+  return RecordGraph::Build(n, pairs, std::vector<double>(pairs.size(), 1.0));
+}
+
+TEST(RecordGraphTest, IsBipartiteOnEvenCycleForestAndIsolatedNodes) {
+  EXPECT_TRUE(GraphOf(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}})
+                  .IsBipartite());
+  // Two trees, one of them a star.
+  EXPECT_TRUE(GraphOf(8, {{0, 1}, {0, 2}, {0, 3}, {4, 5}, {5, 6}, {5, 7}})
+                  .IsBipartite());
+  EXPECT_TRUE(GraphOf(4, {}).IsBipartite());
+  EXPECT_TRUE(GraphOf(5, {{1, 3}}).IsBipartite());
+}
+
+TEST(RecordGraphTest, IsBipartiteFalseOnOddCycle) {
+  EXPECT_FALSE(GraphOf(3, {{0, 1}, {1, 2}, {0, 2}}).IsBipartite());
+  EXPECT_FALSE(
+      GraphOf(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}}).IsBipartite());
+}
+
+TEST(RecordGraphTest, IsBipartiteFalseWhenOneComponentHasAnOddCycle) {
+  // A 4-cycle, a path and, last in BFS order, a 5-cycle; 12 and 13 alone.
+  EXPECT_FALSE(GraphOf(14, {{0, 1}, {1, 2}, {2, 3}, {0, 3},
+                            {4, 5}, {5, 6},
+                            {7, 8}, {8, 9}, {9, 10}, {10, 11}, {7, 11}})
+                   .IsBipartite());
+}
+
+TEST(RecordGraphTest, TwoSourcePairSpaceIsBipartite) {
+  // Every record shares "x", so a one-source space is a clique; two sources
+  // keep only the cross-source pairs — a complete bipartite graph.
+  for (uint32_t sources : {1u, 2u}) {
+    Dataset ds("test", sources);
+    for (int i = 0; i < 6; ++i) ds.AddRecord(i % sources, "x");
+    PairSpace pairs = PairSpace::Build(ds);
+    RecordGraph g = RecordGraph::Build(
+        ds.size(), pairs, std::vector<double>(pairs.size(), 0.5));
+    EXPECT_EQ(g.num_edges(), sources == 1 ? 15u : 9u);
+    EXPECT_EQ(g.IsBipartite(), sources == 2) << sources << " sources";
   }
 }
 

@@ -1,7 +1,5 @@
 // AVX-512-vs-scalar differentials for the 512-bit kernel tier: packed
-// GEMM (≤1e-12) and the mask-parallel Jaro-Winkler (bitwise). The CSR
-// masked product has no avx512 twin — at that level it runs the AVX2
-// kernel, which simd_kernel_differential_test pins bitwise. AVX-512-
+// GEMM (≤1e-12) and the mask-parallel Jaro-Winkler (bitwise). AVX-512-
 // dependent cases GTEST_SKIP on machines or builds without the tier, so
 // the suite passes on any x86-64 or none.
 

@@ -1,6 +1,5 @@
 // SIMD-vs-scalar differential tests for the dispatched compute core:
-// packed GEMM (≤1e-12 relative, FMA-reassociated), the CSR masked-product
-// kernel (bitwise — it shares the scalar summation order), the batched
+// packed GEMM (≤1e-12 relative, FMA-reassociated), the batched
 // Jaro-Winkler (bitwise), the dispatch machinery itself, and tier
 // independence end to end: RunIter, ResolverState::BuildBatch and a
 // masked-engine FusionPipeline::Run give bitwise-identical output at every
@@ -30,9 +29,7 @@
 #include "gter/er/pair_space.h"
 #include "gter/er/preprocess.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/gemm.h"
-#include "gter/matrix/masked_multiply.h"
 #include "gter/text/string_metrics.h"
 
 namespace gter {
@@ -220,61 +217,6 @@ TEST(GemmSimd, PackedKernelIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR masked-product kernel: bitwise contract.
-
-CsrMatrix ErdosRenyiCsr(size_t n, size_t edges_per_node, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<CsrMatrix::Triplet> triplets;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (size_t e = 0; e < edges_per_node; ++e) {
-      uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
-      if (j == i) continue;
-      triplets.push_back({i, j, rng.OpenUniformDouble()});
-      triplets.push_back({j, i, rng.OpenUniformDouble()});
-    }
-  }
-  return CsrMatrix::FromTriplets(n, n, triplets);
-}
-
-class MaskedProductDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MaskedProductDifferential, Avx2MatchesScalarBitwise) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  const uint64_t seed = GetParam();
-  const size_t n = 400;
-  CsrMatrix trans = ErdosRenyiCsr(n, 6, seed);
-  trans.NormalizeRows();
-  CsrMatrix pattern = trans;  // same structure
-  Rng rng(seed + 99);
-  std::vector<double> prev(pattern.nnz());
-  for (double& v : prev) v = rng.OpenUniformDouble();
-  std::vector<double> dense(n * n, 0.0);
-  ScatterToDense(pattern, prev.data(), dense.data());
-
-  std::vector<double> ref_dense(pattern.nnz());
-  std::vector<double> ref_csr(pattern.nnz()), got_csr(pattern.nnz());
-  ComputeMaskedProduct(trans, dense.data(), pattern, ref_dense.data());
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, ref_csr.data());
-  }
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, got_csr.data());
-  }
-  // The AVX2 twin preserves the scalar per-entry summation order exactly
-  // (exact per-lane products, scalar adds), so equality is exact, keeping
-  // the dense-reference-vs-CSR ASSERT_EQ contract intact at every level.
-  for (size_t e = 0; e < pattern.nnz(); ++e) {
-    ASSERT_EQ(got_csr[e], ref_csr[e]) << "csr kernel entry " << e;
-    ASSERT_EQ(got_csr[e], ref_dense[e]) << "dense reference entry " << e;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MaskedProductDifferential,
-                         ::testing::Values(11, 12, 13));
-
-// ---------------------------------------------------------------------------
 // RunIter end-to-end.
 
 struct IterWorld {
@@ -317,8 +259,8 @@ std::vector<SimdLevel> SupportedLevels() {
 }
 
 // Only GEMM may change numerics between tiers: ITER, the incremental
-// engine and the masked CliqueRank engine run scalar code or bitwise SIMD
-// twins, so their output must not depend on the level at all.
+// engine and the masked CliqueRank engine run scalar code at every level,
+// so their output must not depend on the level at all.
 TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
   if (!Avx2Available()) GTEST_SKIP() << "no SIMD tier to compare";
   IterWorld world(42);

@@ -147,6 +147,7 @@ int RunResolve(int argc, char** argv) {
   AddCommonStageFlags(&flags);
   Status s = flags.Parse(argc, argv);
   if (s.ok()) s = ApplyCommonStageFlags(flags);
+  if (s.ok()) s = RequirePositiveFlags(flags, {"rounds", "steps"});
   if (!s.ok()) return Fail(s);
 
   // Install the registry before loading so tokenizer/vocabulary and
@@ -370,6 +371,7 @@ int RunEvalEndgames(int argc, char** argv) {
   AddLogLevelFlag(&flags);
   Status s = flags.Parse(argc, argv);
   if (s.ok()) s = ApplyLogLevelFlag(flags);
+  if (s.ok()) s = RequirePositiveFlags(flags, {"rounds"});
   if (!s.ok()) return Fail(s);
   const bool incremental = flags.GetBool("incremental");
 

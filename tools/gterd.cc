@@ -80,6 +80,7 @@ int Run(int argc, char** argv) {
   AddCommonStageFlags(&flags);
   Status s = flags.Parse(argc, argv);
   if (s.ok()) s = ApplyCommonStageFlags(flags);
+  if (s.ok()) s = RequirePositiveFlags(flags, {"rounds", "steps"});
   if (!s.ok()) return Fail(s);
 
   // The daemon always carries a registry: the serving layer records live
