@@ -80,8 +80,9 @@ double ResolverState::PairProbabilityOf(PairId p) const {
   return denom > 0.0 ? s_[p] / denom : 0.0;
 }
 
-void ResolverState::RefreshDecisions(
-    const std::vector<PairId>& touched_pairs) {
+void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
+                                     MetricsRegistry* metrics,
+                                     TraceRecorder* recorder) {
   // Dense fast path: when most scores moved (the full-resweep regime —
   // every batch build lands here), the sparse bookkeeping below would
   // sort two ids per touched pair just to rediscover "everything". One
@@ -100,7 +101,7 @@ void ResolverState::RefreshDecisions(
       matches_[p] = probability_[p] >= options_.eta;
       matched_count_ += matches_[p] ? 1 : 0;
     }
-    RebuildClusters();
+    RebuildClusters(metrics, recorder);
     return;
   }
 
@@ -146,10 +147,24 @@ void ResolverState::RefreshDecisions(
     }
   }
 
-  if (flips || cluster_of_.size() != ingested_records_) RebuildClusters();
+  if (flips) {
+    RebuildClusters(metrics, recorder);
+    return;
+  }
+  // No decision flipped, so the matched pairs are those the partition was
+  // built from plus none of the pairs appended since. Each record past the
+  // labelled prefix therefore has no match, and its id exceeds every
+  // labelled one: the prefix keeps its labels (dense, stable by smallest
+  // member) and each new record opens the next label as a singleton.
+  for (size_t r = cluster_of_.size(); r < ingested_records_; ++r) {
+    cluster_of_.push_back(static_cast<uint32_t>(cluster_members_.size()));
+    cluster_members_.push_back({static_cast<RecordId>(r)});
+  }
 }
 
-void ResolverState::RebuildClusters() {
+void ResolverState::RebuildClusters(MetricsRegistry* metrics,
+                                    TraceRecorder* recorder) {
+  ScopedTimer timer(metrics, recorder, "resolver_state/rebuild_clusters");
   UnionFind uf(ingested_records_);
   const size_t num_pairs = pairs_.size();
   for (PairId p = 0; p < num_pairs; ++p) {
@@ -177,6 +192,7 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
 
   ++dirty_reiter_runs_;
   MetricsRegistry* metrics = ctx.metrics_or_ambient();
+  TraceRecorder* recorder = ctx.trace_or_ambient();
   if (metrics != nullptr) metrics->AddCounter("ingest/dirty_reiter_runs");
 
   Result<IterDirtyResult> swept =
@@ -202,12 +218,13 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
   }
 
   {
-    ScopedTimer t2(metrics, nullptr, "resolver_state/refresh_decisions");
-    RefreshDecisions(swept.value().touched_pairs);
+    ScopedTimer refresh(metrics, recorder, "resolver_state/refresh_decisions");
+    RefreshDecisions(swept.value().touched_pairs, metrics, recorder);
   }
   if (metrics != nullptr) {
     metrics->SetGauge("ingest/last_touched_pairs",
                       static_cast<double>(swept.value().touched_pairs.size()));
+    metrics->SetGauge("cluster/clusters", static_cast<double>(num_clusters()));
   }
   ++version_;
   return Status::OK();
@@ -262,7 +279,11 @@ Result<IngestStats> ResolverState::IngestNext(const ExecContext& ctx) {
   stats.record = id;
   const size_t terms_before = graph_.num_terms();
   const size_t pairs_before = pairs_.size();
-  StructuralIngest(id);
+  {
+    ScopedTimer structural(metrics, recorder,
+                           "resolver_state/structural_ingest");
+    StructuralIngest(id);
+  }
   stats.new_terms = graph_.num_terms() - terms_before;
   stats.new_pairs = pairs_.size() - pairs_before;
   ++records_ingested_;

@@ -168,8 +168,13 @@ class ResolverState {
   /// Re-ITER from the pending frontier, then refresh decisions reachable
   /// from the touched scores.
   Status ConvergeAndRefresh(const ExecContext& ctx);
-  void RefreshDecisions(const std::vector<PairId>& touched_pairs);
-  void RebuildClusters();
+  /// Re-derives the decisions the touched scores can reach. The sparse
+  /// pass rebuilds the clusters only when a decision flipped; otherwise
+  /// records past the labelled prefix join as singletons.
+  void RefreshDecisions(const std::vector<PairId>& touched_pairs,
+                        MetricsRegistry* metrics, TraceRecorder* recorder);
+  /// Union-find over every matched pair: O(all pairs).
+  void RebuildClusters(MetricsRegistry* metrics, TraceRecorder* recorder);
   double PairProbabilityOf(PairId p) const;
   /// Grows every vocabulary-indexed structure to the current vocab size.
   void GrowToVocabulary();

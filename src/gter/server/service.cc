@@ -419,6 +419,13 @@ Result<JsonValue> ResolutionService::AddRecord(const JsonValue& params,
     cluster_of_.push_back(cluster);
     cluster_members_.push_back({id});
     source_of_.push_back(source);
+    // The served partition grew by one singleton; incremental mode sets
+    // the same gauge after every converge.
+    MetricsRegistry* metrics = ctx.metrics_or_ambient();
+    if (metrics != nullptr) {
+      metrics->SetGauge("cluster/clusters",
+                        static_cast<double>(cluster_members_.size()));
+    }
     records_added_.fetch_add(1, std::memory_order_relaxed);
     out.Set("record", JsonValue::MakeNumber(id));
     out.Set("cluster", JsonValue::MakeNumber(cluster));

@@ -17,10 +17,14 @@
 //     partial snapshot, never an error.
 //  4. DynamicBipartiteGraph is structure-for-structure the frozen
 //     BipartiteGraph when fed the same dataset and pairs.
+//  5. After every build and ingest, the served partition is exactly the
+//     connected components of matches(), although the sparse decision
+//     pass rebuilds the clusters only when a decision flipped.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "gter/datagen/datagen.h"
 #include "gter/graph/bipartite_graph.h"
 #include "gter/graph/dynamic_bipartite.h"
+#include "gter/graph/union_find.h"
 
 namespace gter {
 namespace {
@@ -410,6 +415,154 @@ TEST(IncrementalCancelTest, CancelledIngestNeverAbortsTheNextOne) {
     ExpectArmsAgree(batch, stream, identity, 1e-10);
     ASSERT_EQ(stream.cluster_of(), batch.cluster_of()) << "k=" << k;
   }
+}
+
+// The partition a from-scratch union-find over `state.matches()` gives,
+// labelled as the state promises: dense, stable by smallest member.
+struct ReferencePartition {
+  std::vector<uint32_t> cluster_of;
+  std::vector<std::vector<RecordId>> members;
+};
+
+ReferencePartition ComponentsOfMatches(const ResolverState& state) {
+  UnionFind uf(state.num_records());
+  for (PairId p = 0; p < state.pairs().size(); ++p) {
+    if (state.matches()[p]) {
+      uf.Union(state.pairs().pair(p).a, state.pairs().pair(p).b);
+    }
+  }
+  ReferencePartition ref;
+  ref.cluster_of = uf.ComponentLabels();
+  ref.members.resize(uf.num_components());
+  for (RecordId r = 0; r < ref.cluster_of.size(); ++r) {
+    ref.members[ref.cluster_of[r]].push_back(r);
+  }
+  return ref;
+}
+
+// Checks one successful ingest against the reference partition.
+void ExpectIngestMatchesReference(const ResolverState& state,
+                                  const IngestStats& stats) {
+  const ReferencePartition ref = ComponentsOfMatches(state);
+  ASSERT_EQ(state.cluster_of(), ref.cluster_of) << "record " << stats.record;
+  ASSERT_EQ(state.cluster_members(), ref.members) << "record " << stats.record;
+  EXPECT_EQ(stats.cluster, ref.cluster_of[stats.record]);
+  EXPECT_EQ(stats.cluster_size, ref.members[stats.cluster].size());
+}
+
+uint64_t RebuildCount(const MetricsRegistry& metrics) {
+  return metrics.Timer("resolver_state/rebuild_clusters").count;
+}
+
+TEST(IncrementalClusterTest, PartitionIsComponentsOfMatchesAfterEveryIngest) {
+  Dataset data = MakeData();
+  const size_t n = data.size();
+  const size_t base = (n * 2) / 3;
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.metrics = &metrics;
+
+  ResolverState state(&data);
+  ASSERT_TRUE(state.BuildBatch(ctx, base).ok());
+  {
+    const ReferencePartition ref = ComponentsOfMatches(state);
+    ASSERT_EQ(state.cluster_of(), ref.cluster_of);
+    ASSERT_EQ(state.cluster_members(), ref.members);
+  }
+  EXPECT_EQ(RebuildCount(metrics), 1u);
+
+  // An ingest "gains" when a pair matches that did not match before (new
+  // pairs start unmatched) and "loses" when a matched pair stops matching.
+  size_t gained = 0;
+  size_t lost = 0;
+  std::vector<bool> before = state.matches();
+  const size_t cancel_at = base + (n - base) / 2;
+  bool cancelled_once = false;
+  while (state.num_records() < n) {
+    if (!cancelled_once && state.num_records() == cancel_at) {
+      // Entry poll of IngestExisting, entry poll of the converge, then the
+      // first sweep poll trips: the record is committed, its label pending.
+      CancelToken token;
+      ExecContext cancel_ctx = ctx;
+      cancel_ctx.cancel = &token;
+      token.CancelAfterPolls(2);
+      auto cancelled = state.IngestExisting(cancel_ctx);
+      ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+      ASSERT_EQ(state.num_records(), cancel_at + 1);
+      ASSERT_TRUE(state.has_pending_dirty());
+      ASSERT_EQ(state.cluster_of().size(), cancel_at);
+      cancelled_once = true;
+    }
+    auto ingest = state.IngestExisting(ctx);
+    ASSERT_TRUE(ingest.ok()) << ingest.status();
+    // After the cancel, this resumed converge labels both pending records.
+    ExpectIngestMatchesReference(state, ingest.value());
+
+    bool gain = false;
+    bool loss = false;
+    for (PairId p = 0; p < state.pairs().size(); ++p) {
+      const bool was = p < before.size() && before[p];
+      gain = gain || (state.matches()[p] && !was);
+      loss = loss || (!state.matches()[p] && was);
+    }
+    gained += gain ? 1 : 0;
+    lost += loss ? 1 : 0;
+    before = state.matches();
+  }
+  EXPECT_TRUE(cancelled_once);
+  EXPECT_GT(gained, 0u);
+  EXPECT_GT(lost, 0u);
+}
+
+TEST(IncrementalClusterTest, SparsePassRebuildsOnlyWhenADecisionFlips) {
+  // Every ingest of the stream above touches most of its hub-heavy pairs,
+  // so its flips all come through the dense pass. Here the ingested
+  // records share terms only with two small groups that the batch build
+  // matched, so each ingest touches a handful of pairs and the sparse pass
+  // runs through each of its outcomes.
+  Dataset data = MakeData();
+  const RecordId first = static_cast<RecordId>(data.size());
+  data.AddRecord(0, "qxzv wplorb mfrt");
+  data.AddRecord(0, "qxzv wplorb");
+  data.AddRecord(0, "kroz vant");
+  data.AddRecord(0, "kroz vant");
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.metrics = &metrics;
+  // The loss below re-balances three coupled terms slowly enough to trip
+  // the stall escalation, whose full sweeps touch every pair. Keep the
+  // converges on their worklists.
+  ResolverStateOptions options;
+  options.iter.stall_sweeps = std::numeric_limits<size_t>::max();
+  ResolverState state(&data, options);
+  ASSERT_TRUE(state.BuildBatch(ctx).ok());
+  ASSERT_EQ(state.cluster_of()[first], state.cluster_of()[first + 1]);
+
+  struct Step {
+    const char* text;
+    bool flips;           // some decision flipped, so the clusters rebuild
+    size_t cluster_size;  // of the new record
+  };
+  const Step steps[] = {
+      {"jhkfq zvrtm", false, 1},  // no pair: the next singleton
+      {"kroz vant", true, 3},     // joins its group: a gain only
+      // A closer copy of "qxzv wplorb mfrt" than "qxzv wplorb": a gain,
+      // and "qxzv wplorb" loses its match.
+      {"qxzv wplorb mfrt", true, 2},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.text);
+    const uint64_t rebuilds_before = RebuildCount(metrics);
+    auto ingest = state.Ingest(0, step.text, ctx);
+    ASSERT_TRUE(ingest.ok()) << ingest.status();
+    EXPECT_LT(metrics.Gauge("ingest/last_touched_pairs"),
+              static_cast<double>(state.pairs().size()) / 2);
+    EXPECT_EQ(RebuildCount(metrics), rebuilds_before + (step.flips ? 1 : 0));
+    EXPECT_EQ(ingest.value().cluster_size, step.cluster_size);
+    ExpectIngestMatchesReference(state, ingest.value());
+  }
+  EXPECT_EQ(state.cluster_members()[state.cluster_of()[first + 1]].size(),
+            1u);
 }
 
 TEST(ProgressiveTest, UnlimitedBudgetEmitsBatchMatchSet) {

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/metrics.h"
 #include "gter/common/prom.h"
 #include "gter/common/thread_pool.h"
 #include "gter/core/clusterer.h"
+#include "gter/core/fusion.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "gter/server/client.h"
@@ -45,7 +48,8 @@ struct ServerFixture {
   std::unique_ptr<GterdServer> server;
 
   explicit ServerFixture(GterdServerOptions options = {},
-                         ResolutionServiceOptions service_options = {}) {
+                         ResolutionServiceOptions service_options = {},
+                         const ExecContext& ctx = DefaultExecContext()) {
     Dataset dataset("server-test");
     dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
     dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
@@ -53,10 +57,10 @@ struct ServerFixture {
     dataset.AddRecord(0, "blue lagoon seafood grill marina 3105559876");
     dataset.AddRecord(0, "taco fiesta cantina downtown 2135550000");
     auto built = ResolutionService::Create(std::move(dataset),
-                                           std::move(service_options));
+                                           std::move(service_options), ctx);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     service = std::move(built).value();
-    auto started = GterdServer::Start(service.get(), options);
+    auto started = GterdServer::Start(service.get(), options, ctx);
     EXPECT_TRUE(started.ok()) << started.status().ToString();
     server = std::move(started).value();
   }
@@ -651,6 +655,55 @@ TEST(GterdServerTest, MetricsListenerServesMetricsHealthzAndVarz) {
   EXPECT_FALSE(missing.ok());
   EXPECT_NE(missing.status().ToString().find("404"), std::string::npos)
       << missing.status().ToString();
+}
+
+// The value of one gauge line ("<name> <value>") on a /metrics scrape;
+// -1 when the scrape fails or the gauge is absent.
+double ScrapeGauge(uint16_t metrics_port, const std::string& name) {
+  auto scraped = GterdClient::HttpGet("127.0.0.1", metrics_port, "/metrics");
+  EXPECT_TRUE(scraped.ok()) << scraped.status().ToString();
+  if (!scraped.ok()) return -1.0;
+  const std::string needle = "\n" + name + " ";
+  const std::string text = "\n" + scraped.value();
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + needle.size(), nullptr);
+}
+
+TEST(GterdServerTest, ClusterGaugeTracksServedPartition) {
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "batch");
+    // Wired like gterd: one declared registry for the startup build and
+    // the server.
+    MetricsRegistry metrics;
+    DeclarePipelineMetrics(&metrics);
+    ExecContext ctx;
+    ctx.metrics = &metrics;
+    GterdServerOptions options;
+    options.metrics_port = 0;
+    ResolutionServiceOptions service_options;
+    service_options.incremental = incremental;
+    ServerFixture fx(options, service_options, ctx);
+    GterdClient client = fx.Connect();
+    const auto cliques = [&client] {
+      auto stats = client.Call("stats", JsonValue::MakeObject());
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      return stats.ok() ? stats.value().NumberOr("cliques", -1) : -1.0;
+    };
+    const uint16_t port = fx.server->metrics_port();
+
+    EXPECT_EQ(ScrapeGauge(port, "gter_cluster_clusters"), cliques());
+    // A new entity, then a third copy of records 0/1: batch mode parks
+    // both as singletons, incremental mode merges the copy.
+    for (const char* text : {"zanzibar mango treehouse 5105551111",
+                             "golden dragon szechuan pasadena 8185551234"}) {
+      JsonValue add = JsonValue::MakeObject();
+      add.Set("text", JsonValue::MakeString(text));
+      ASSERT_TRUE(client.Call("add_record", std::move(add)).ok());
+      EXPECT_EQ(ScrapeGauge(port, "gter_cluster_clusters"), cliques()) << text;
+    }
+    EXPECT_EQ(cliques(), incremental ? 4.0 : 5.0);
+  }
 }
 
 TEST(GterdServerTest, MetricsListenerRejectsNonGet) {
