@@ -33,7 +33,7 @@ FusionPipeline::FusionPipeline(const Dataset& dataset, FusionConfig config)
     : dataset_(dataset),
       config_(config),
       pairs_(PairSpace::Build(dataset)),
-      bipartite_(BipartiteGraph::Build(dataset, pairs_, config.pt_mode)) {}
+      bipartite_(BipartiteGraph::Build(dataset, pairs_)) {}
 
 Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
   GTER_CHECK(config_.rounds >= 1);

@@ -29,7 +29,6 @@ struct FusionConfig {
   /// comparison); much slower on dense graphs.
   bool use_rss = false;
   RssOptions rss;
-  PtMode pt_mode = PtMode::kPaper;
   /// Clustering endgame applied to the final probabilities (DESIGN.md §4f).
   /// The default reproduces the historical behaviour: transitive closure
   /// of the p ≥ η decisions.

@@ -7,7 +7,6 @@
 
 #include "gter/common/exec_context.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/dynamic_bipartite.h"
 
 namespace gter {
 
@@ -29,8 +28,6 @@ struct IterOptions {
   uint64_t seed = 42;
   /// Record Σ|Δx| per sweep (the Figure 5 trace).
   bool track_convergence = false;
-  /// Minimum terms/pairs per parallel chunk.
-  size_t grain = 256;
 };
 
 /// Output of one ITER run.
@@ -61,38 +58,17 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
                            const IterOptions& options = {},
                            const ExecContext& ctx = DefaultExecContext());
 
-/// Options for the dirty-region ITER mode (DESIGN.md §4g).
+/// Options for the dirty-region ITER mode (DESIGN.md §4g). The converge's
+/// other thresholds (frontier tolerance, noise floor, parking rules, sweep
+/// cap, full-resweep escape hatch) are constants in iter.cc; these four
+/// stay settable so a test can force the subsystem-solve or stall path.
 struct IterDirtyOptions {
-  /// A term re-enters the frontier while its sweep-over-sweep change
-  /// exceeds this. Far tighter than IterOptions::tolerance (a global L1
-  /// sum): the frontier rule is per-term, and the incremental-vs-batch
-  /// differential contract (≤ 1e-10 drift after many ingests) needs each
-  /// converge to park every weight within a hair of the fixed point.
-  double frontier_tolerance = 1e-13;
-  /// Noise-floor guard for the frontier rule. A term's update gathers
-  /// Σ_{p∋t} s_p before splitting out the self-contribution, so its result
-  /// carries rounding noise proportional to that gathered magnitude — for a
-  /// hub term with 10k adjacent pairs the noise floor sits around 1e-12,
-  /// *above* the absolute tolerance, and demanding sub-rounding stability
-  /// would keep such terms jittering in the frontier forever (a worklist
-  /// that never drains). A term therefore re-enters the frontier only when
-  /// its change exceeds max(frontier_tolerance, noise_floor · ε · Σ s_p).
-  /// The extra slack is the update's own conditioning limit, far inside the
-  /// 1e-10 differential contract.
-  double noise_floor = 256.0;
-  /// Stall detector. The worklist's partial refreshes act as time delays
-  /// between coupled terms, and delayed relaxation can sustain rotation
-  /// modes of near-unit gain: rounding jitter from hub terms circulates
-  /// through mid-degree neighbors as a ~1e-11 limit cycle that keeps a
-  /// small frontier alive to the sweep cap. The signature is a sweep whose
-  /// largest |Δx| sits below `stall_delta` (numerical dust — far under any
-  /// real signal, far over the stationary state's exact zeros) while the
-  /// frontier persists. After `stall_sweeps` consecutive dust sweeps the
-  /// run escalates (sticky) to full synchronous sweeps, which have no
-  /// delays, no such modes, and reach a bitwise-stationary fixed point. A
-  /// genuinely converging run crosses the dust band in a sweep or two and
-  /// never trips this.
-  double stall_delta = 1e-9;
+  /// Stall detector. After this many consecutive sweeps whose largest |Δx|
+  /// is numerical dust while the frontier persists, the run escalates
+  /// (sticky) to full synchronous sweeps, which have no delays, no rotation
+  /// modes, and reach a bitwise-stationary fixed point. A genuinely
+  /// converging run crosses the dust band in a sweep or two and never
+  /// trips this.
   size_t stall_sweeps = 3;
   /// Hub-coupled subsystem solve. A single ingest whose terms include a
   /// hub (a term on thousands of pairs — street suffixes, shared venue
@@ -100,52 +76,20 @@ struct IterDirtyOptions {
   /// mid-degree terms they share pairs with. The worklist contracts that
   /// set only ~half a decade per sweep, and every sweep re-gathers the
   /// hubs' full adjacencies — tens of thousands of pair reads to move a
-  /// few dozen terms by 1e-8. When the frontier still holds a hub after
-  /// `subsystem_min_sweeps` sweeps and the sweep's largest move is under
-  /// `subsystem_delta` (the slow tail — real signal, just converging
-  /// slowly), the run freezes the frontier's one-hop term closure (at most
-  /// `subsystem_max_terms`, else it falls back to the stall path), builds
-  /// the closed-form reduced system total_t = base_t + Σ_u M[t,u]·x_u
-  /// (M[t,u] = pairs shared by t and u — hub↔hub coupling collapses from
-  /// thousands of pair reads to one multiply), and iterates it serially to
-  /// bitwise stationarity. The result is written back and re-verified by a
-  /// normal exact sweep, which recruits any neighbor the reduced system
-  /// missed (at most `subsystem_max_rounds` solves per run, then the stall
-  /// escalation backstops). The solve is plain serial arithmetic over
-  /// sorted ids — bit-identical at any thread count.
+  /// few dozen terms by 1e-8. When the frontier still holds a term of
+  /// degree ≥ `subsystem_hub_degree` after `subsystem_min_sweeps` sweeps
+  /// and the sweep's largest move is under `subsystem_delta` (the slow
+  /// tail — real signal, just converging slowly), the run freezes the
+  /// frontier's one-hop term closure, builds the closed-form reduced
+  /// system total_t = base_t + Σ_u M[t,u]·x_u (M[t,u] = pairs shared by t
+  /// and u — hub↔hub coupling collapses from thousands of pair reads to
+  /// one multiply), and iterates it serially to bitwise stationarity. The
+  /// result is written back and re-verified by a normal exact sweep, which
+  /// recruits any neighbor the reduced system missed. The solve is plain
+  /// serial arithmetic over sorted ids — bit-identical at any thread count.
   double subsystem_delta = 1e-7;
   size_t subsystem_min_sweeps = 6;
-  /// Parking rule for post-solve verification sweeps. The reduced solve is
-  /// bitwise stationary in *its own* summation order; the exact gather sums
-  /// the same mass in a different order, so verification still sees hubs
-  /// move by their rounding floor (~ε · Σ s_p ≈ 1e-11 at 10k pairs) — dust
-  /// that sits right at the frontier rule's noise guard and can ping-pong
-  /// closure subsets indefinitely. After at least one solve, a verification
-  /// sweep whose largest move is below this parks the run: the distance to
-  /// the exact fixed point is conditioning-limited rounding, well inside
-  /// the 1e-10 differential contract.
-  double subsystem_park_delta = 1e-10;
   size_t subsystem_hub_degree = 1024;
-  size_t subsystem_max_terms = 1024;
-  size_t subsystem_max_rounds = 3;
-  /// Parking rule for the post-stall full mode. The full map contracts
-  /// geometrically toward bitwise stationarity, but grinding out the last
-  /// decades of dust costs a dozen extra sweeps for nothing: once a full
-  /// sweep's largest move falls below this, the run parks and reports
-  /// converged — the remaining distance to the fixed point is this times a
-  /// contraction-ratio factor, far inside the 1e-10 differential contract.
-  /// Applies only after a stall escalation; escape-hatch full runs (every
-  /// batch build) still run to exact stationarity.
-  double stall_park_delta = 1e-12;
-  /// Hard sweep cap; the worklist normally drains long before this.
-  size_t max_sweeps = 1000;
-  /// Escape hatch: when the frontier covers more than this fraction of all
-  /// terms, the run degrades to full sweeps (same arithmetic, no worklist
-  /// bookkeeping) — at that size the global sweep is cheaper than tracking.
-  /// Once tripped it stays full for the rest of the run.
-  double full_resweep_threshold = 0.25;
-  /// Minimum elements per parallel chunk.
-  size_t grain = 256;
 };
 
 /// Output of one dirty-region run.
@@ -173,8 +117,8 @@ struct IterDirtyResult {
 /// refresh s of pairs adjacent to the frontier, recompute x of terms
 /// adjacent to those pairs (full gathers — never deltas, so no error
 /// accumulates), and the next frontier is the terms that moved more than
-/// `frontier_tolerance`. On exit every touched pair's score is refreshed
-/// against the final weights, so s ≡ Σ_{t∈p} x_t holds exactly.
+/// the frontier tolerance (1e-13). On exit every touched pair's score is
+/// refreshed against the final weights, so s ≡ Σ_{t∈p} x_t holds exactly.
 ///
 /// The fixed point is the prob ≡ 1 ITER map (the §V-C first-round
 /// semantics, logistic normalization) — a concave monotone map with one
@@ -192,7 +136,7 @@ struct IterDirtyResult {
 /// token yields the error status with the vectors mid-converge but
 /// structurally valid — re-run with a full frontier to recover.
 Result<IterDirtyResult> RunIterDirty(
-    const DynamicBipartiteGraph& graph, const std::vector<TermId>& dirty_terms,
+    const BipartiteGraph& graph, const std::vector<TermId>& dirty_terms,
     const IterDirtyOptions& options, std::vector<double>* term_weights,
     std::vector<double>* pair_scores,
     const ExecContext& ctx = DefaultExecContext());

@@ -9,6 +9,9 @@
 namespace gter {
 namespace {
 
+// Minimum terms/pairs per parallel chunk.
+constexpr size_t kGrain = 256;
+
 double Norm2(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
@@ -37,7 +40,7 @@ Result<IterMatrixResult> RunIterMatrixForm(
   // order, so the parallel sweeps stay bit-identical to the serial ones.
   std::vector<double> x(num_terms);
   auto apply = [&](const std::vector<double>& y, std::vector<double>* out) {
-    ParallelFor(ctx.pool, 0, num_terms, options.grain,
+    ParallelFor(ctx.pool, 0, num_terms, kGrain,
                 [&](size_t lo, size_t hi) {
       for (TermId t = lo; t < hi; ++t) {
         double acc = 0.0;
@@ -47,7 +50,7 @@ Result<IterMatrixResult> RunIterMatrixForm(
         x[t] = acc / graph.Pt(t);
       }
     });
-    ParallelFor(ctx.pool, 0, num_pairs, options.grain,
+    ParallelFor(ctx.pool, 0, num_pairs, kGrain,
                 [&](size_t lo, size_t hi) {
       for (PairId p = lo; p < hi; ++p) {
         double acc = 0.0;
@@ -99,7 +102,7 @@ Result<IterMatrixResult> RunIterMatrixForm(
   result.residual = std::sqrt(residual_sq);
 
   result.pair_scores = y;
-  ParallelFor(ctx.pool, 0, num_terms, options.grain,
+  ParallelFor(ctx.pool, 0, num_terms, kGrain,
               [&](size_t lo, size_t hi) {
     for (TermId t = lo; t < hi; ++t) {
       double acc = 0.0;

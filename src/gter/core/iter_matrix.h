@@ -26,8 +26,6 @@ struct IterMatrixOptions {
   /// this.
   double tolerance = 1e-12;
   uint64_t seed = 42;
-  /// Minimum terms/pairs per parallel chunk.
-  size_t grain = 256;
 };
 
 struct IterMatrixResult {

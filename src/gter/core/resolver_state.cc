@@ -9,9 +9,18 @@
 #include "gter/text/string_metrics.h"
 
 namespace gter {
+namespace {
+
+// Weight every term starts from. The prob ≡ 1 logistic ITER map has a
+// single positive attractor, so any positive constant converges to the
+// same fixed point; a constant (rather than RunIter's random init) keeps
+// the batch and streamed arms trivially comparable.
+constexpr double kInitialWeight = 0.5;
+
+}  // namespace
 
 ResolverState::ResolverState(Dataset* dataset, ResolverStateOptions options)
-    : dataset_(dataset), options_(options), graph_(options.pt_mode) {
+    : dataset_(dataset), options_(options) {
   GTER_CHECK(dataset_ != nullptr);
   GrowToVocabulary();
 }
@@ -24,7 +33,7 @@ void ResolverState::GrowToVocabulary() {
   // logistic map has one positive attractor, so the value is free — and a
   // term only ever seen in one record has no pairs, so its first sweep
   // parks it at 0 anyway.
-  x_.resize(vocab, options_.initial_weight);
+  x_.resize(vocab, kInitialWeight);
   inverted_.resize(vocab);
 }
 
@@ -67,7 +76,7 @@ void ResolverState::StructuralIngest(RecordId r) {
   for (TermId t : rec.terms) inverted_[t].push_back(r);
 
   // The record's terms are the invalidated frontier: each gained a record
-  // (N_t — and P_t in kPaper mode — changed) and possibly new pairs.
+  // (N_t — and so P_t — changed) and possibly new pairs.
   pending_dirty_.insert(pending_dirty_.end(), rec.terms.begin(),
                         rec.terms.end());
   ingested_records_ = r + 1;

@@ -11,7 +11,7 @@
 #include "gter/core/iter.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
-#include "gter/graph/dynamic_bipartite.h"
+#include "gter/graph/bipartite_graph.h"
 
 namespace gter {
 
@@ -19,16 +19,9 @@ namespace gter {
 struct ResolverStateOptions {
   /// Match threshold on the reciprocal-best pair probability.
   double eta = 0.98;
-  /// Eq. 6 denominator mode of the underlying graph.
-  PtMode pt_mode = PtMode::kPaper;
-  /// Dirty-region re-ITER knobs (frontier tolerance, full-resweep escape
-  /// hatch).
+  /// Dirty-region re-ITER knobs (the subsystem-solve trigger and the stall
+  /// detector).
   IterDirtyOptions iter;
-  /// Weight every term starts from. The prob ≡ 1 logistic ITER map has a
-  /// single positive attractor, so any positive constant converges to the
-  /// same fixed point; a constant (rather than RunIter's random init) keeps
-  /// the batch and streamed arms trivially comparable.
-  double initial_weight = 0.5;
 };
 
 /// Per-ingest outcome, the add_record response payload.
@@ -54,7 +47,7 @@ struct IngestStats {
 /// §4g). Owns updatable views of every pipeline intermediate:
 ///
 ///  - the shared-term inverted index (posting upsert per ingest),
-///  - the PairSpace and the term ↔ pair DynamicBipartiteGraph (append +
+///  - the PairSpace and the term ↔ pair BipartiteGraph (append +
 ///    N_t/P_t maintenance),
 ///  - the ITER term weights / pair scores (dirty-region re-converge via
 ///    RunIterDirty),
@@ -63,7 +56,7 @@ struct IngestStats {
 ///
 /// Ingesting one record costs O(its neighborhood): discover sharers
 /// through the inverted index, append the new pairs, mark the record's
-/// terms dirty (their N_t — and in kPaper mode P_t — changed), re-converge
+/// terms dirty (their N_t — and so P_t — changed), re-converge
 /// from that frontier and refresh only the decisions the touched scores
 /// can reach. `BuildBatch` is the same code path with every term dirty, so
 /// a batch build and any ingest order converge to the same fixed point —
@@ -121,7 +114,7 @@ class ResolverState {
   /// Records resolved so far (≤ dataset().size()).
   size_t num_records() const { return ingested_records_; }
   const PairSpace& pairs() const { return pairs_; }
-  const DynamicBipartiteGraph& graph() const { return graph_; }
+  const BipartiteGraph& graph() const { return graph_; }
 
   /// ITER term weights, indexed by TermId (vocabulary-sized).
   const std::vector<double>& term_weights() const { return x_; }
@@ -181,7 +174,7 @@ class ResolverState {
 
   Dataset* dataset_;
   ResolverStateOptions options_;
-  DynamicBipartiteGraph graph_;
+  BipartiteGraph graph_;
   PairSpace pairs_;
   std::vector<std::vector<RecordId>> inverted_;
   std::vector<std::vector<PairId>> pairs_of_record_;

@@ -8,6 +8,7 @@
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
 #include "gter/common/status.h"
+#include "gter/text/string_metrics.h"
 
 namespace gter {
 namespace {
@@ -116,74 +117,6 @@ Result<BlockingResult> LshBlocking(const Dataset& dataset,
   return result;
 }
 
-LshPostingIndex::LshPostingIndex(size_t num_sources,
-                                 const LshBlockingOptions& options)
-    : options_(options),
-      two_source_(num_sources == 2),
-      hasher_(options.num_bands * options.rows_per_band, options.seed),
-      buckets_(options.num_bands),
-      dirty_(options.num_bands, 0) {
-  GTER_CHECK(options.num_bands >= 1 && options.rows_per_band >= 1);
-}
-
-std::vector<RecordPair> LshPostingIndex::Upsert(
-    RecordId r, const std::vector<TermId>& terms, uint32_t source) {
-  if (r >= record_keys_.size()) {
-    record_keys_.resize(r + 1);
-    source_of_.resize(r + 1, 0);
-  }
-  source_of_[r] = source;
-  // Drop the record's previous bucket memberships (re-upsert path).
-  if (!record_keys_[r].empty()) {
-    for (size_t band = 0; band < options_.num_bands; ++band) {
-      auto it = buckets_[band].find(record_keys_[r][band]);
-      GTER_CHECK(it != buckets_[band].end());
-      auto& members = it->second;
-      members.erase(std::find(members.begin(), members.end(), r));
-      if (members.empty()) buckets_[band].erase(it);
-      dirty_[band] = 1;
-    }
-    record_keys_[r].clear();
-  }
-  std::vector<RecordPair> fresh;
-  if (terms.empty()) return fresh;
-
-  std::vector<TermId> sorted(terms);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<uint64_t> sig = hasher_.Signature(sorted);
-  record_keys_[r].resize(options_.num_bands);
-  for (size_t band = 0; band < options_.num_bands; ++band) {
-    uint64_t key = 0x9E3779B97F4A7C15ULL * (band + 1);
-    for (size_t row = 0; row < options_.rows_per_band; ++row) {
-      key = Mix64(key ^ sig[band * options_.rows_per_band + row]);
-    }
-    record_keys_[r][band] = key;
-    auto& members = buckets_[band][key];
-    for (RecordId other : members) {
-      RecordId a = other, b = r;
-      if (a > b) std::swap(a, b);
-      if (two_source_ && source_of_[a] == source_of_[b]) continue;
-      if (emitted_.insert(PairKey(a, b)).second) {
-        fresh.push_back(RecordPair{a, b});
-      }
-    }
-    members.push_back(r);
-    dirty_[band] = 1;
-  }
-  return fresh;
-}
-
-size_t LshPostingIndex::num_buckets() const {
-  size_t total = 0;
-  for (const auto& band : buckets_) total += band.size();
-  return total;
-}
-
-void LshPostingIndex::ClearDirtyBands() {
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-}
-
 Result<BlockingResult> CanopyBlocking(const Dataset& dataset,
                                       const CanopyBlockingOptions& options,
                                       const ExecContext& ctx) {
@@ -242,6 +175,12 @@ Result<BlockingResult> CanopyBlocking(const Dataset& dataset,
         if (a > b) std::swap(a, b);
         if (two_source &&
             dataset.record(a).source == dataset.record(b).source) {
+          continue;
+        }
+        // Both overlap the center, but a candidate pair must share a term
+        // with each other (§V-B).
+        if (SortedIntersectionSize(dataset.record(a).terms,
+                                   dataset.record(b).terms) == 0) {
           continue;
         }
         if (emitted.insert(PairKey(a, b)).second) {

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gter/common/exec_context.h"
@@ -71,53 +69,6 @@ Result<BlockingResult> LshBlocking(
     const Dataset& dataset, const LshBlockingOptions& options = {},
     const ExecContext& ctx = DefaultExecContext());
 
-/// Incremental MinHash-LSH blocking state (DESIGN.md §4g): the banded
-/// bucket tables kept live so records can be upserted one at a time.
-/// `Upsert` hashes one record into every band and returns only the
-/// candidate pairs not yet emitted — streaming all records (any order)
-/// through Upsert yields exactly the batch `LshBlocking` pair set. Each
-/// band carries a dirty flag, raised when its buckets change and lowered
-/// by `ClearDirtyBands()`, so a consumer re-scanning bands after a batch
-/// of upserts can skip the untouched ones.
-class LshPostingIndex {
- public:
-  /// `num_sources` fixes the cross-source rule (pairs within one source
-  /// are suppressed iff num_sources == 2, matching LshBlocking).
-  explicit LshPostingIndex(size_t num_sources,
-                           const LshBlockingOptions& options = {});
-
-  /// Inserts record `r` (or re-hashes it, if already present with a
-  /// different term set) and returns the newly discovered candidate
-  /// pairs, a < b, deduplicated against every pair returned before.
-  /// Records with empty term sets occupy no bucket (as in the batch
-  /// pass). `terms` need not be sorted.
-  std::vector<RecordPair> Upsert(RecordId r, const std::vector<TermId>& terms,
-                                 uint32_t source);
-
-  size_t num_bands() const { return options_.num_bands; }
-  /// Total buckets across all bands (diagnostics, = BlockingResult::buckets
-  /// after a full stream).
-  size_t num_buckets() const;
-  /// Candidate pairs emitted so far.
-  size_t num_pairs() const { return emitted_.size(); }
-  /// Per-band dirty flags (1 = bucket membership changed since the last
-  /// ClearDirtyBands).
-  const std::vector<uint8_t>& dirty_bands() const { return dirty_; }
-  void ClearDirtyBands();
-
- private:
-  LshBlockingOptions options_;
-  bool two_source_;
-  MinHasher hasher_;
-  /// Per band: bucket key → member records.
-  std::vector<std::unordered_map<uint64_t, std::vector<RecordId>>> buckets_;
-  /// Per record: its current key in each band (empty = not bucketed).
-  std::vector<std::vector<uint64_t>> record_keys_;
-  std::vector<uint32_t> source_of_;
-  std::unordered_set<uint64_t> emitted_;
-  std::vector<uint8_t> dirty_;
-};
-
 /// Options for canopy blocking (McCallum, Nigam & Ungar): a cheap
 /// similarity (token overlap through the inverted index) partitions
 /// records into overlapping canopies; only within-canopy pairs survive.
@@ -130,9 +81,11 @@ struct CanopyBlockingOptions {
   uint64_t seed = 31;
 };
 
-/// Runs canopy blocking with overlap-coefficient cheap similarity.
-/// Metrics go to `ctx.metrics` with ambient fallback; cancellation is
-/// polled at entry and once per canopy center.
+/// Runs canopy blocking with overlap-coefficient cheap similarity. Of the
+/// within-canopy pairs, only those sharing at least one term are emitted
+/// (the §V-B rule): two members each overlap the center, but not always
+/// each other. Metrics go to `ctx.metrics` with ambient fallback;
+/// cancellation is polled at entry and once per canopy center.
 Result<BlockingResult> CanopyBlocking(
     const Dataset& dataset, const CanopyBlockingOptions& options = {},
     const ExecContext& ctx = DefaultExecContext());

@@ -9,61 +9,68 @@
 namespace gter {
 
 BipartiteGraph BipartiteGraph::Build(const Dataset& dataset,
-                                     const PairSpace& pairs, PtMode pt_mode) {
+                                     const PairSpace& pairs) {
   GTER_TRACE_SCOPE("bipartite/build");
   BipartiteGraph g;
-  const size_t num_terms = dataset.vocabulary().size();
-  const size_t num_pairs = pairs.size();
+  g.EnsureTerms(dataset.vocabulary().size());
+  for (const Record& rec : dataset.records()) g.AddRecordTerms(rec.terms);
 
-  // Pass 1: pair → shared-term CSR.
-  g.pair_offsets_.assign(num_pairs + 1, 0);
-  std::vector<std::vector<TermId>> shared(num_pairs);
+  // Pair side, allocated once at its exact size: the shared-term counts
+  // give the offsets, then each intersection is written into its slot.
+  const size_t num_pairs = pairs.size();
+  g.pair_offsets_.resize(num_pairs + 1);
   for (PairId p = 0; p < num_pairs; ++p) {
     const RecordPair& rp = pairs.pair(p);
-    shared[p] = SortedIntersection(dataset.record(rp.a).terms,
-                                   dataset.record(rp.b).terms);
-    GTER_CHECK(!shared[p].empty());  // PairSpace only materializes sharers
-    g.pair_offsets_[p + 1] = g.pair_offsets_[p] + shared[p].size();
+    const size_t shared = SortedIntersectionSize(dataset.record(rp.a).terms,
+                                                 dataset.record(rp.b).terms);
+    GTER_CHECK(shared > 0);  // a pair node shares at least one term (§V-B)
+    g.pair_offsets_[p + 1] = g.pair_offsets_[p] + shared;
   }
-  g.pair_terms_.reserve(g.pair_offsets_[num_pairs]);
+  g.pair_terms_.resize(g.pair_offsets_[num_pairs]);
   for (PairId p = 0; p < num_pairs; ++p) {
-    g.pair_terms_.insert(g.pair_terms_.end(), shared[p].begin(),
-                         shared[p].end());
+    const std::vector<TermId>& a = dataset.record(pairs.pair(p).a).terms;
+    const std::vector<TermId>& b = dataset.record(pairs.pair(p).b).terms;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          g.pair_terms_.begin() + g.pair_offsets_[p]);
   }
 
-  // Pass 2: invert to term → pairs CSR.
-  std::vector<size_t> degree(num_terms, 0);
+  // Term side: each posting list is reserved to its exact degree, then
+  // filled in PairId order, so it is sorted.
+  std::vector<size_t> degree(g.num_terms(), 0);
   for (TermId t : g.pair_terms_) ++degree[t];
-  g.term_offsets_.assign(num_terms + 1, 0);
-  for (size_t t = 0; t < num_terms; ++t) {
-    g.term_offsets_[t + 1] = g.term_offsets_[t] + degree[t];
+  for (size_t t = 0; t < degree.size(); ++t) {
+    g.term_pairs_[t].reserve(degree[t]);
   }
-  g.term_pairs_.resize(g.pair_terms_.size());
-  std::vector<size_t> cursor(g.term_offsets_.begin(),
-                             g.term_offsets_.end() - 1);
   for (PairId p = 0; p < num_pairs; ++p) {
-    for (TermId t : shared[p]) {
-      g.term_pairs_[cursor[t]++] = p;
-    }
-  }
-
-  // Pass 3: N_t and the Eq. 6 denominator P_t.
-  g.nt_.assign(num_terms, 0);
-  for (const Record& rec : dataset.records()) {
-    for (TermId t : rec.terms) ++g.nt_[t];
-  }
-  g.pt_.assign(num_terms, 1.0);
-  for (size_t t = 0; t < num_terms; ++t) {
-    double pt = 1.0;
-    if (pt_mode == PtMode::kPaper) {
-      double nt = static_cast<double>(g.nt_[t]);
-      pt = nt * (nt - 1.0) / 2.0;
-    } else {
-      pt = static_cast<double>(g.term_offsets_[t + 1] - g.term_offsets_[t]);
-    }
-    g.pt_[t] = std::max(pt, 1.0);
+    for (TermId t : g.TermsOfPair(p)) g.term_pairs_[t].push_back(p);
   }
   return g;
+}
+
+void BipartiteGraph::EnsureTerms(size_t num_terms) {
+  if (num_terms <= term_pairs_.size()) return;
+  term_pairs_.resize(num_terms);
+  nt_.resize(num_terms, 0);
+}
+
+void BipartiteGraph::AddRecordTerms(std::span<const TermId> terms) {
+  for (TermId t : terms) {
+    GTER_CHECK(t < nt_.size());
+    ++nt_[t];
+  }
+}
+
+PairId BipartiteGraph::AddPair(std::span<const TermId> shared_terms) {
+  GTER_CHECK(!shared_terms.empty());
+  const PairId p = static_cast<PairId>(num_pairs());
+  pair_terms_.insert(pair_terms_.end(), shared_terms.begin(),
+                     shared_terms.end());
+  pair_offsets_.push_back(pair_terms_.size());
+  for (TermId t : shared_terms) {
+    GTER_CHECK(t < term_pairs_.size());
+    term_pairs_[t].push_back(p);
+  }
+  return p;
 }
 
 }  // namespace gter

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "gter/common/status.h"
 
 namespace gter {
+namespace {
 
-TfIdfModel::DocTf TfIdfModel::Compress(const std::vector<TermId>& doc) {
+/// Term frequencies of one document: sorted unique terms and their counts.
+struct DocTf {
+  std::vector<TermId> terms;
+  std::vector<uint32_t> counts;
+};
+
+DocTf Compress(const std::vector<TermId>& doc) {
   std::vector<TermId> sorted(doc);
   std::sort(sorted.begin(), sorted.end());
   DocTf tf;
@@ -21,126 +29,46 @@ TfIdfModel::DocTf TfIdfModel::Compress(const std::vector<TermId>& doc) {
   return tf;
 }
 
-void TfIdfModel::EnsureVocab(size_t vocab_size) {
-  if (vocab_size > df_.size()) {
-    df_.resize(vocab_size, 0);
-    postings_.resize(vocab_size);
-  }
-}
-
-void TfIdfModel::RebuildVector(size_t doc) {
-  const DocTf& tf = docs_[doc];
-  TfIdfVector vec;
-  vec.terms.reserve(tf.terms.size());
-  vec.weights.reserve(tf.terms.size());
-  double norm_sq = 0.0;
-  for (size_t i = 0; i < tf.terms.size(); ++i) {
-    double w = static_cast<double>(tf.counts[i]) * Idf(tf.terms[i]);
-    if (w <= 0.0) continue;
-    vec.terms.push_back(tf.terms[i]);
-    vec.weights.push_back(w);
-    norm_sq += w * w;
-  }
-  if (norm_sq > 0.0) {
-    double inv = 1.0 / std::sqrt(norm_sq);
-    for (auto& w : vec.weights) w *= inv;
-  }
-  vectors_[doc] = std::move(vec);
-  vector_epoch_[doc] = num_docs_;
-}
-
-void TfIdfModel::RefreshSharers(const DocTf& tf, size_t self) {
-  // A sharer can appear in several postings; a monotone high-water mark
-  // over the (unsorted) postings would not dedup, so mark per refresh.
-  std::vector<uint32_t> sharers;
-  for (TermId t : tf.terms) {
-    for (uint32_t d : postings_[t]) {
-      if (d != self) sharers.push_back(d);
-    }
-  }
-  std::sort(sharers.begin(), sharers.end());
-  sharers.erase(std::unique(sharers.begin(), sharers.end()), sharers.end());
-  for (uint32_t d : sharers) RebuildVector(d);
-}
+}  // namespace
 
 void TfIdfModel::Build(const std::vector<std::vector<TermId>>& docs,
                        size_t vocab_size) {
-  num_docs_ = docs.size();
   df_.assign(vocab_size, 0);
-  postings_.assign(vocab_size, {});
-  docs_.clear();
-  docs_.reserve(docs.size());
-  alive_.assign(docs.size(), 1);
   vectors_.assign(docs.size(), {});
-  vector_epoch_.assign(docs.size(), 0);
-  for (size_t d = 0; d < docs.size(); ++d) {
-    DocTf tf = Compress(docs[d]);
+  std::vector<DocTf> tfs;
+  tfs.reserve(docs.size());
+  for (const std::vector<TermId>& doc : docs) {
+    DocTf tf = Compress(doc);
     for (TermId t : tf.terms) {
       GTER_CHECK(t < vocab_size);
       ++df_[t];
-      postings_[t].push_back(static_cast<uint32_t>(d));
     }
-    docs_.push_back(std::move(tf));
+    tfs.push_back(std::move(tf));
   }
-  for (size_t d = 0; d < docs.size(); ++d) RebuildVector(d);
-}
-
-size_t TfIdfModel::AddDocument(const std::vector<TermId>& doc) {
-  const size_t index = vectors_.size();
-  DocTf tf = Compress(doc);
-  if (!tf.terms.empty()) EnsureVocab(tf.terms.back() + 1);
-  for (TermId t : tf.terms) {
-    ++df_[t];
-    postings_[t].push_back(static_cast<uint32_t>(index));
+  for (size_t d = 0; d < docs.size(); ++d) {
+    const DocTf& tf = tfs[d];
+    TfIdfVector& vec = vectors_[d];
+    vec.terms.reserve(tf.terms.size());
+    vec.weights.reserve(tf.terms.size());
+    double norm_sq = 0.0;
+    for (size_t i = 0; i < tf.terms.size(); ++i) {
+      double w = static_cast<double>(tf.counts[i]) * Idf(tf.terms[i]);
+      if (w <= 0.0) continue;
+      vec.terms.push_back(tf.terms[i]);
+      vec.weights.push_back(w);
+      norm_sq += w * w;
+    }
+    if (norm_sq > 0.0) {
+      double inv = 1.0 / std::sqrt(norm_sq);
+      for (auto& w : vec.weights) w *= inv;
+    }
   }
-  ++num_docs_;
-  docs_.push_back(std::move(tf));
-  vectors_.emplace_back();
-  alive_.push_back(1);
-  vector_epoch_.push_back(0);
-  RebuildVector(index);
-  RefreshSharers(docs_[index], index);
-  return index;
-}
-
-void TfIdfModel::RemoveDocument(size_t doc) {
-  GTER_CHECK(doc < vectors_.size() && alive_[doc]);
-  DocTf tf = std::move(docs_[doc]);
-  for (TermId t : tf.terms) {
-    GTER_CHECK(df_[t] > 0);
-    --df_[t];
-    auto& posting = postings_[t];
-    auto it = std::find(posting.begin(), posting.end(),
-                        static_cast<uint32_t>(doc));
-    GTER_CHECK(it != posting.end());
-    *it = posting.back();
-    posting.pop_back();
-  }
-  --num_docs_;
-  docs_[doc] = {};
-  vectors_[doc] = {};
-  alive_[doc] = 0;
-  RefreshSharers(tf, doc);
-}
-
-void TfIdfModel::RefreshVectors() {
-  for (size_t d = 0; d < vectors_.size(); ++d) {
-    if (alive_[d]) RebuildVector(d);
-  }
-}
-
-size_t TfIdfModel::stale_docs() const {
-  size_t stale = 0;
-  for (size_t d = 0; d < vectors_.size(); ++d) {
-    if (alive_[d] && vector_epoch_[d] != num_docs_) ++stale;
-  }
-  return stale;
 }
 
 double TfIdfModel::Idf(TermId t) const {
   GTER_CHECK(t < df_.size());
   if (df_[t] == 0) return 0.0;
-  return std::log(static_cast<double>(num_docs_ + 1) /
+  return std::log(static_cast<double>(num_docs() + 1) /
                   static_cast<double>(df_[t]));
 }
 

@@ -19,50 +19,13 @@ struct TfIdfVector {
 /// TF-IDF weighting model over a corpus of token lists (duplicates allowed —
 /// term frequency is counted). IDF uses the smoothed form
 /// `log((n + 1) / df(t))` that the TW-IDF baseline (Eq. 4) also uses.
-///
-/// The model is incrementally updatable (DESIGN.md §4g): `AddDocument` /
-/// `RemoveDocument` keep the document frequencies, the document count and
-/// the term → documents postings EXACT in O(|doc| + Σ affected postings),
-/// and eagerly re-derive the vectors whose first-order inputs changed — the
-/// touched document itself plus every document sharing a term with it
-/// (their df, hence idf, moved). The second-order effect — the corpus size
-/// `n` inside every idf — is left to drift on untouched documents and
-/// re-synced by `RefreshVectors()`; `stale_docs()` counts how many
-/// documents still carry an old-epoch idf, the escape-hatch signal.
 class TfIdfModel {
  public:
   /// Builds document frequencies and per-document normalized vectors.
   /// `vocab_size` must be at least 1 + max term id appearing in `docs`.
   void Build(const std::vector<std::vector<TermId>>& docs, size_t vocab_size);
 
-  /// Appends a document and returns its index. df/num_docs/postings update
-  /// exactly; the new document's vector and every sharer's vector are
-  /// recomputed under the current idf. Terms beyond the built vocab size
-  /// grow the model (incremental vocabularies intern as records arrive).
-  size_t AddDocument(const std::vector<TermId>& doc);
-
-  /// Removes document `doc` (indices of other documents are stable — the
-  /// slot becomes an empty tombstone excluded from df/num_docs/postings).
-  /// Sharers' vectors are recomputed under the current idf.
-  void RemoveDocument(size_t doc);
-
-  /// Recomputes every live vector under the current df/num_docs — after
-  /// this the model is bitwise a fresh Build over the live corpus.
-  void RefreshVectors();
-
-  /// Live documents (tombstones excluded).
-  size_t num_docs() const { return num_docs_; }
-
-  /// Total slots ever allocated (AddDocument indices are < this).
-  size_t num_slots() const { return vectors_.size(); }
-
-  /// True when `doc` has not been removed.
-  bool alive(size_t doc) const { return alive_[doc]; }
-
-  /// Documents whose cached vector predates the current corpus-size epoch
-  /// (their idf scale is stale by the n-drift; df-induced changes are
-  /// always applied eagerly). 0 right after Build/RefreshVectors.
-  size_t stale_docs() const;
+  size_t num_docs() const { return vectors_.size(); }
 
   /// Document frequency of a term (0 for unseen ids < vocab size).
   uint32_t DocFrequency(TermId t) const { return df_[t]; }
@@ -70,40 +33,15 @@ class TfIdfModel {
   /// Smoothed inverse document frequency `log((n + 1) / df)`; 0 when df==0.
   double Idf(TermId t) const;
 
-  /// The L2-normalized TF-IDF vector of document `doc` (empty for
-  /// tombstones).
+  /// The L2-normalized TF-IDF vector of document `doc`.
   const TfIdfVector& VectorOf(size_t doc) const { return vectors_[doc]; }
 
   /// Cosine similarity between two documents of the corpus, in [0, 1].
   double Cosine(size_t doc_a, size_t doc_b) const;
 
  private:
-  /// Term frequencies of one document, compressed (sorted unique terms +
-  /// counts) — the raw material vector refreshes re-derive weights from.
-  struct DocTf {
-    std::vector<TermId> terms;
-    std::vector<uint32_t> counts;
-  };
-
-  static DocTf Compress(const std::vector<TermId>& doc);
-  void EnsureVocab(size_t vocab_size);
-  /// Re-derives vectors_[doc] from docs_[doc] under the current idf.
-  void RebuildVector(size_t doc);
-  /// Recomputes every live document sharing a term with `tf`, except
-  /// `self`.
-  void RefreshSharers(const DocTf& tf, size_t self);
-
-  size_t num_docs_ = 0;
   std::vector<uint32_t> df_;
   std::vector<TfIdfVector> vectors_;
-  std::vector<DocTf> docs_;
-  /// term → live documents containing it (unsorted; order is insertion
-  /// order with swap-erase on removal).
-  std::vector<std::vector<uint32_t>> postings_;
-  std::vector<uint8_t> alive_;
-  /// Per-doc: num_docs_ at the time the vector was last derived. A vector
-  /// is stale when this differs from the current corpus size (n-drift).
-  std::vector<uint64_t> vector_epoch_;
 };
 
 /// Dot product of two sparse vectors sorted by term id.

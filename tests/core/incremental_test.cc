@@ -15,8 +15,9 @@
 //  3. The progressive scheduler with an unlimited budget emits exactly the
 //     batch match set and clustering; a tripped budget yields a valid
 //     partial snapshot, never an error.
-//  4. DynamicBipartiteGraph is structure-for-structure the frozen
-//     BipartiteGraph when fed the same dataset and pairs.
+//  4. The state's term ↔ pair graph, grown record by record, is
+//     structure-for-structure BipartiteGraph::Build over the same dataset
+//     and pairs.
 //  5. After every build and ingest, the served partition is exactly the
 //     connected components of matches(), although the sparse decision
 //     pass rebuilds the clusters only when a decision flipped.
@@ -38,7 +39,6 @@
 #include "gter/core/resolver_state.h"
 #include "gter/datagen/datagen.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/dynamic_bipartite.h"
 #include "gter/graph/union_find.h"
 
 namespace gter {
@@ -308,7 +308,7 @@ TEST(IncrementalCancelTest, EveryEntryPointCancelsAtEntry) {
     EXPECT_EQ(state.Converge(ctx).code(), StatusCode::kCancelled);
   }
   {
-    DynamicBipartiteGraph graph;
+    BipartiteGraph graph;
     graph.EnsureTerms(4);
     std::vector<double> x(4, 0.5);
     std::vector<double> s;
@@ -611,35 +611,31 @@ TEST(ProgressiveTest, TrippedBudgetYieldsValidPartialSnapshot) {
   }
 }
 
-TEST(DynamicBipartiteTest, MirrorsFrozenGraphStructure) {
+// StructuralIngest's shared-term and N_t bookkeeping against the batch
+// builder: batch-build 2/3 of the world, stream the rest, and the state's
+// graph must equal BipartiteGraph::Build over the state's own pairs.
+TEST(ResolverStateTest, StreamedGraphMatchesBuild) {
   Dataset data = MakeData();
-  PairSpace pairs = PairSpace::Build(data);
-  for (PtMode mode : {PtMode::kPaper, PtMode::kConnectedPairs}) {
-    BipartiteGraph frozen = BipartiteGraph::Build(data, pairs, mode);
-    DynamicBipartiteGraph dynamic(mode);
-    dynamic.EnsureTerms(data.vocabulary().size());
-    for (const Record& rec : data.records()) {
-      dynamic.AddRecordTerms(rec.terms);
-    }
-    for (PairId p = 0; p < pairs.size(); ++p) {
-      auto terms = frozen.TermsOfPair(p);
-      ASSERT_EQ(dynamic.AddPair(terms), p);
-    }
-    ASSERT_EQ(dynamic.num_terms(), frozen.num_terms());
-    ASSERT_EQ(dynamic.num_pairs(), frozen.num_pairs());
-    ASSERT_EQ(dynamic.num_edges(), frozen.num_edges());
-    for (TermId t = 0; t < frozen.num_terms(); ++t) {
-      ASSERT_EQ(dynamic.Nt(t), frozen.Nt(t)) << t;
-      ASSERT_EQ(dynamic.Pt(t), frozen.Pt(t)) << t;
-      auto a = frozen.PairsOfTerm(t);
-      auto b = dynamic.PairsOfTerm(t);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
-    }
-    for (PairId p = 0; p < frozen.num_pairs(); ++p) {
-      auto a = frozen.TermsOfPair(p);
-      auto b = dynamic.TermsOfPair(p);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
-    }
+  ResolverState state(&data);
+  RunStream(&state, data.size() * 2 / 3, DefaultExecContext());
+  ASSERT_EQ(state.num_records(), data.size());
+
+  const BipartiteGraph& live = state.graph();
+  BipartiteGraph built = BipartiteGraph::Build(state.dataset(), state.pairs());
+  ASSERT_EQ(live.num_terms(), built.num_terms());
+  ASSERT_EQ(live.num_pairs(), built.num_pairs());
+  ASSERT_EQ(live.num_edges(), built.num_edges());
+  for (TermId t = 0; t < built.num_terms(); ++t) {
+    ASSERT_EQ(live.Nt(t), built.Nt(t)) << t;
+    ASSERT_EQ(live.Pt(t), built.Pt(t)) << t;
+    auto a = built.PairsOfTerm(t);
+    auto b = live.PairsOfTerm(t);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
+  }
+  for (PairId p = 0; p < built.num_pairs(); ++p) {
+    auto a = built.TermsOfPair(p);
+    auto b = live.TermsOfPair(p);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
   }
 }
 

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "gter/common/random.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
+#include "gter/graph/bipartite_graph.h"
 #include "gter/text/string_metrics.h"
 
 namespace gter {
@@ -131,91 +131,6 @@ TEST(LshBlockingTest, MoreBandsNeverLowerRecall) {
   EXPECT_GE(recall_many + 1e-12, recall_few);
 }
 
-// --- Incremental posting index (DESIGN.md §4g) -------------------------
-
-std::set<std::pair<RecordId, RecordId>> AsSet(
-    const std::vector<RecordPair>& pairs) {
-  std::set<std::pair<RecordId, RecordId>> out;
-  for (const RecordPair& rp : pairs) out.emplace(rp.a, rp.b);
-  return out;
-}
-
-// Streaming every record through Upsert — in a shuffled order — emits
-// exactly the batch LshBlocking pair set, and the bucket population
-// matches too.
-TEST(LshPostingIndexTest, StreamedUpsertsMatchBatchBlocking) {
-  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.2, 17);
-  RemoveFrequentTerms(&data.dataset);
-  LshBlockingOptions options;
-  options.num_bands = 32;
-  options.rows_per_band = 2;
-  BlockingResult batch = LshBlocking(data.dataset, options).value();
-
-  std::vector<uint32_t> order(data.dataset.size());
-  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
-  Rng rng(99);
-  rng.Shuffle(&order);
-
-  LshPostingIndex index(data.dataset.num_sources(), options);
-  std::vector<RecordPair> streamed;
-  for (RecordId r : order) {
-    const Record& rec = data.dataset.record(r);
-    auto fresh = index.Upsert(r, rec.terms, rec.source);
-    streamed.insert(streamed.end(), fresh.begin(), fresh.end());
-  }
-  EXPECT_EQ(AsSet(streamed), AsSet(batch.pairs));
-  EXPECT_EQ(index.num_pairs(), batch.pairs.size());
-  EXPECT_EQ(index.num_buckets(), batch.buckets);
-}
-
-// Re-upserting a record with a changed term set moves it between buckets:
-// the index converges to the state of a stream that only ever saw the
-// final term sets.
-TEST(LshPostingIndexTest, ReupsertRehashesRecord) {
-  LshBlockingOptions options;
-  options.num_bands = 8;
-  options.rows_per_band = 2;
-  LshPostingIndex index(1, options);
-  index.Upsert(0, {1, 2, 3}, 0);
-  index.Upsert(1, {100, 200}, 0);    // unrelated at first
-  index.Upsert(1, {1, 2, 3}, 0);     // now identical to record 0
-  // Identical sets collide in every band → the pair must have been found.
-  EXPECT_EQ(index.num_pairs(), 1u);
-  // And the stale buckets for record 1's old signature are gone: a fresh
-  // stream of the final state has the same bucket count.
-  LshPostingIndex fresh(1, options);
-  fresh.Upsert(0, {1, 2, 3}, 0);
-  fresh.Upsert(1, {1, 2, 3}, 0);
-  EXPECT_EQ(index.num_buckets(), fresh.num_buckets());
-}
-
-TEST(LshPostingIndexTest, DirtyBandsRaiseAndClear) {
-  LshBlockingOptions options;
-  options.num_bands = 4;
-  options.rows_per_band = 2;
-  LshPostingIndex index(1, options);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-  index.Upsert(0, {5, 6}, 0);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 1);
-  index.ClearDirtyBands();
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-  // An empty-term upsert of an unbucketed record touches nothing.
-  index.Upsert(1, {}, 0);
-  for (uint8_t d : index.dirty_bands()) EXPECT_EQ(d, 0);
-}
-
-TEST(LshPostingIndexTest, TwoSourceSuppressesSameSourcePairs) {
-  LshBlockingOptions options;
-  options.num_bands = 8;
-  options.rows_per_band = 2;
-  LshPostingIndex index(2, options);
-  index.Upsert(0, {1, 2, 3}, 0);
-  auto same = index.Upsert(1, {1, 2, 3}, 0);   // same source, identical set
-  EXPECT_TRUE(same.empty());
-  auto cross = index.Upsert(2, {1, 2, 3}, 1);  // other source
-  EXPECT_EQ(cross.size(), 2u);
-}
-
 TEST(CanopyBlockingTest, HighRecallWithFarFewerPairs) {
   auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.3, 3);
   RemoveFrequentTerms(&data.dataset);
@@ -263,6 +178,25 @@ TEST(CanopyBlockingTest, EveryRecordEndsInSomeCanopy) {
   BlockingResult result = CanopyBlocking(data.dataset, {}).value();
   EXPECT_GE(result.buckets, 1u);
   EXPECT_LE(result.buckets, data.dataset.size());
+}
+
+// Two canopy members each share a term with the center, but not always
+// with each other. Only pairs sharing a term are candidates (§V-B), so the
+// blocker's output plugs into BipartiteGraph::Build via FromPairs.
+TEST(CanopyBlockingTest, EveryPairSharesATermAndBuildsTheGraph) {
+  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.3, 13);
+  RemoveFrequentTerms(&data.dataset);
+  BlockingResult result = CanopyBlocking(data.dataset, {}).value();
+  ASSERT_FALSE(result.pairs.empty());
+  for (const RecordPair& rp : result.pairs) {
+    ASSERT_GT(SortedIntersectionSize(data.dataset.record(rp.a).terms,
+                                     data.dataset.record(rp.b).terms),
+              0u)
+        << rp.a << "," << rp.b;
+  }
+  PairSpace pairs = PairSpace::FromPairs(result.pairs);
+  BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
+  EXPECT_EQ(graph.num_pairs(), result.pairs.size());
 }
 
 TEST(BlockingRecallTest, EmptyPairsZeroRecall) {

@@ -1,6 +1,11 @@
 #include "gter/graph/bipartite_graph.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "gter/text/string_metrics.h"
 
 namespace gter {
 namespace {
@@ -57,27 +62,24 @@ TEST(BipartiteGraphTest, PaperPtFormula) {
   Dataset ds("test");
   for (int i = 0; i < 4; ++i) ds.AddRecord(0, "t");
   PairSpace pairs = PairSpace::Build(ds);
-  BipartiteGraph graph = BipartiteGraph::Build(ds, pairs, PtMode::kPaper);
+  BipartiteGraph graph = BipartiteGraph::Build(ds, pairs);
   TermId t = ds.vocabulary().Lookup("t");
   EXPECT_DOUBLE_EQ(graph.Pt(t), 6.0);
   EXPECT_EQ(graph.Nt(t), 4u);
-}
 
-TEST(BipartiteGraphTest, ConnectedPairsPtMode) {
-  // Two-source: term "t" in 2+2 records, but only 4 cross pairs exist.
-  Dataset ds("two", 2);
-  ds.AddRecord(0, "t");
-  ds.AddRecord(0, "t");
-  ds.AddRecord(1, "t");
-  ds.AddRecord(1, "t");
-  PairSpace pairs = PairSpace::Build(ds);
-  ASSERT_EQ(pairs.size(), 4u);
-  BipartiteGraph paper = BipartiteGraph::Build(ds, pairs, PtMode::kPaper);
-  BipartiteGraph connected =
-      BipartiteGraph::Build(ds, pairs, PtMode::kConnectedPairs);
-  TermId t = ds.vocabulary().Lookup("t");
-  EXPECT_DOUBLE_EQ(paper.Pt(t), 6.0);      // 4·3/2
-  EXPECT_DOUBLE_EQ(connected.Pt(t), 4.0);  // materialized cross pairs
+  // Two-source: "t" in 2+2 records has only 4 cross pairs, and P_t still
+  // counts all 4·3/2 = 6 record pairs.
+  Dataset two("two", 2);
+  two.AddRecord(0, "t");
+  two.AddRecord(0, "t");
+  two.AddRecord(1, "t");
+  two.AddRecord(1, "t");
+  PairSpace cross = PairSpace::Build(two);
+  ASSERT_EQ(cross.size(), 4u);
+  BipartiteGraph two_graph = BipartiteGraph::Build(two, cross);
+  TermId t2 = two.vocabulary().Lookup("t");
+  EXPECT_EQ(two_graph.PairsOfTerm(t2).size(), 4u);
+  EXPECT_DOUBLE_EQ(two_graph.Pt(t2), 6.0);
 }
 
 TEST(BipartiteGraphTest, PtFloorIsOne) {
@@ -90,6 +92,52 @@ TEST(BipartiteGraphTest, PtFloorIsOne) {
   TermId solo = ds.vocabulary().Lookup("solo");
   EXPECT_DOUBLE_EQ(graph.Pt(solo), 1.0);
   EXPECT_TRUE(graph.PairsOfTerm(solo).empty());
+}
+
+// Build and the append API fill the same storage: a two-source world with
+// a PairSpace::FromPairs pair list, built once in one pass and once record
+// by record and pair by pair, agrees on every id.
+TEST(BipartiteGraphTest, BuildMatchesAppendApi) {
+  Dataset ds("two", 2);
+  ds.AddRecord(0, "acme widget blue 42");
+  ds.AddRecord(0, "acme gadget red");
+  ds.AddRecord(0, "solo");
+  ds.AddRecord(1, "acme widget 42");
+  ds.AddRecord(1, "gadget red large");
+  ds.AddRecord(1, "blue red acme");
+  // Every cross-source pair that shares a term, listed out of order.
+  std::vector<RecordPair> list = {{4, 1}, {0, 3}, {0, 5}, {1, 5}, {1, 3}};
+  PairSpace pairs = PairSpace::FromPairs(list);
+  BipartiteGraph built = BipartiteGraph::Build(ds, pairs);
+
+  BipartiteGraph appended;
+  appended.EnsureTerms(ds.vocabulary().size());
+  for (const Record& rec : ds.records()) appended.AddRecordTerms(rec.terms);
+  for (PairId p = 0; p < pairs.size(); ++p) {
+    const RecordPair& rp = pairs.pair(p);
+    std::vector<TermId> shared =
+        SortedIntersection(ds.record(rp.a).terms, ds.record(rp.b).terms);
+    ASSERT_EQ(appended.AddPair(shared), p);
+  }
+
+  ASSERT_EQ(built.num_terms(), ds.vocabulary().size());
+  ASSERT_EQ(appended.num_terms(), built.num_terms());
+  ASSERT_EQ(appended.num_pairs(), built.num_pairs());
+  ASSERT_EQ(appended.num_edges(), built.num_edges());
+  for (TermId t = 0; t < built.num_terms(); ++t) {
+    EXPECT_EQ(appended.Nt(t), built.Nt(t)) << t;
+    EXPECT_EQ(appended.Pt(t), built.Pt(t)) << t;
+    auto a = built.PairsOfTerm(t);
+    auto b = appended.PairsOfTerm(t);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
+  }
+  for (PairId p = 0; p < built.num_pairs(); ++p) {
+    auto a = built.TermsOfPair(p);
+    auto b = appended.TermsOfPair(p);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
+  }
+  EXPECT_EQ(built.Nt(ds.vocabulary().Lookup("acme")), 4u);
+  EXPECT_EQ(built.PairsOfTerm(ds.vocabulary().Lookup("acme")).size(), 4u);
 }
 
 }  // namespace

@@ -78,128 +78,6 @@ TEST(TfIdfTest, TermFrequencyMatters) {
   EXPECT_GT(model.Cosine(0, 2), model.Cosine(1, 2));
 }
 
-// --- Incremental corpus deltas (DESIGN.md §4g) -------------------------
-
-// The delta contract: a stream of AddDocument calls followed by
-// RefreshVectors() is bitwise a one-shot Build over the same corpus.
-TEST(TfIdfDeltaTest, StreamedAddsMatchBatchBuild) {
-  std::vector<std::vector<TermId>> docs = {
-      {0, 1, 2}, {0, 1, 3}, {1, 4, 5}, {1, 6, 7}, {2, 2, 5}, {7, 0}};
-  TfIdfModel batch;
-  batch.Build(docs, 8);
-
-  TfIdfModel streamed;
-  streamed.Build({}, 0);
-  for (size_t d = 0; d < docs.size(); ++d) {
-    EXPECT_EQ(streamed.AddDocument(docs[d]), d);
-  }
-  streamed.RefreshVectors();
-
-  ASSERT_EQ(streamed.num_docs(), batch.num_docs());
-  EXPECT_EQ(streamed.stale_docs(), 0u);
-  for (TermId t = 0; t < 8; ++t) {
-    EXPECT_EQ(streamed.DocFrequency(t), batch.DocFrequency(t));
-    EXPECT_EQ(streamed.Idf(t), batch.Idf(t));
-  }
-  for (size_t d = 0; d < docs.size(); ++d) {
-    const auto& a = streamed.VectorOf(d);
-    const auto& b = batch.VectorOf(d);
-    ASSERT_EQ(a.terms, b.terms);
-    for (size_t i = 0; i < a.weights.size(); ++i) {
-      EXPECT_EQ(a.weights[i], b.weights[i]);
-    }
-  }
-}
-
-// df/idf are exact immediately after a delta (no refresh needed), and the
-// added doc plus its sharers are re-derived eagerly — only documents
-// disjoint from the new one may carry a stale corpus-size scale.
-TEST(TfIdfDeltaTest, AddKeepsDfExactAndRefreshesSharers) {
-  std::vector<std::vector<TermId>> docs = {{0, 1}, {1, 2}, {3}};
-  TfIdfModel model;
-  model.Build(docs, 4);
-  model.AddDocument({1, 4, 4});
-
-  TfIdfModel rebuilt;
-  rebuilt.Build({{0, 1}, {1, 2}, {3}, {1, 4, 4}}, 5);
-  for (TermId t = 0; t < 5; ++t) {
-    EXPECT_EQ(model.DocFrequency(t), rebuilt.DocFrequency(t));
-    EXPECT_EQ(model.Idf(t), rebuilt.Idf(t));
-  }
-  // Docs 0, 1 share term 1 with the new doc, and doc 3 is the new doc:
-  // all three match the rebuilt model exactly. Doc 2 ({3}) is disjoint —
-  // the one stale vector.
-  EXPECT_EQ(model.stale_docs(), 1u);
-  for (size_t d : {0u, 1u, 3u}) {
-    const auto& a = model.VectorOf(d);
-    const auto& b = rebuilt.VectorOf(d);
-    ASSERT_EQ(a.terms, b.terms);
-    for (size_t i = 0; i < a.weights.size(); ++i) {
-      EXPECT_EQ(a.weights[i], b.weights[i]);
-    }
-  }
-  model.RefreshVectors();
-  EXPECT_EQ(model.stale_docs(), 0u);
-}
-
-// Remove tombstones the slot (indices stay stable), restores exact
-// df/num_docs, and a refresh converges the survivors back onto the
-// original batch model.
-TEST(TfIdfDeltaTest, RemoveRoundTripsToOriginal) {
-  std::vector<std::vector<TermId>> docs = {{0, 1, 2}, {0, 3}, {1, 3, 3}};
-  TfIdfModel model;
-  model.Build(docs, 4);
-  size_t extra = model.AddDocument({0, 1, 2, 3});
-  ASSERT_EQ(extra, 3u);
-  model.RemoveDocument(extra);
-  model.RefreshVectors();
-
-  TfIdfModel original;
-  original.Build(docs, 4);
-  EXPECT_EQ(model.num_docs(), original.num_docs());
-  EXPECT_EQ(model.num_slots(), 4u);
-  EXPECT_FALSE(model.alive(extra));
-  EXPECT_TRUE(model.VectorOf(extra).terms.empty());
-  for (TermId t = 0; t < 4; ++t) {
-    EXPECT_EQ(model.DocFrequency(t), original.DocFrequency(t));
-  }
-  for (size_t d = 0; d < docs.size(); ++d) {
-    const auto& a = model.VectorOf(d);
-    const auto& b = original.VectorOf(d);
-    ASSERT_EQ(a.terms, b.terms);
-    for (size_t i = 0; i < a.weights.size(); ++i) {
-      EXPECT_EQ(a.weights[i], b.weights[i]);
-    }
-  }
-}
-
-// Removing a middle document keeps the other indices usable and df exact
-// against a batch build of the surviving corpus.
-TEST(TfIdfDeltaTest, RemoveMiddleDocumentKeepsSurvivorsExact) {
-  std::vector<std::vector<TermId>> docs = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};
-  TfIdfModel model;
-  model.Build(docs, 4);
-  model.RemoveDocument(1);
-  model.RefreshVectors();
-
-  TfIdfModel survivors;
-  survivors.Build({{0, 1}, {2, 3}, {0, 3}}, 4);
-  EXPECT_EQ(model.num_docs(), 3u);
-  for (TermId t = 0; t < 4; ++t) {
-    EXPECT_EQ(model.DocFrequency(t), survivors.DocFrequency(t));
-  }
-  // model doc 0/2/3 correspond to survivors doc 0/1/2.
-  const size_t mapping[3][2] = {{0, 0}, {2, 1}, {3, 2}};
-  for (const auto& [mine, theirs] : mapping) {
-    const auto& a = model.VectorOf(mine);
-    const auto& b = survivors.VectorOf(theirs);
-    ASSERT_EQ(a.terms, b.terms);
-    for (size_t i = 0; i < a.weights.size(); ++i) {
-      EXPECT_EQ(a.weights[i], b.weights[i]);
-    }
-  }
-}
-
 TEST(SparseDotTest, HandlesEmptyVectors) {
   TfIdfVector a, b;
   EXPECT_DOUBLE_EQ(SparseDot(a, b), 0.0);

@@ -223,7 +223,6 @@ int RunResolve(int argc, char** argv) {
       Stopwatch watch;
       ResolverStateOptions rs_options;
       rs_options.eta = config.eta;
-      rs_options.pt_mode = config.pt_mode;
       state.emplace(&dataset, rs_options);
       GTER_RETURN_IF_ERROR(state->BuildBatch(ctx));
       FusionResult out;
