@@ -374,28 +374,6 @@ BENCHMARK(BM_IncrementalIngest)
     ->Arg(1)
     ->UseRealTime();
 
-// The budgeted progressive scheduler over a trained candidate space:
-// benefit-orders every pair (descending ITER score) and emits the match
-// decisions. Unlimited budget — the full scan whose prefix a --budget_ms
-// run keeps, so this timer is the endgame's worst case.
-void BM_ProgressiveResolve(benchmark::State& state) {
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.5, 5);
-  RemoveFrequentTerms(&data.dataset);
-  ResolverState st(&data.dataset, ResolverStateOptions{});
-  GTER_CHECK(st.BuildBatch().ok());
-  ProgressiveOptions options;
-  TimedLoop(state, "bench/progressive_resolve", [&] {
-    ProgressiveResult out;
-    GTER_CHECK(RunProgressive(data.dataset.size(), st.pairs(),
-                              st.pair_scores(), st.pair_probability(),
-                              options, &out)
-                   .ok());
-    benchmark::DoNotOptimize(out.matched_count);
-  });
-  state.counters["pairs"] = static_cast<double>(st.pairs().size());
-}
-BENCHMARK(BM_ProgressiveResolve);
-
 }  // namespace
 }  // namespace gter
 

@@ -55,16 +55,21 @@ int main(int argc, char** argv) {
               "F1 %.3f\n",
               c.Precision(), c.Recall(), c.F1());
 
-  // MinHash also gives a cheap similarity estimate per candidate.
+  // MinHash also gives a cheap similarity estimate per candidate: shown on
+  // the first three share-one-term candidates that are true matches.
   MinHasher hasher(128);
-  const Record& a = dataset.record(0);
-  for (RecordId r = 1; r < dataset.size() && r < 4; ++r) {
-    const Record& b = dataset.record(r);
+  size_t shown = 0;
+  for (const RecordPair& rp : share_term_pairs) {
+    if (shown == 3) break;
+    if (!generated.truth.IsMatch(rp.a, rp.b)) continue;
+    const Record& a = dataset.record(rp.a);
+    const Record& b = dataset.record(rp.b);
     double est = MinHasher::EstimateJaccard(hasher.Signature(a.terms),
                                             hasher.Signature(b.terms));
     double exact = JaccardSimilarity(a.terms, b.terms);
-    std::printf("record 0 vs %u: Jaccard %.3f, MinHash estimate %.3f\n", r,
-                exact, est);
+    std::printf("record %u vs %u: Jaccard %.3f, MinHash estimate %.3f\n",
+                rp.a, rp.b, exact, est);
+    ++shown;
   }
   return 0;
 }

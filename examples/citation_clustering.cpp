@@ -43,13 +43,12 @@ int main(int argc, char** argv) {
   std::printf("pair decisions: P %.3f / R %.3f / F1 %.3f\n",
               pairwise.Precision(), pairwise.Recall(), pairwise.F1());
 
-  // Transitive closure turns decisions into clusters. Note the
-  // amplification: every false link merges two whole clusters, so closure
-  // metrics are always harsher than pair metrics on clique-heavy data.
-  ResolutionResult resolution =
-      ResolveFromMatches(citations, pipeline.pairs(), result.matches);
+  // The default endgame, the transitive closure of the decisions, turns
+  // them into clusters. Note the amplification: every false link merges
+  // two whole clusters, so closure metrics are always harsher than pair
+  // metrics on clique-heavy data.
   ClusterEvaluation eval =
-      EvaluateClustering(resolution.cluster_of, generated.truth);
+      EvaluateClustering(result.cluster_of, generated.truth);
   std::printf(
       "after closure:  pairwise P %.3f / R %.3f / F1 %.3f, ARI %.3f, "
       "%zu predicted clusters\n",
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
   // Show a slice of the largest predicted cluster.
   std::vector<std::vector<RecordId>> predicted(citations.size());
   for (RecordId r = 0; r < citations.size(); ++r) {
-    predicted[resolution.cluster_of[r]].push_back(r);
+    predicted[result.cluster_of[r]].push_back(r);
   }
   auto biggest = std::max_element(
       predicted.begin(), predicted.end(),

@@ -48,13 +48,12 @@ int main() {
                 result.matches[p] ? "MATCH" : "no");
   }
 
-  // 5. Transitive closure gives entity clusters.
-  ResolutionResult resolution =
-      ResolveFromMatches(dataset, pipeline.pairs(), result.matches);
+  // 5. The clustering endgame (by default the transitive closure of the
+  //    matches) gives entity clusters.
   std::printf("\nclusters:\n");
-  std::vector<std::vector<uint32_t>> clusters(dataset.size());
+  std::vector<std::vector<uint32_t>> clusters(result.num_clusters);
   for (RecordId r = 0; r < dataset.size(); ++r) {
-    clusters[resolution.cluster_of[r]].push_back(r);
+    clusters[result.cluster_of[r]].push_back(r);
   }
   for (const auto& members : clusters) {
     if (members.empty()) continue;

@@ -13,10 +13,6 @@ TraceRecorder* ExecContext::trace_or_ambient() const {
   return trace != nullptr ? trace : TraceRecorder::Current();
 }
 
-SimdLevel ExecContext::simd_level() const {
-  return simd.has_value() ? *simd : ActiveSimdLevel();
-}
-
 const ExecContext& DefaultExecContext() {
   static const ExecContext kAmbient;
   return kAmbient;

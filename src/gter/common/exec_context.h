@@ -5,9 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
-#include "gter/common/cpu.h"
 #include "gter/common/status.h"
 
 namespace gter {
@@ -124,14 +122,16 @@ inline bool IsCancellation(const Status& s) {
 }
 
 /// Execution context for one pipeline run: worker pool, observability
-/// sinks, compute-kernel level, and cancellation — everything that used to
-/// be smeared across per-stage options structs and process-global installs.
+/// sinks, and cancellation — everything that used to be smeared across
+/// per-stage options structs and process-global installs. The SIMD level
+/// is not part of it: every dispatched kernel reads the process-global
+/// `ActiveSimdLevel()`.
 ///
 /// Plain aggregate; cheap to copy. All fields default to "ambient": a null
 /// pool means sequential execution, null metrics/trace fall back to the
-/// installed thread-local/process-global sinks, an unset simd level means
-/// the process-global `ActiveSimdLevel()`, and a null cancel token makes
-/// every poll a single pointer test (the zero-cost uncancellable path).
+/// installed thread-local/process-global sinks, and a null cancel token
+/// makes every poll a single pointer test (the zero-cost uncancellable
+/// path).
 ///
 /// Stage entry points take `const ExecContext& = DefaultExecContext()`;
 /// options structs carry only algorithm parameters.
@@ -139,7 +139,6 @@ struct ExecContext {
   ThreadPool* pool = nullptr;
   MetricsRegistry* metrics = nullptr;
   TraceRecorder* trace = nullptr;
-  std::optional<SimdLevel> simd;
   CancelToken* cancel = nullptr;
 
   /// Serving-side request id minted at admission (0 outside a server
@@ -165,10 +164,6 @@ struct ExecContext {
   /// Explicit recorder if set, else the process-global installed one.
   TraceRecorder* trace_or_ambient() const;
 
-  /// Explicit level if set, else the process-global active level. Resolve
-  /// once at kernel-dispatch time.
-  SimdLevel simd_level() const;
-
   /// Context carrying only a worker pool — the common test/bench shape.
   static ExecContext WithPool(ThreadPool* pool) {
     ExecContext ctx;
@@ -184,9 +179,8 @@ struct ExecContext {
   }
 };
 
-/// The ambient no-op context: sequential, ambient observability, active
-/// SIMD level, not cancellable. Default argument of every stage entry
-/// point.
+/// The ambient no-op context: sequential, ambient observability, not
+/// cancellable. Default argument of every stage entry point.
 const ExecContext& DefaultExecContext();
 
 }  // namespace gter

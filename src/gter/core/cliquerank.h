@@ -59,7 +59,7 @@ struct CliqueRankResult {
 };
 
 /// Runs CliqueRank over the record graph built from ITER's similarities.
-/// Matrix kernels run on `ctx.pool` at `ctx.simd_level()`; metrics (engine
+/// Matrix kernels run on `ctx.pool` at `ActiveSimdLevel()`; metrics (engine
 /// chosen, setup and per-step kernel time, matrix steps run, scratch bytes)
 /// go to `ctx.metrics` with ambient fallback. Cancellation is polled at
 /// entry and once per matrix step in both engines.

@@ -43,7 +43,7 @@ Clustering FinishClustering(std::vector<uint32_t> labels,
   return out;
 }
 
-/// Transitive closure of p ≥ η edges — exactly ResolveFromMatches.
+/// Transitive closure of p ≥ η edges.
 class ConnectedComponentsClusterer : public Clusterer {
  public:
   std::string name() const override { return "connected_components"; }

@@ -70,9 +70,8 @@ class Clusterer {
 
 /// The registered endgames.
 ///
-/// kConnectedComponents — transitive closure of p ≥ η edges (the
-///   pre-existing ResolveFromMatches behaviour; one false positive chains
-///   whole clusters together).
+/// kConnectedComponents — transitive closure of p ≥ η edges (one false
+///   positive chains whole clusters together).
 /// kCorrelation — randomized-pivot correlation clustering with local-move
 ///   refinement (wraps CorrelationCluster bit-identically).
 /// The clean-clean bipartite matching family (Papadakis et al.,

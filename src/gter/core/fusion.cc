@@ -2,7 +2,6 @@
 
 #include "gter/common/status.h"
 #include "gter/common/timer.h"
-#include "gter/core/progressive.h"
 #include "gter/graph/record_graph.h"
 
 namespace gter {
@@ -18,9 +17,8 @@ void DeclarePipelineMetrics(MetricsRegistry* registry) {
         "fusion/rounds", "fusion/matches", "cluster/endgame_runs",
         "iter/dirty_runs", "iter/dirty_sweeps", "iter/full_resweeps",
         "iter/stall_escalations", "iter/subsystem_solves",
-        "ingest/records", "ingest/dirty_reiter_runs", "ingest/full_resweeps",
-        "progressive/runs", "progressive/considered", "progressive/emitted",
-        "progressive/budget_exhausted"}) {
+        "ingest/records", "ingest/dirty_reiter_runs",
+        "ingest/full_resweeps"}) {
     registry->DeclareCounter(name);
   }
   registry->SetGauge("cliquerank/scratch_bytes", 0.0);
@@ -82,17 +80,10 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     Stopwatch prob_watch;
     RecordGraph graph =
         RecordGraph::Build(dataset_.size(), pairs_, result.pair_scores);
-    if (config_.use_rss) {
-      Result<std::vector<double>> rss =
-          RunRss(graph, pairs_, config_.rss, ctx);
-      if (!rss.ok()) return fail(rss.status());
-      result.pair_probability = std::move(rss).value();
-    } else {
-      Result<CliqueRankResult> cr =
-          RunCliqueRank(graph, pairs_, config_.cliquerank, ctx);
-      if (!cr.ok()) return fail(cr.status());
-      result.pair_probability = std::move(cr).value().pair_probability;
-    }
+    Result<CliqueRankResult> cr =
+        RunCliqueRank(graph, pairs_, config_.cliquerank, ctx);
+    if (!cr.ok()) return fail(cr.status());
+    result.pair_probability = std::move(cr).value().pair_probability;
     stats.probability_seconds = prob_watch.ElapsedSeconds();
     stats.cumulative_seconds = total_watch.ElapsedSeconds();
     result.round_stats.push_back(stats);
@@ -101,34 +92,14 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     if (observer_) observer_(round, result);
   }
 
-  // Match emission goes through the progressive scheduler (DESIGN.md §4g):
-  // pairs are visited in descending ITER-score order, so a budget-truncated
-  // run has spent its time on the most promising pairs. Unlimited budget →
-  // exactly the batch p ≥ η match set.
-  ProgressiveOptions prog_options;
-  prog_options.eta = config_.eta;
-  prog_options.budget_seconds = config_.progressive_budget_ms / 1000.0;
-  ProgressiveResult prog;
-  if (Status s = RunProgressive(dataset_.size(), pairs_, result.pair_scores,
-                                result.pair_probability, prog_options, &prog,
-                                ctx);
-      !s.ok()) {
-    return fail(std::move(s));
+  // The paper's decision rule (§VI): a pair matches iff p ≥ η.
+  result.matches.resize(pairs_.size());
+  size_t matched = 0;
+  for (PairId p = 0; p < pairs_.size(); ++p) {
+    result.matches[p] = result.pair_probability[p] >= config_.eta;
+    matched += result.matches[p];
   }
-  result.matches = std::move(prog.matches);
-  result.budget_exhausted = prog.budget_exhausted;
-  result.pairs_considered = prog.pairs_considered;
-  if (metrics != nullptr) {
-    metrics->AddCounter("fusion/matches", prog.matched_count);
-  }
-  if (result.budget_exhausted) {
-    // The configured endgame needs every decision; under a tripped budget
-    // the scheduler's own transitive closure is the anytime answer.
-    result.cluster_of = std::move(prog.cluster_of);
-    result.num_clusters = prog.num_clusters;
-    result.total_seconds = total_watch.ElapsedSeconds();
-    return std::move(partial_);
-  }
+  if (metrics != nullptr) metrics->AddCounter("fusion/matches", matched);
 
   // The clustering endgame: turn pairwise probabilities into entities.
   // A cancellation inside the clusterer still leaves the matches readable

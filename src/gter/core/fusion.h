@@ -10,7 +10,6 @@
 #include "gter/core/cliquerank.h"
 #include "gter/core/clusterer.h"
 #include "gter/core/iter.h"
-#include "gter/core/rss.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
 #include "gter/graph/bipartite_graph.h"
@@ -25,30 +24,17 @@ struct FusionConfig {
   size_t rounds = 5;
   /// Matching-probability threshold η; the paper sets 0.98 universally.
   double eta = 0.98;
-  /// Replace CliqueRank by Monte-Carlo RSS (for the Table III speedup
-  /// comparison); much slower on dense graphs.
-  bool use_rss = false;
-  RssOptions rss;
   /// Clustering endgame applied to the final probabilities (DESIGN.md §4f).
-  /// The default reproduces the historical behaviour: transitive closure
-  /// of the p ≥ η decisions.
+  /// The default is the transitive closure of the p ≥ η decisions.
   ClustererKind clusterer = ClustererKind::kConnectedComponents;
   ClustererOptions clusterer_options;
-  /// Wall-clock budget for the match-emission endgame, in milliseconds
-  /// (DESIGN.md §4g). 0 = unlimited: the progressive scheduler visits every
-  /// pair (emitting exactly the batch match set) and the configured
-  /// clusterer runs as usual. When the budget trips mid-scan, the result
-  /// carries the scheduler's anytime snapshot — the highest-benefit prefix
-  /// of matches and its transitive closure — with `budget_exhausted` set,
-  /// and the configured endgame is skipped (it would need all decisions).
-  double progressive_budget_ms = 0.0;
 };
 
 /// Timing and quality snapshot after each reinforcement round.
 struct FusionRoundStats {
   size_t round = 0;  // 1-based
   double iter_seconds = 0.0;
-  double probability_seconds = 0.0;  // CliqueRank or RSS
+  double probability_seconds = 0.0;  // CliqueRank
   double cumulative_seconds = 0.0;
   size_t iter_iterations = 0;
 };
@@ -67,11 +53,6 @@ struct FusionResult {
   /// cluster label per record.
   std::vector<uint32_t> cluster_of;
   size_t num_clusters = 0;
-  /// The progressive scheduler's budget tripped before every pair was
-  /// visited; `matches`/`cluster_of` are the anytime prefix snapshot.
-  bool budget_exhausted = false;
-  /// Pairs the scheduler visited (== pair count when not truncated).
-  size_t pairs_considered = 0;
   std::vector<FusionRoundStats> round_stats;
   double total_seconds = 0.0;
   /// Σ|Δx| trace of the *first* ITER run (Figure 5).
@@ -89,6 +70,7 @@ void DeclarePipelineMetrics(MetricsRegistry* registry);
 ///
 ///   p ≡ 1 → ITER → s → record graph → CliqueRank → p → ITER → ...
 ///
+/// and ends with the decisions p ≥ η and the configured clustering endgame.
 /// The per-round observer (if set) fires after each CliqueRank with the
 /// state so far — the Table V instrumentation hook.
 class FusionPipeline {
@@ -105,8 +87,8 @@ class FusionPipeline {
   }
 
   /// Runs the configured number of reinforcement rounds. Every stage
-  /// executes on `ctx` (worker pool, metrics/trace sinks, SIMD level,
-  /// cancellation); results are bit-identical for any thread count.
+  /// executes on `ctx` (worker pool, metrics/trace sinks, cancellation);
+  /// results are bit-identical for any thread count.
   ///
   /// Cancellation is polled at every round boundary and inside every
   /// stage, so a tripped token unwinds within one stage-internal step.

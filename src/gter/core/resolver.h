@@ -1,9 +1,7 @@
 #ifndef GTER_CORE_RESOLVER_H_
 #define GTER_CORE_RESOLVER_H_
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gter/er/dataset.h"
@@ -27,23 +25,6 @@ class PairScorer {
   virtual std::vector<double> Score(const Dataset& dataset,
                                     const PairSpace& pairs) = 0;
 };
-
-/// A resolved dataset: per-pair decisions plus the clusters they imply.
-struct ResolutionResult {
-  /// Decision per candidate pair.
-  std::vector<bool> matches;
-  /// Dense cluster label per record (transitive closure of matches).
-  std::vector<uint32_t> cluster_of;
-};
-
-/// Builds clusters from per-pair decisions by transitive closure.
-ResolutionResult ResolveFromMatches(const Dataset& dataset,
-                                    const PairSpace& pairs,
-                                    const std::vector<bool>& matches);
-
-/// Matching record pairs as (a, b) id pairs, for reporting.
-std::vector<std::pair<uint32_t, uint32_t>> MatchedPairs(
-    const PairSpace& pairs, const std::vector<bool>& matches);
 
 }  // namespace gter
 

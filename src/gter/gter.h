@@ -57,7 +57,6 @@
 #include "gter/er/record.h"
 
 #include "gter/graph/bipartite_graph.h"
-#include "gter/graph/connected_components.h"
 #include "gter/graph/pagerank.h"
 #include "gter/graph/record_graph.h"
 #include "gter/graph/term_graph.h"
@@ -102,7 +101,6 @@
 #include "gter/core/iter.h"
 #include "gter/core/iter_matrix.h"
 #include "gter/core/model_io.h"
-#include "gter/core/progressive.h"
 #include "gter/core/resolver.h"
 #include "gter/core/resolver_state.h"
 #include "gter/core/rss.h"

@@ -60,12 +60,12 @@ Status Gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
   *c = DenseMatrix(a.rows(), b.cols(), 0.0);
 #if GTER_HAVE_AVX512
-  if (ctx.simd_level() >= SimdLevel::kAvx512) {
+  if (ActiveSimdLevel() >= SimdLevel::kAvx512) {
     return internal::GemmPackedAvx512(a, b, c, ctx);
   }
 #endif
 #if GTER_HAVE_AVX2
-  if (ctx.simd_level() >= SimdLevel::kAvx2) {
+  if (ActiveSimdLevel() >= SimdLevel::kAvx2) {
     return internal::GemmPackedAvx2(a, b, c, ctx);
   }
 #endif

@@ -7,8 +7,8 @@
 namespace gter {
 
 /// C = A × B using a cache-blocked i-k-j kernel, parallelized over row
-/// panels of A via `ctx.pool` and dispatched to the AVX2 packed kernel at
-/// `ctx.simd_level()`. Shapes: A is m×k, B is k×n, C is resized to m×n.
+/// panels of A via `ctx.pool` and dispatched to the packed kernel of
+/// `ActiveSimdLevel()`. Shapes: A is m×k, B is k×n, C is resized to m×n.
 /// Polls `ctx` per row block; on cancellation returns
 /// Cancelled/DeadlineExceeded and `*c` holds unspecified partial values.
 Status Gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,

@@ -28,6 +28,7 @@
 #include "gter/core/correlation_clustering.h"
 #include "gter/core/fusion.h"
 #include "gter/core/iter_matrix.h"
+#include "gter/core/rss.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/blocking.h"
 #include "gter/er/preprocess.h"

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gter/common/cpu.h"
 #include "gter/common/metrics.h"
 #include "gter/common/trace.h"
 
@@ -102,7 +101,6 @@ TEST(ExecContextTest, DefaultContextIsAmbientAndUncancellable) {
   EXPECT_EQ(ctx.cancel, nullptr);
   EXPECT_FALSE(ctx.cancelled());
   EXPECT_TRUE(ctx.CheckCancel().ok());
-  EXPECT_EQ(ctx.simd_level(), ActiveSimdLevel());
 }
 
 TEST(ExecContextTest, WithCancelWiresTheToken) {
@@ -112,12 +110,6 @@ TEST(ExecContextTest, WithCancelWiresTheToken) {
   token.Cancel();
   EXPECT_TRUE(ctx.cancelled());
   EXPECT_EQ(ctx.CheckCancel().code(), StatusCode::kCancelled);
-}
-
-TEST(ExecContextTest, ExplicitSimdLevelOverridesAmbient) {
-  ExecContext ctx;
-  ctx.simd = SimdLevel::kScalar;
-  EXPECT_EQ(ctx.simd_level(), SimdLevel::kScalar);
 }
 
 TEST(ExecContextTest, ExplicitMetricsBeatTheInstalledRegistry) {

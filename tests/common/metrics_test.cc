@@ -16,6 +16,7 @@
 
 #include "gter/common/metrics.h"
 #include "gter/core/fusion.h"
+#include "gter/core/rss.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "json_test_parser.h"
@@ -462,20 +463,23 @@ TEST(PipelineMetrics, RssRunRecordsWalkCounters) {
   GeneratedDataset data =
       GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 11);
   RemoveFrequentTerms(&data.dataset);
-  FusionConfig config;
-  config.rounds = 1;
-  config.use_rss = true;
-  config.rss.num_walks = 10;
-  config.rss.max_steps = 5;
-  FusionPipeline pipeline(data.dataset, config);
-  pipeline.Run().value();
+  PairSpace pairs = PairSpace::Build(data.dataset);
+  BipartiteGraph bipartite = BipartiteGraph::Build(data.dataset, pairs);
+  std::vector<double> uniform(pairs.size(), 1.0);
+  IterResult iter = RunIter(bipartite, uniform).value();
+  RecordGraph graph =
+      RecordGraph::Build(data.dataset.size(), pairs, iter.pair_scores);
+  RssOptions options;
+  options.num_walks = 10;
+  options.max_steps = 5;
+  RunRss(graph, pairs, options).value();
 
   EXPECT_GT(registry.Counter("rss/walks_run"), 0u);
   EXPECT_GT(registry.Timer("rss/total").count, 0u);
   Histogram steps = registry.HistogramOf("rss/steps_per_walk");
   EXPECT_EQ(steps.count, registry.Counter("rss/walks_run"));
   EXPECT_GT(steps.max, 0.0);
-  EXPECT_LE(steps.max, static_cast<double>(config.rss.max_steps));
+  EXPECT_LE(steps.max, static_cast<double>(options.max_steps));
 }
 
 TEST(PipelineMetrics, WriteMetricsJsonRoundTrips) {

@@ -2,8 +2,8 @@
 // clustering through the strategy interface must be bitwise-identical to
 // calling CorrelationCluster directly (the pre-refactor path), over the
 // same Erdős–Rényi graph corpus the engine differentials use, at 1 and 8
-// threads. A second case pins connected components against the historical
-// ResolveFromMatches closure.
+// threads. A second case pins connected components against a plain
+// union-find closure of the p ≥ η pairs.
 
 #include <tuple>
 #include <vector>

@@ -7,7 +7,6 @@
 #include "gter/er/preprocess.h"
 #include "gter/eval/cluster_metrics.h"
 #include "gter/core/fusion.h"
-#include "gter/core/resolver.h"
 
 namespace gter {
 namespace {
@@ -130,13 +129,13 @@ TEST(CorrelationClusteringTest, BeatsClosureOnCitationBenchmark) {
   FusionPipeline pipeline(data.dataset, config);
   FusionResult fused = pipeline.Run().value();
 
-  ResolutionResult closure =
-      ResolveFromMatches(data.dataset, pipeline.pairs(), fused.matches);
   auto corr = CorrelationCluster(data.dataset.size(), pipeline.pairs(),
                                  fused.pair_probability).value();
 
+  // The default endgame, connected_components, is the closure of the
+  // p ≥ η matches.
   double f1_closure =
-      EvaluateClustering(closure.cluster_of, data.truth).pairwise_f1;
+      EvaluateClustering(fused.cluster_of, data.truth).pairwise_f1;
   double f1_corr =
       EvaluateClustering(corr.cluster_of, data.truth).pairwise_f1;
   EXPECT_GT(f1_corr, f1_closure);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gter/core/resolver.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "gter/eval/confusion.h"
@@ -125,33 +124,56 @@ TEST(FusionTest, EtaThresholdControlsMatches) {
   EXPECT_LE(strict_matches, loose_matches);
 }
 
-TEST(FusionTest, RssBackendProducesComparableDecisions) {
-  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.2, 9);
-  RemoveFrequentTerms(&data.dataset);
-  FusionConfig config = FastConfig();
-  config.rounds = 2;
-  config.use_rss = true;
-  config.rss.num_walks = 100;
-  FusionPipeline pipeline(data.dataset, config);
-  FusionResult result = pipeline.Run().value();
-  auto labels = LabelPairs(pipeline.pairs(), data.truth);
-  Confusion c = EvaluatePairPredictions(pipeline.pairs(), result.matches,
-                                        labels,
-                                        TotalPositives(data.dataset, data.truth));
-  EXPECT_GT(c.F1(), 0.6);
-}
+// Run's one path from probabilities to entities: the η rule decides every
+// pair, and the configured clusterer alone forms the entities, on
+// one-source (Restaurant) and two-source (Product) data.
+TEST(FusionTest, EtaRuleDecidesAndClustererFormsEntities) {
+  for (auto [kind, sources] : {std::pair{BenchmarkKind::kRestaurant, 1u},
+                               std::pair{BenchmarkKind::kProduct, 2u}}) {
+    SCOPED_TRACE(BenchmarkName(kind));
+    auto data = GenerateBenchmark(kind, 0.1, 5);
+    RemoveFrequentTerms(&data.dataset);
+    ASSERT_EQ(data.dataset.num_sources(), sources);
+    const FusionConfig config = FastConfig();
+    FusionPipeline pipeline(data.dataset, config);
+    FusionResult result = pipeline.Run().value();
+    const PairSpace& pairs = pipeline.pairs();
 
-TEST(FusionTest, ResolveFromMatchesBuildsClusters) {
-  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 5);
-  RemoveFrequentTerms(&data.dataset);
-  FusionPipeline pipeline(data.dataset, FastConfig());
-  FusionResult result = pipeline.Run().value();
-  ResolutionResult res =
-      ResolveFromMatches(data.dataset, pipeline.pairs(), result.matches);
-  EXPECT_EQ(res.cluster_of.size(), data.dataset.size());
-  auto matched = MatchedPairs(pipeline.pairs(), result.matches);
-  for (const auto& [a, b] : matched) {
-    EXPECT_EQ(res.cluster_of[a], res.cluster_of[b]);
+    ASSERT_EQ(result.matches.size(), pairs.size());
+    size_t matched = 0;
+    for (PairId p = 0; p < pairs.size(); ++p) {
+      ASSERT_EQ(result.matches[p], result.pair_probability[p] >= config.eta)
+          << "pair " << p;
+      matched += result.matches[p];
+    }
+    EXPECT_GT(matched, 0u);
+
+    ClusterProblem problem;
+    problem.num_records = data.dataset.size();
+    problem.pairs = &pairs;
+    problem.pair_probability = &result.pair_probability;
+    problem.eta = config.eta;
+    std::vector<uint32_t> source_of;
+    if (sources > 1) {
+      for (const Record& r : data.dataset.records()) {
+        source_of.push_back(r.source);
+      }
+      problem.source_of = &source_of;
+    }
+    Clustering expected =
+        MakeClusterer(config.clusterer, config.clusterer_options)
+            ->Cluster(problem)
+            .value();
+    EXPECT_EQ(result.cluster_of, expected.cluster_of);
+    EXPECT_EQ(result.num_clusters, expected.num_clusters);
+
+    ASSERT_EQ(result.cluster_of.size(), data.dataset.size());
+    for (PairId p = 0; p < pairs.size(); ++p) {
+      if (!result.matches[p]) continue;
+      const RecordPair& rp = pairs.pair(p);
+      EXPECT_EQ(result.cluster_of[rp.a], result.cluster_of[rp.b])
+          << "pair " << p;
+    }
   }
 }
 

@@ -8,17 +8,14 @@
 //     Pinned serial and with an 8-thread pool (and the pooled run is
 //     bitwise identical to the serial one).
 //  2. Cancellation: every new entry point (BuildBatch, Ingest,
-//     IngestExisting, Converge, RunIterDirty, RunProgressive) polls at
-//     entry — k = 0 always cancels — and a cancelled converge is resumable:
-//     Converge() recovers and the final weights match the uncancelled run.
-//     A cancel at any poll of Ingest leaves the next ingest able to run.
-//  3. The progressive scheduler with an unlimited budget emits exactly the
-//     batch match set and clustering; a tripped budget yields a valid
-//     partial snapshot, never an error.
-//  4. The state's term ↔ pair graph, grown record by record, is
+//     IngestExisting, Converge, RunIterDirty) polls at entry — k = 0 always
+//     cancels — and a cancelled converge is resumable: Converge() recovers
+//     and the final weights match the uncancelled run. A cancel at any poll
+//     of Ingest leaves the next ingest able to run.
+//  3. The state's term ↔ pair graph, grown record by record, is
 //     structure-for-structure BipartiteGraph::Build over the same dataset
 //     and pairs.
-//  5. After every build and ingest, the served partition is exactly the
+//  4. After every build and ingest, the served partition is exactly the
 //     connected components of matches(), although the sparse decision
 //     pass rebuilds the clusters only when a decision flipped.
 
@@ -35,7 +32,6 @@
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
 #include "gter/common/thread_pool.h"
-#include "gter/core/progressive.h"
 #include "gter/core/resolver_state.h"
 #include "gter/datagen/datagen.h"
 #include "gter/graph/bipartite_graph.h"
@@ -317,20 +313,6 @@ TEST(IncrementalCancelTest, EveryEntryPointCancelsAtEntry) {
     EXPECT_EQ(RunIterDirty(graph, {0, 1}, {}, &x, &s, ctx).status().code(),
               StatusCode::kCancelled);
   }
-  {
-    PairSpace pairs = PairSpace::FromPairs({{0, 1}});
-    std::vector<double> benefit{1.0};
-    std::vector<double> prob{1.0};
-    ProgressiveResult out;
-    token.Reset();
-    token.CancelAfterPolls(0);
-    EXPECT_EQ(
-        RunProgressive(2, pairs, benefit, prob, {}, &out, ctx).code(),
-        StatusCode::kCancelled);
-    // The anytime snapshot is still valid: singletons, nothing emitted.
-    EXPECT_EQ(out.num_clusters, 2u);
-    EXPECT_EQ(out.matched_count, 0u);
-  }
 }
 
 TEST(IncrementalCancelTest, CancelledConvergeResumesToSameFixedPoint) {
@@ -563,52 +545,6 @@ TEST(IncrementalClusterTest, SparsePassRebuildsOnlyWhenADecisionFlips) {
   }
   EXPECT_EQ(state.cluster_members()[state.cluster_of()[first + 1]].size(),
             1u);
-}
-
-TEST(ProgressiveTest, UnlimitedBudgetEmitsBatchMatchSet) {
-  Dataset data = MakeData();
-  ResolverState state(&data);
-  ASSERT_TRUE(state.BuildBatch().ok());
-
-  ProgressiveOptions options;
-  options.eta = state.options().eta;
-  ProgressiveResult out;
-  ASSERT_TRUE(RunProgressive(state.num_records(), state.pairs(),
-                             state.pair_scores(), state.pair_probability(),
-                             options, &out)
-                  .ok());
-  EXPECT_FALSE(out.budget_exhausted);
-  EXPECT_EQ(out.pairs_considered, state.pairs().size());
-  EXPECT_EQ(out.matches, state.matches());
-  EXPECT_EQ(out.matched_count, state.matched_count());
-  EXPECT_EQ(out.cluster_of, state.cluster_of());
-  EXPECT_EQ(out.num_clusters, state.num_clusters());
-}
-
-TEST(ProgressiveTest, TrippedBudgetYieldsValidPartialSnapshot) {
-  Dataset data = MakeData();
-  ResolverState state(&data);
-  ASSERT_TRUE(state.BuildBatch().ok());
-
-  ProgressiveOptions options;
-  options.eta = state.options().eta;
-  options.budget_seconds = 1e-12;  // trips at the first poll
-  options.poll_stride = 1;
-  ProgressiveResult out;
-  ASSERT_TRUE(RunProgressive(state.num_records(), state.pairs(),
-                             state.pair_scores(), state.pair_probability(),
-                             options, &out)
-                  .ok());
-  EXPECT_TRUE(out.budget_exhausted);
-  EXPECT_LT(out.pairs_considered, state.pairs().size());
-  EXPECT_EQ(out.cluster_of.size(), state.num_records());
-  // Whatever was emitted is a prefix of the benefit order: matched pairs
-  // all carry probability ≥ eta.
-  for (PairId p = 0; p < state.pairs().size(); ++p) {
-    if (out.matches[p]) {
-      EXPECT_GE(state.pair_probability()[p], options.eta);
-    }
-  }
 }
 
 // StructuralIngest's shared-term and N_t bookkeeping against the batch

@@ -282,18 +282,17 @@ TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
   FusionResult fusion_ref;
   for (SimdLevel level : SupportedLevels()) {
     SCOPED_TRACE(SimdLevelName(level));
-    ExecContext ctx;
-    ctx.simd = level;
-    ASSERT_EQ(ctx.simd_level(), level);
+    ScopedSimdLevel scoped(level);
+    ASSERT_EQ(ActiveSimdLevel(), level);
 
     IterResult iter =
-        RunIter(world.graph, world.probability, iter_options, ctx).value();
+        RunIter(world.graph, world.probability, iter_options).value();
 
     auto batch = std::make_unique<ResolverState>(&batch_data);
-    ASSERT_TRUE(batch->BuildBatch(ctx).ok());
+    ASSERT_TRUE(batch->BuildBatch().ok());
 
     FusionPipeline pipeline(fusion_data, fusion_config);
-    FusionResult fusion = pipeline.Run(ctx).value();
+    FusionResult fusion = pipeline.Run().value();
 
     if (level == SimdLevel::kScalar) {
       iter_ref = std::move(iter);

@@ -9,6 +9,11 @@
 # on the name would silently split — so we reject that here, at the
 # declaration site, instead.
 #
+# Every name the DeclarePipelineMetrics list declares must also have an
+# emit site: the same literal somewhere under src/ outside that list.
+# Otherwise a --metrics_out dump advertises, at zero, a stage that no
+# longer runs.
+#
 # Slug sources (kept in sync with where metrics are declared):
 #   * the DeclarePipelineMetrics literal list (src/gter/core/fusion.cc)
 #   * every ScopedTimer name literal under src/
@@ -39,12 +44,15 @@ for f in "${fusion_cc}" "${server_cc}"; do
 done
 
 slugs_file="$(mktemp)"
-trap 'rm -f "${slugs_file}"' EXIT
+declared_file="$(mktemp)"
+emit_file="$(mktemp)"
+trap 'rm -f "${slugs_file}" "${declared_file}" "${emit_file}"' EXIT
 
 # 1. The DeclarePipelineMetrics body: every string literal between the
 #    function's opening line and its closing brace.
 awk '/^void DeclarePipelineMetrics/,/^}/' "${fusion_cc}" \
-  | grep -o '"[^"]*"' | tr -d '"' >> "${slugs_file}"
+  | grep -o '"[^"]*"' | tr -d '"' > "${declared_file}"
+cat "${declared_file}" >> "${slugs_file}"
 
 # 2. ScopedTimer name literals anywhere under src/ (the name is the first
 #    string literal in the constructor call, sometimes on the next line).
@@ -94,6 +102,19 @@ dupes="$(echo "${sanitized}" | sort | uniq -d)"
 if [[ -n "${dupes}" ]]; then
   err "distinct slugs collide after sanitization: ${dupes}"
 fi
+
+# Rule 3: every declared name is emitted somewhere. The search text is all
+# of src/ except the DeclarePipelineMetrics body itself.
+{
+  awk '/^void DeclarePipelineMetrics/,/^}/ {next} {print}' "${fusion_cc}"
+  find "${src}" \( -name '*.cc' -o -name '*.h' \) ! -path "${fusion_cc}" \
+    -exec cat {} +
+} > "${emit_file}"
+while read -r slug; do
+  if ! grep -qF "\"${slug}\"" "${emit_file}"; then
+    err "declared metric '${slug}' has no emit site under src/"
+  fi
+done < "${declared_file}"
 
 if [[ "${fail}" -ne 0 ]]; then
   exit 1

@@ -8,7 +8,7 @@
 //                    [--rounds 5] [--matches out.csv] [--weights w.csv]
 //                    [--clusterer connected_components] [--merge_threshold T]
 //                    [--simd scalar|avx2|avx512|auto] [--deadline_ms N]
-//                    [--budget_ms N] [--incremental]
+//                    [--incremental]
 //       Resolve a CSV dataset; write matched pairs and term weights.
 //       --clusterer picks the clustering endgame that turns pairwise
 //       probabilities into entities (connected_components, correlation,
@@ -21,16 +21,14 @@
 //       stage boundary: the partial results seen so far are reported,
 //       --metrics_out/--trace_out are still written, and the exit code
 //       is 3 (vs 0 success, 1 failure, 2 usage).
-//       --budget_ms bounds the match-emission endgame: the progressive
-//       scheduler visits pairs in descending-score order and stops when
-//       the budget trips, keeping the highest-benefit match prefix.
 //       --incremental resolves through the ResolverState engine instead
 //       of the batch fusion rounds (DESIGN.md §4g).
 //   gter_cli evaluate --in data.csv [--sources 1] [--matches out.csv]
 //       Score a match file against the CSV's ground-truth entity column.
 //   gter_cli eval-endgames [--scale 0.25] [--seed 2018] [--rounds 3]
 //                          [--eta 0.98] [--merge_threshold 0.5]
-//                          [--out endgames.json] [--incremental]
+//                          [--threads 1] [--out endgames.json]
+//                          [--incremental]
 //       Run every registered clustering endgame over the three synthetic
 //       dataset families (restaurant, product, paper): fusion trains the
 //       pairwise probabilities once per family, then each endgame
@@ -136,10 +134,6 @@ int RunResolve(int argc, char** argv) {
   flags.AddString("weights", "", "output: term weights CSV (optional)");
   flags.AddInt("deadline_ms", 0,
                "cancel the run after this many milliseconds (0 = none)");
-  flags.AddInt("budget_ms", 0,
-               "progressive match-emission budget: stop emitting matches "
-               "after this many milliseconds, keeping the highest-benefit "
-               "prefix (0 = unlimited)");
   flags.AddBool("incremental", false,
                 "resolve through the incremental ResolverState engine "
                 "(streaming fixed point; reciprocal-best matching, "
@@ -189,8 +183,6 @@ int RunResolve(int argc, char** argv) {
   config.clusterer = clusterer.value();
   config.clusterer_options.merge_threshold =
       flags.GetDouble("merge_threshold");
-  config.progressive_budget_ms =
-      static_cast<double>(flags.GetInt("budget_ms"));
   const bool incremental = flags.GetBool("incremental");
 
   // Results are bit-identical for any thread count, so --threads only
@@ -232,7 +224,6 @@ int RunResolve(int argc, char** argv) {
       out.matches = state->matches();
       out.cluster_of = state->cluster_of();
       out.num_clusters = state->num_clusters();
-      out.pairs_considered = state->pairs().size();
       out.total_seconds = watch.ElapsedSeconds();
       return out;
     }
@@ -275,11 +266,6 @@ int RunResolve(int argc, char** argv) {
                 incremental ? "incremental"
                             : ClustererKindName(config.clusterer),
                 result.total_seconds);
-    if (result.budget_exhausted) {
-      std::printf("note: --budget_ms tripped after %zu of %zu pairs; the "
-                  "matches are the highest-benefit prefix\n",
-                  result.pairs_considered, pair_space.size());
-    }
     Status write = SaveMatches(flags.GetString("matches"), pair_space,
                                result);
     if (!write.ok()) return Fail(write);
@@ -361,7 +347,7 @@ int RunEvalEndgames(int argc, char** argv) {
   flags.AddDouble("eta", 0.98, "matching probability threshold");
   flags.AddDouble("merge_threshold", 0.5,
                   "hierarchical endgame: stop merging below this linkage");
-  flags.AddInt("threads", 0, "worker threads (0 = sequential)");
+  flags.AddInt("threads", 1, "worker threads (0 = all cores, 1 = serial)");
   flags.AddString("out", "", "output JSON path (optional)");
   flags.AddBool("incremental", false,
                 "train through the ResolverState engine (half the records "
