@@ -1,7 +1,7 @@
-// Micro-benchmarks (google-benchmark) for the substrates: blocked GEMM,
-// masked sparse multiply, string metrics, tokenization, one ITER sweep,
-// PageRank, and the parallel RSS pair loop — the kernels whose cost model
-// DESIGN.md documents.
+// Micro-benchmarks (google-benchmark) for the substrates: the masked
+// sparse multiply, both CliqueRank engines, string metrics, tokenization,
+// one ITER sweep, PageRank, and the parallel RSS pair loop — the kernels
+// whose cost model DESIGN.md documents.
 //
 // Besides the usual --benchmark_* flags, main() accepts:
 //   --metrics_out=PATH   dump the stage timers the kernels record (the
@@ -24,14 +24,6 @@
 namespace gter {
 namespace {
 
-DenseMatrix RandomMatrix(size_t n, Rng* rng) {
-  DenseMatrix m(n, n);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < n; ++c) m(r, c) = rng->UniformDouble();
-  }
-  return m;
-}
-
 // Pins the SIMD level of the benchmark's "simd" argument (0 = scalar,
 // 1 = avx2, 2 = avx512) for the benchmark's lifetime, or skips the
 // benchmark when the level exceeds what the CPU/build supports — or what a
@@ -51,8 +43,8 @@ std::unique_ptr<ScopedSimdLevel> PinSimdLevel(benchmark::State& state,
 
 // "bench/<kernel>[_<level>]_n<size>" — one stage timer per (kernel, tier,
 // problem size), the names tools/perf_gate.sh diffs against
-// BENCH_baseline.json (bench/gemm_avx512_n512, ...); kernels with a single
-// implementation carry no level. Benchmarks record the timer once per
+// BENCH_baseline.json (bench/cliquerank_dense_avx512_n373, ...); kernels
+// with a single implementation carry no level. Benchmarks record the timer once per
 // iteration (see TimedLoop), so a timer's mean per call is the seconds of
 // one kernel call on one fixed problem.
 std::string TimerName(const std::string& kernel, size_t size) {
@@ -76,33 +68,6 @@ void TimedLoop(benchmark::State& state, const std::string& timer_name,
     body();
   }
 }
-
-void BM_Gemm(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  auto pin = PinSimdLevel(state, state.range(1));
-  if (pin == nullptr) return;
-  Rng rng(1);
-  DenseMatrix a = RandomMatrix(n, &rng);
-  DenseMatrix b = RandomMatrix(n, &rng);
-  DenseMatrix c;
-  TimedLoop(state, TimerName("gemm", ActiveSimdLevel(), n), [&] {
-    Gemm(a, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  });
-  state.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * n * n * n, benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-// No n = 128 arm: one avx512 call there takes under the perf gate's
-// 1e-4 s floor, so its timer would never gate.
-BENCHMARK(BM_Gemm)
-    ->ArgNames({"n", "simd"})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({512, 2});
 
 void BM_MaskedProductCsr(benchmark::State& state) {
   // Random graph with n nodes and ~8n edges; the CliqueRank inner kernel,
@@ -263,6 +228,33 @@ void BM_CliqueRankMasked(benchmark::State& state) {
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
 BENCHMARK(BM_CliqueRankMasked);
+
+// The dense engine's twin of BM_CliqueRankMasked: the same corpus and 8
+// steps through the panel kernel, at each width it has (0 = the 2-wide
+// copy every level below avx512 runs, 2 = avx512). Its p is bit-identical
+// to the masked engine's.
+void BM_CliqueRankDense(benchmark::State& state) {
+  auto pin = PinSimdLevel(state, state.range(0));
+  if (pin == nullptr) return;
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  RemoveFrequentTerms(&data.dataset);
+  PairSpace pairs = PairSpace::Build(data.dataset);
+  std::vector<double> sims(pairs.size(), 0.8);
+  RecordGraph graph = RecordGraph::Build(data.dataset.size(), pairs, sims);
+  CliqueRankOptions options;
+  options.engine = CliqueRankEngine::kDense;
+  options.max_steps = 8;
+  TimedLoop(state,
+            TimerName("cliquerank_dense", ActiveSimdLevel(),
+                      data.dataset.size()),
+            [&] {
+              auto result = RunCliqueRank(graph, pairs, options);
+              benchmark::DoNotOptimize(
+                  result.value().pair_probability.data());
+            });
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+}
+BENCHMARK(BM_CliqueRankDense)->ArgNames({"simd"})->Arg(0)->Arg(2);
 
 // RSS over the Paper-like record graph, pair loop split across a pool of
 // range(0) threads. Results are bit-identical for every thread count

@@ -12,8 +12,8 @@ class TraceRecorder;
 /// Runtime CPU feature detection and SIMD dispatch control (see DESIGN.md
 /// §"SIMD dispatch & determinism contract").
 ///
-/// Every vectorized kernel in the compute core (packed GEMM, masked CSR
-/// product, batched Jaro-Winkler) keeps its scalar twin compiled in and
+/// Every vectorized kernel in the compute core (the masked product's panel
+/// kernel, batched Jaro-Winkler) keeps its baseline twin compiled in and
 /// selects an implementation at call time from the process-wide
 /// `ActiveSimdLevel()`. The scalar path is the determinism
 /// reference: forcing `--simd=scalar` reproduces the exact pre-SIMD
@@ -45,7 +45,7 @@ const CpuFeatures& DetectCpuFeatures();
 std::string CpuFeatureString();
 
 /// Dispatch tiers, ordered: a level is usable iff every lower level is.
-/// kAvx2 implies FMA (the packed GEMM microkernel needs both). kAvx512
+/// kAvx2 implies FMA (no kernel has an avx2 tier any more). kAvx512
 /// requires the F+BW+DQ+VL+VPOPCNTDQ feature set the *_avx512.cc TUs are
 /// compiled against — a host with only avx512f (e.g. Skylake-X without
 /// VPOPCNTDQ) clamps to kAvx2 rather than risking an illegal instruction

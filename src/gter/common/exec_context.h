@@ -19,7 +19,7 @@ class TraceRecorder;
 ///
 /// One token is shared between a controller (a SIGINT handler, a serving
 /// timeout, a test) and any number of pipeline threads. Stages poll it at
-/// natural work boundaries — per ITER sweep, per RSS pair, per GEMM row
+/// natural work boundaries — per ITER sweep, per RSS pair, per product row
 /// block, per fusion round, per clustering restart — and unwind with
 /// `Status::Cancelled` / `Status::DeadlineExceeded` when it has tripped.
 /// Polling never changes what a stage computes: an uncancelled run is

@@ -30,9 +30,9 @@ namespace gter {
 /// allocation — so the hot paths keep their uninstrumented cost.
 ///
 /// Naming convention: lowercase `stage/metric` slugs (`rss/walks_run`,
-/// `cliquerank/gemm`). Counters count events, gauges record last-observed
-/// magnitudes (bytes, sizes), timers aggregate {count, seconds} per stage
-/// name, histograms bucket value distributions by powers of two.
+/// `cliquerank/dense_product`). Counters count events, gauges record
+/// last-observed magnitudes (bytes, sizes), timers aggregate {count,
+/// seconds} per stage name, histograms bucket values by powers of two.
 
 /// Aggregated wall time of one named stage.
 struct TimerStat {

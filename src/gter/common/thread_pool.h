@@ -44,8 +44,8 @@ class TaskGroup {
 /// Fixed-size worker pool with task-group completion semantics.
 ///
 /// The paper's CliqueRank implementation leaned on Eigen's multi-threaded
-/// GEMM on a 32-core Xeon; this pool is the substrate our from-scratch GEMM,
-/// masked multiply, RSS walks, and ITER sweeps use for the same purpose.
+/// GEMM on a 32-core Xeon; this pool is the substrate our masked products,
+/// RSS walks, and ITER sweeps use for the same purpose.
 ///
 /// Threading model (see DESIGN.md §"Threading model"):
 ///  * Every task belongs to a TaskGroup; `Wait(&group)` blocks until that

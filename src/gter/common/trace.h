@@ -21,7 +21,7 @@ namespace gter {
 /// arguments (sweep index, fusion round, chunk size, ...). The recorded
 /// timeline exports as Chrome trace-event JSON (`--trace_out`), loadable in
 /// Perfetto (https://ui.perfetto.dev) or `chrome://tracing`, with one track
-/// per thread — so the schedule of RSS chunks and CliqueRank GEMMs across
+/// per thread — so the schedule of RSS chunks and CliqueRank steps across
 /// the ThreadPool is visible, not just their totals.
 ///
 /// Contract (mirrors the metrics layer): with no recorder installed, every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "gter/common/metrics.h"
@@ -9,85 +10,54 @@
 #include "gter/common/status.h"
 #include "gter/common/thread_pool.h"
 #include "gter/common/timer.h"
-#include "gter/matrix/dense_matrix.h"
-#include "gter/matrix/gemm.h"
 #include "gter/matrix/masked_multiply.h"
 
 namespace gter {
 namespace {
 
-Result<std::vector<double>> RunDense(const CsrMatrix& trans,
-                                     const CsrMatrix& pattern,
-                                     const std::vector<double>& m1_values,
-                                     size_t steps, const PairSpace& pairs,
+// The recurrence on the edge pattern, shared by both engines: the iterate,
+// the accumulator and the read-out of p live in value arrays parallel to
+// the pattern's CSR values, and only the per-step product differs. The
+// two products are bit-identical (masked_multiply.h), so the engine
+// choice decides speed and memory, never p.
+Result<std::vector<double>> RunSteps(const CliqueRankSetup& setup,
+                                     CliqueRankEngine engine, size_t steps,
+                                     const PairSpace& pairs,
                                      MetricsRegistry* metrics,
                                      TraceRecorder* recorder,
                                      const ExecContext& ctx) {
+  const CsrMatrix& trans = setup.transition;
+  const CsrMatrix& pattern = setup.pattern;
   const size_t n = pattern.rows();
-  DenseMatrix mt = trans.ToDense();
-  DenseMatrix mn = pattern.ToDense();
-
-  // M¹ = M_b scattered onto the pattern.
-  DenseMatrix m(n, n, 0.0);
-  ScatterToDense(pattern, m1_values.data(), m.data());
-  DenseMatrix accum = m;
-
-  if (metrics != nullptr) {
-    // mt, mn, m, accum plus the per-step Hadamard product below.
-    metrics->SetGauge("cliquerank/scratch_bytes",
-                      static_cast<double>(5 * n * n * sizeof(double)));
-  }
-  DenseMatrix masked;
-  for (size_t step = 2; step <= steps; ++step) {
-    GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    masked = m.Hadamard(mn);
-    {
-      ScopedTimer gemm_timer(metrics, recorder, "cliquerank/gemm",
-                             TraceArg{"step", static_cast<double>(step)});
-      GTER_RETURN_IF_ERROR(Gemm(mt, masked, &m, ctx));
-    }
-    accum.Add(m);
-  }
-
-  std::vector<double> probability(pairs.size(), 0.0);
-  ParallelFor(ctx.pool, 0, pairs.size(), /*grain=*/256,
-              [&](size_t lo, size_t hi) {
-    for (PairId p = lo; p < hi; ++p) {
-      const RecordPair& rp = pairs.pair(p);
-      double avg = (accum(rp.a, rp.b) + accum(rp.b, rp.a)) / 2.0;
-      probability[p] = std::clamp(avg, 0.0, 1.0);
-    }
-  });
-  return probability;
-}
-
-Result<std::vector<double>> RunMasked(const CsrMatrix& trans,
-                                      const CsrMatrix& pattern,
-                                      const std::vector<double>& m1_values,
-                                      size_t steps, const PairSpace& pairs,
-                                      MetricsRegistry* metrics,
-                                      TraceRecorder* recorder,
-                                      const ExecContext& ctx) {
-  const size_t n = pattern.rows();
-  std::vector<double> cur = m1_values;
+  const bool dense = engine == CliqueRankEngine::kDense;
+  std::vector<double> cur = setup.boosted;
   std::vector<double> accum = cur;
   std::vector<double> next(cur.size(), 0.0);
+  // The dense engine's only dense state, made only when a product runs.
+  std::optional<PanelScratch> scratch;
+  if (dense && steps > 1) scratch.emplace(n);
   if (metrics != nullptr) {
-    // cur/accum/next on the edge pattern plus the O(n) per-chunk row
-    // accumulator inside the CSR kernel — the engine's whole footprint.
+    // cur/accum/next on the edge pattern plus the product's own buffer:
+    // the panel scratch, or the CSR kernel's O(n) per-chunk accumulator.
+    const size_t product_bytes =
+        dense ? (scratch ? scratch->bytes() : 0) : n * sizeof(double);
     metrics->SetGauge(
         "cliquerank/scratch_bytes",
-        static_cast<double>((3 * pattern.nnz() + n) * sizeof(double)));
+        static_cast<double>(3 * pattern.nnz() * sizeof(double) +
+                            product_bytes));
   }
-  // The iterate lives on the CSR pattern for the whole run; each step is a
-  // Gustavson gather confined to the pattern (no n×n scratch).
   for (size_t step = 2; step <= steps; ++step) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
     {
-      ScopedTimer product_timer(metrics, recorder, "cliquerank/masked_product",
-                                TraceArg{"step", static_cast<double>(step)});
-      GTER_RETURN_IF_ERROR(ComputeMaskedProductCsr(trans, cur.data(), pattern,
-                                                   next.data(), ctx));
+      ScopedTimer product_timer(
+          metrics, recorder,
+          dense ? "cliquerank/dense_product" : "cliquerank/masked_product",
+          TraceArg{"step", static_cast<double>(step)});
+      GTER_RETURN_IF_ERROR(
+          dense ? ComputeMaskedProductPanels(trans, cur.data(), pattern,
+                                             &*scratch, next.data(), ctx)
+                : ComputeMaskedProductCsr(trans, cur.data(), pattern,
+                                          next.data(), ctx));
     }
     cur.swap(next);
     ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
@@ -170,7 +140,6 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
                                        const CliqueRankOptions& options,
                                        const ExecContext& ctx) {
   GTER_CHECK(options.max_steps >= 1);
-  GTER_CHECK(graph.num_nodes() > 0);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
   MetricsRegistry* metrics = ctx.metrics_or_ambient();
   TraceRecorder* recorder = ctx.trace_or_ambient();
@@ -202,11 +171,7 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   CliqueRankResult result;
   result.engine_used = engine;
   Result<std::vector<double>> probability =
-      engine == CliqueRankEngine::kDense
-          ? RunDense(setup.transition, setup.pattern, setup.boosted, steps,
-                     pairs, metrics, recorder, ctx)
-          : RunMasked(setup.transition, setup.pattern, setup.boosted, steps,
-                      pairs, metrics, recorder, ctx);
+      RunSteps(setup, engine, steps, pairs, metrics, recorder, ctx);
   GTER_RETURN_IF_ERROR(probability.status());
   if (metrics != nullptr) {
     // The matrix products that ran: 0 when the graph is bipartite.

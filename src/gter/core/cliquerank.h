@@ -17,9 +17,15 @@ enum class CliqueRankEngine {
   /// Pick by graph density: masked-sparse below `dense_density_threshold`,
   /// dense above.
   kAuto,
-  /// Full n×n GEMM per step (the paper's Eigen formulation).
+  /// Each step scatters the iterate into one n×n column-panel scratch and
+  /// runs a vectorized dot product per edge (ComputeMaskedProductPanels).
+  /// The paper's Eigen formulation ran a full n×n GEMM here; only the
+  /// products on the edge pattern are ever read, so only those are formed.
   kDense,
-  /// Confined to the edge pattern of M_n (exact — see masked_multiply.h).
+  /// Each step is a Gustavson gather on the CSR pattern with O(n) scratch
+  /// (ComputeMaskedProductCsr). Both engines keep the same summation
+  /// order, so their p is bit-identical; the switch decides only speed and
+  /// memory (masked_multiply.h).
   kMaskedSparse,
 };
 
@@ -62,7 +68,8 @@ struct CliqueRankResult {
 /// Matrix kernels run on `ctx.pool` at `ActiveSimdLevel()`; metrics (engine
 /// chosen, setup and per-step kernel time, matrix steps run, scratch bytes)
 /// go to `ctx.metrics` with ambient fallback. Cancellation is polled at
-/// entry and once per matrix step in both engines.
+/// entry and once per matrix step in both engines. A graph with no records
+/// gives an empty `pair_probability`.
 Result<CliqueRankResult> RunCliqueRank(
     const RecordGraph& graph, const PairSpace& pairs,
     const CliqueRankOptions& options = {},

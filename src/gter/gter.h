@@ -45,7 +45,6 @@
 
 #include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/dense_matrix.h"
-#include "gter/matrix/gemm.h"
 #include "gter/matrix/masked_multiply.h"
 
 #include "gter/er/blocking.h"

@@ -65,16 +65,6 @@ std::vector<double> CsrMatrix::MultiplyVector(
   return y;
 }
 
-DenseMatrix CsrMatrix::ToDense() const {
-  DenseMatrix out(rows_, cols_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      out(r, col_idx_[p]) = values_[p];
-    }
-  }
-  return out;
-}
-
 void CsrMatrix::NormalizeRows() {
   for (size_t r = 0; r < rows_; ++r) {
     double sum = 0.0;

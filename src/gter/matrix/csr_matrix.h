@@ -6,8 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "gter/matrix/dense_matrix.h"
-
 namespace gter {
 
 /// Compressed sparse row matrix of doubles. Column indices within each row
@@ -65,9 +63,6 @@ class CsrMatrix {
 
   /// y = this × x (dense vector).
   std::vector<double> MultiplyVector(const std::vector<double>& x) const;
-
-  /// Dense copy (for tests and the dense CliqueRank engine).
-  DenseMatrix ToDense() const;
 
   /// Divides each row by its sum (rows with zero sum are left untouched) —
   /// turns a non-negative weight matrix into a stochastic transition matrix.

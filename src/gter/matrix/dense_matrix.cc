@@ -24,20 +24,6 @@ DenseMatrix DenseMatrix::Transposed() const {
   return out;
 }
 
-DenseMatrix DenseMatrix::Hadamard(const DenseMatrix& other) const {
-  GTER_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  DenseMatrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = data_[i] * other.data_[i];
-  }
-  return out;
-}
-
-void DenseMatrix::Add(const DenseMatrix& other) {
-  GTER_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-}
-
 void DenseMatrix::Scale(double s) {
   for (auto& v : data_) v *= s;
 }

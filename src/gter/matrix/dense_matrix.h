@@ -6,9 +6,10 @@
 
 namespace gter {
 
-/// Row-major dense matrix of doubles. This (plus the blocked GEMM in
-/// gemm.h) is our from-scratch replacement for the Eigen dependency the
-/// paper's implementation used for CliqueRank's matrix powers.
+/// Row-major dense matrix of doubles (the SimRank baseline's similarity
+/// matrices). CliqueRank needs no general dense product: the paper's Eigen
+/// GEMM is replaced by the masked kernels of masked_multiply.h, which
+/// compute M_t × (M^{k-1} ⊙ M_n) only on the edge pattern.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -35,12 +36,6 @@ class DenseMatrix {
 
   /// Returns the transpose.
   DenseMatrix Transposed() const;
-
-  /// Element-wise (Hadamard) product with `other`; shapes must match.
-  DenseMatrix Hadamard(const DenseMatrix& other) const;
-
-  /// this += other (shapes must match).
-  void Add(const DenseMatrix& other);
 
   /// Multiplies every entry by `s`.
   void Scale(double s);

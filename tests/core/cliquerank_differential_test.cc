@@ -1,13 +1,12 @@
-// Differential tests over the CliqueRank engines: the dense GEMM engine
-// and the masked-sparse engine implement the same recurrence and must
-// agree on ANY graph — checked on one- and two-source Erdős–Rényi graphs
+// Differential tests over the CliqueRank engines: the dense (panel) engine
+// and the masked-sparse engine run the same recurrence with bit-identical
+// products, so on ANY graph both equal the full S-step recurrence computed
+// here, bit for bit. Checked on one- and two-source Erdős–Rényi graphs
 // whose densities straddle the kAuto switch point, across seeds and boost
-// modes, and each engine is pinned bitwise against itself under a thread
-// pool. The full S-step recurrence, computed here, pins the masked engine
-// bitwise everywhere and both engines on two-source (bipartite) graphs,
-// where they stop after step 1. A second harness pins the CSR-gather
-// masked kernel bit-identically to the dense-scratch reference kernel at a
-// size where the O(n²) scratch is the thing being replaced.
+// modes, at every SIMD level the host has, serial and under a thread pool.
+// A second harness pins both production kernels bit-identically to the
+// dense-scratch oracle (tests/matrix/masked_product_oracle.h) at a size
+// where the O(n²) row-major scratch is the thing being replaced.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/cpu.h"
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
 #include "gter/common/thread_pool.h"
@@ -25,6 +25,8 @@
 #include "gter/graph/record_graph.h"
 #include "gter/matrix/csr_matrix.h"
 #include "gter/matrix/masked_multiply.h"
+#include "common/simd_levels.h"
+#include "matrix/masked_product_oracle.h"
 
 namespace gter {
 namespace {
@@ -66,7 +68,7 @@ struct ErdosRenyiWorld {
 
 /// CliqueRank's p with every one of the `max_steps` products run: the
 /// recurrence from TransitionAndBoost and ComputeMaskedProductCsr, summed
-/// on the edge pattern and clamped the way RunMasked does it.
+/// on the edge pattern and clamped the way RunCliqueRank does it.
 std::vector<double> FullRecurrence(const RecordGraph& graph,
                                    const PairSpace& pairs,
                                    const CliqueRankOptions& options) {
@@ -119,53 +121,44 @@ TEST_P(CliqueRankEngineDifferential, DenseAndMaskedAgree) {
       dense.seed = seed * 1000 + 3;
       CliqueRankOptions masked = dense;
       masked.engine = CliqueRankEngine::kMaskedSparse;
-      const std::string where =
-          std::string("mode ") +
-          (mode == BoostMode::kSampled ? "sampled" : "expected") +
-          " boost " + (use_boost ? "on" : "off");
-
-      MetricsRegistry dense_metrics, masked_metrics;
-      ExecContext dense_ctx, masked_ctx;
-      dense_ctx.metrics = &dense_metrics;
-      masked_ctx.metrics = &masked_metrics;
-      CliqueRankResult rd =
-          RunCliqueRank(world.graph, world.pairs, dense, dense_ctx).value();
-      CliqueRankResult rm =
-          RunCliqueRank(world.graph, world.pairs, masked, masked_ctx).value();
-      ASSERT_EQ(rd.engine_used, CliqueRankEngine::kDense);
-      ASSERT_EQ(rm.engine_used, CliqueRankEngine::kMaskedSparse);
-      ASSERT_EQ(rd.pair_probability.size(), world.pairs.size());
-      for (PairId p = 0; p < world.pairs.size(); ++p) {
-        EXPECT_NEAR(rd.pair_probability[p], rm.pair_probability[p], 1e-12)
-            << "pair " << p << " " << where;
-      }
-
-      // The masked engine is the reference recurrence, bit for bit, also
-      // where it stops early. On a bipartite graph the dense engine runs no
-      // GEMM, so it matches bit for bit too, and no product runs at all.
       const std::vector<double> reference =
           FullRecurrence(world.graph, world.pairs, dense);
-      EXPECT_EQ(rm.pair_probability, reference) << "masked engine, " << where;
-      if (sources == 2) {
-        EXPECT_EQ(rd.pair_probability, reference) << "dense engine, " << where;
-        EXPECT_EQ(dense_metrics.Counter("cliquerank/steps"), 0u) << where;
-        EXPECT_EQ(masked_metrics.Counter("cliquerank/steps"), 0u) << where;
-      }
+      // Products that run: none on a bipartite graph (DESIGN.md §4).
+      const uint64_t products =
+          world.graph.IsBipartite() ? 0 : dense.max_steps - 1;
 
-      // Both engines are bit-identical to themselves under a thread pool.
-      const ExecContext pooled = ExecContext::WithPool(&pool);
-      EXPECT_EQ(
-          RunCliqueRank(world.graph, world.pairs, dense, pooled)
-              .value()
-              .pair_probability,
-          rd.pair_probability)
-          << "dense engine, pool vs serial, " << where;
-      EXPECT_EQ(
-          RunCliqueRank(world.graph, world.pairs, masked, pooled)
-              .value()
-              .pair_probability,
-          rm.pair_probability)
-          << "masked engine, pool vs serial, " << where;
+      for (SimdLevel level : SupportedLevels()) {
+        ScopedSimdLevel scoped(level);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const std::string where =
+              std::string("mode ") +
+              (mode == BoostMode::kSampled ? "sampled" : "expected") +
+              " boost " + (use_boost ? "on" : "off") + " level " +
+              SimdLevelName(level) + (p ? " pooled" : " serial");
+          MetricsRegistry dense_metrics, masked_metrics;
+          ExecContext dense_ctx = ExecContext::WithPool(p);
+          ExecContext masked_ctx = ExecContext::WithPool(p);
+          dense_ctx.metrics = &dense_metrics;
+          masked_ctx.metrics = &masked_metrics;
+          CliqueRankResult rd =
+              RunCliqueRank(world.graph, world.pairs, dense, dense_ctx)
+                  .value();
+          CliqueRankResult rm =
+              RunCliqueRank(world.graph, world.pairs, masked, masked_ctx)
+                  .value();
+          ASSERT_EQ(rd.engine_used, CliqueRankEngine::kDense);
+          ASSERT_EQ(rm.engine_used, CliqueRankEngine::kMaskedSparse);
+          // Both engines are the reference recurrence, bit for bit.
+          EXPECT_EQ(rd.pair_probability, reference)
+              << "dense engine, " << where;
+          EXPECT_EQ(rm.pair_probability, reference)
+              << "masked engine, " << where;
+          EXPECT_EQ(dense_metrics.Counter("cliquerank/steps"), products)
+              << where;
+          EXPECT_EQ(masked_metrics.Counter("cliquerank/steps"), products)
+              << where;
+        }
+      }
     }
   }
 }
@@ -187,17 +180,19 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// The kernel-level differential: ComputeMaskedProductCsr (O(n) gather)
-/// against ComputeMaskedProduct (O(n²) dense scratch) must be
-/// bit-identical — same per-entry summation order — at a scale where the
-/// dense scratch (n² doubles) is what the CSR path exists to avoid.
-TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
-  const size_t n = 2000;
-  for (uint64_t seed : {11u, 12u, 13u}) {
+/// A random symmetric structure, about 2·`degree` entries a row, with
+/// row-normalized weights as `trans` and the same structure as `pattern`,
+/// plus a random iterate on it.
+struct KernelProblem {
+  CsrMatrix trans;
+  CsrMatrix pattern;
+  std::vector<double> prev;
+
+  KernelProblem(size_t n, int degree, uint64_t seed) {
     Rng rng(seed);
     std::vector<CsrMatrix::Triplet> triplets;
     for (uint32_t i = 0; i < n; ++i) {
-      for (int e = 0; e < 6; ++e) {
+      for (int e = 0; e < degree; ++e) {
         uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
         if (j == i) continue;
         double w = rng.OpenUniformDouble();
@@ -205,23 +200,54 @@ TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
         triplets.push_back({j, i, w});
       }
     }
-    CsrMatrix trans = CsrMatrix::FromTriplets(n, n, triplets);
+    trans = CsrMatrix::FromTriplets(n, n, triplets);
     trans.NormalizeRows();
-    CsrMatrix pattern = trans;  // same structure
-    std::vector<double> prev(pattern.nnz());
+    pattern = trans;
+    prev.resize(pattern.nnz());
     for (double& v : prev) v = rng.UniformDouble();
+  }
+};
 
-    std::vector<double> scratch(n * n, 0.0);
-    ScatterToDense(pattern, prev.data(), scratch.data());
-    std::vector<double> out_dense(pattern.nnz(), -1.0);
-    ComputeMaskedProduct(trans, scratch.data(), pattern, out_dense.data());
+/// The kernel-level differentials: both production kernels against the
+/// dense-scratch oracle (row-major n×n scratch, the same per-entry
+/// summation order), bit for bit, at a scale where that scratch (n²
+/// doubles) is what the CSR kernel exists to avoid and the panel kernel
+/// spans 32 panels.
+TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    const KernelProblem k(2000, 6, seed);
+    const std::vector<double> want =
+        MaskedProductOracle(k.trans, k.prev, k.pattern);
+    std::vector<double> out(k.pattern.nnz(), -1.0);
+    ComputeMaskedProductCsr(k.trans, k.prev.data(), k.pattern, out.data());
+    for (size_t e = 0; e < k.pattern.nnz(); ++e) {
+      ASSERT_EQ(want[e], out[e]) << "entry " << e << " seed " << seed;
+    }
+  }
+}
 
-    std::vector<double> out_csr(pattern.nnz(), -1.0);
-    ComputeMaskedProductCsr(trans, prev.data(), pattern, out_csr.data());
-
-    for (size_t e = 0; e < pattern.nnz(); ++e) {
-      ASSERT_EQ(out_dense[e], out_csr[e]) << "entry " << e << " seed "
-                                          << seed;
+TEST(MaskedKernelDifferential, PanelsMatchDenseScratchBitwise) {
+  ThreadPool pool(4);
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    const KernelProblem k(2000, 6, seed);
+    const std::vector<double> want =
+        MaskedProductOracle(k.trans, k.prev, k.pattern);
+    PanelScratch scratch(k.pattern.rows());
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel scoped(level);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<double> out(k.pattern.nnz(), -1.0);
+        ASSERT_TRUE(ComputeMaskedProductPanels(k.trans, k.prev.data(),
+                                               k.pattern, &scratch,
+                                               out.data(),
+                                               ExecContext::WithPool(p))
+                        .ok());
+        for (size_t e = 0; e < k.pattern.nnz(); ++e) {
+          ASSERT_EQ(want[e], out[e])
+              << "entry " << e << " seed " << seed << " level "
+              << SimdLevelName(level) << (p ? " pooled" : " serial");
+        }
+      }
     }
   }
 }
@@ -229,32 +255,15 @@ TEST(MaskedKernelDifferential, CsrGatherMatchesDenseScratchBitwise) {
 /// Same bitwise agreement with a thread pool driving the CSR kernel —
 /// chunking must not change per-row summation order.
 TEST(MaskedKernelDifferential, CsrGatherIsThreadCountInvariant) {
-  const size_t n = 600;
-  Rng rng(21);
-  std::vector<CsrMatrix::Triplet> triplets;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (int e = 0; e < 5; ++e) {
-      uint32_t j = static_cast<uint32_t>(rng.NextBounded(n));
-      if (j == i) continue;
-      double w = rng.OpenUniformDouble();
-      triplets.push_back({i, j, w});
-      triplets.push_back({j, i, w});
-    }
-  }
-  CsrMatrix trans = CsrMatrix::FromTriplets(n, n, triplets);
-  trans.NormalizeRows();
-  CsrMatrix pattern = trans;
-  std::vector<double> prev(pattern.nnz());
-  for (double& v : prev) v = rng.UniformDouble();
-
-  std::vector<double> serial(pattern.nnz(), 0.0);
-  ComputeMaskedProductCsr(trans, prev.data(), pattern, serial.data());
+  const KernelProblem k(600, 5, 21);
+  std::vector<double> serial(k.pattern.nnz(), 0.0);
+  ComputeMaskedProductCsr(k.trans, k.prev.data(), k.pattern, serial.data());
 
   ThreadPool pool(4);
-  std::vector<double> parallel(pattern.nnz(), 0.0);
-  ComputeMaskedProductCsr(trans, prev.data(), pattern, parallel.data(),
+  std::vector<double> parallel(k.pattern.nnz(), 0.0);
+  ComputeMaskedProductCsr(k.trans, k.prev.data(), k.pattern, parallel.data(),
                           ExecContext::WithPool(&pool));
-  for (size_t e = 0; e < pattern.nnz(); ++e) {
+  for (size_t e = 0; e < k.pattern.nnz(); ++e) {
     ASSERT_EQ(serial[e], parallel[e]) << "entry " << e;
   }
 }

@@ -71,12 +71,24 @@ TEST(CliqueRankTest, DenseAndMaskedEnginesAgree) {
   masked_opts.engine = CliqueRankEngine::kMaskedSparse;
   auto dense = RunCliqueRank(graph, f.pairs, dense_opts).value();
   auto masked = RunCliqueRank(graph, f.pairs, masked_opts).value();
-  ASSERT_EQ(dense.pair_probability.size(), masked.pair_probability.size());
-  for (PairId p = 0; p < f.pairs.size(); ++p) {
-    EXPECT_NEAR(dense.pair_probability[p], masked.pair_probability[p], 1e-9);
-  }
+  // The two products are bit-identical (masked_multiply.h).
+  EXPECT_EQ(dense.pair_probability, masked.pair_probability);
   EXPECT_EQ(dense.engine_used, CliqueRankEngine::kDense);
   EXPECT_EQ(masked.engine_used, CliqueRankEngine::kMaskedSparse);
+}
+
+TEST(CliqueRankTest, EmptyGraphGivesEmptyProbabilities) {
+  const PairSpace pairs = PairSpace::FromPairs({});
+  const RecordGraph graph = RecordGraph::Build(0, pairs, {});
+  for (CliqueRankEngine engine :
+       {CliqueRankEngine::kAuto, CliqueRankEngine::kDense,
+        CliqueRankEngine::kMaskedSparse}) {
+    CliqueRankOptions options;
+    options.engine = engine;
+    Result<CliqueRankResult> result = RunCliqueRank(graph, pairs, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result.value().pair_probability.empty());
+  }
 }
 
 TEST(CliqueRankTest, AutoEngineSelectsByDensity) {

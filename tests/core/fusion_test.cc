@@ -45,6 +45,25 @@ TEST(FusionTest, OutputShapesAreConsistent) {
   }
 }
 
+TEST(FusionTest, EmptyDatasetGivesEmptyResult) {
+  // A header-only CSV loads as a dataset with no records.
+  Dataset empty("empty");
+  for (CliqueRankEngine engine :
+       {CliqueRankEngine::kDense, CliqueRankEngine::kMaskedSparse}) {
+    FusionConfig config = FastConfig();
+    config.cliquerank.engine = engine;
+    FusionPipeline pipeline(empty, config);
+    Result<FusionResult> result = pipeline.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(pipeline.pairs().size(), 0u);
+    EXPECT_TRUE(result.value().pair_probability.empty());
+    EXPECT_TRUE(result.value().matches.empty());
+    EXPECT_TRUE(result.value().cluster_of.empty());
+    EXPECT_EQ(result.value().num_clusters, 0u);
+    EXPECT_EQ(result.value().round_stats.size(), config.rounds);
+  }
+}
+
 TEST(FusionTest, RoundStatsAreRecordedAndCumulative) {
   auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 5);
   RemoveFrequentTerms(&data.dataset);

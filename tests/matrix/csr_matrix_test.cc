@@ -68,15 +68,6 @@ TEST(CsrMatrixTest, MultiplyVector) {
   EXPECT_DOUBLE_EQ(y[2], 3 * 1 + 4 * 2);
 }
 
-TEST(CsrMatrixTest, ToDenseRoundTrip) {
-  CsrMatrix m = SmallMatrix();
-  DenseMatrix d = m.ToDense();
-  EXPECT_DOUBLE_EQ(d(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(d(0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(d(2, 1), 4.0);
-  EXPECT_DOUBLE_EQ(d(1, 1), 0.0);
-}
-
 TEST(CsrMatrixTest, NormalizeRowsMakesStochastic) {
   CsrMatrix m = SmallMatrix();
   m.NormalizeRows();

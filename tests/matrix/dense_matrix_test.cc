@@ -42,20 +42,10 @@ TEST(DenseMatrixTest, Transposed) {
   }
 }
 
-TEST(DenseMatrixTest, Hadamard) {
+TEST(DenseMatrixTest, Scale) {
   DenseMatrix a(2, 2, 3.0);
-  DenseMatrix b(2, 2, 0.5);
-  DenseMatrix h = a.Hadamard(b);
-  EXPECT_DOUBLE_EQ(h(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(h(1, 1), 1.5);
-}
-
-TEST(DenseMatrixTest, AddAndScale) {
-  DenseMatrix a(2, 2, 1.0);
-  DenseMatrix b(2, 2, 2.0);
-  a.Add(b);
-  EXPECT_DOUBLE_EQ(a(0, 1), 3.0);
   a.Scale(2.0);
+  EXPECT_DOUBLE_EQ(a(0, 1), 6.0);
   EXPECT_DOUBLE_EQ(a(1, 0), 6.0);
 }
 
@@ -79,11 +69,6 @@ TEST(DenseMatrixTest, Identity) {
       EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
     }
   }
-}
-
-TEST(DenseMatrixDeathTest, MismatchedHadamardAborts) {
-  DenseMatrix a(2, 2), b(2, 3);
-  EXPECT_DEATH(a.Hadamard(b), "GTER_CHECK");
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include "gter/matrix/masked_multiply.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "gter/common/cpu.h"
 #include "gter/common/random.h"
 #include "gter/common/thread_pool.h"
-#include "gter/matrix/gemm.h"
+#include "common/simd_levels.h"
+#include "matrix/masked_product_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -39,73 +45,42 @@ Fixture MakeFixture(size_t n, double edge_prob, uint64_t seed) {
   return f;
 }
 
-TEST(MaskedMultiplyTest, MatchesDenseProductOnPattern) {
+std::vector<double> RandomIterate(const Fixture& f, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> cur(f.pattern.nnz());
+  for (auto& v : cur) v = rng.UniformDouble();
+  return cur;
+}
+
+TEST(MaskedMultiplyTest, OracleMatchesDenseProductOnPattern) {
   Fixture f = MakeFixture(20, 0.3, 42);
-  // Current iterate: random values on the pattern.
-  Rng rng(7);
-  std::vector<double> cur(f.pattern.nnz());
-  for (auto& v : cur) v = rng.UniformDouble();
+  const std::vector<double> cur = RandomIterate(f, 7);
+  const std::vector<double> out = MaskedProductOracle(f.trans, cur, f.pattern);
 
-  // Reference: dense M_t × (M ⊙ M_n).
-  DenseMatrix m(f.n, f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), m.data());
-  DenseMatrix masked = m.Hadamard(f.pattern.ToDense());
-  DenseMatrix ref = Multiply(f.trans.ToDense(), masked);
-
-  // Masked kernel.
-  std::vector<double> scratch(f.n * f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), scratch.data());
-  std::vector<double> out(f.pattern.nnz(), 0.0);
-  ComputeMaskedProduct(f.trans, scratch.data(), f.pattern, out.data());
-
+  // M_t × (M ⊙ M_n) from the definition, every k of the n in ascending
+  // order: the zero terms add +0.0, so the sums agree bit for bit.
   size_t pos = 0;
   for (size_t i = 0; i < f.n; ++i) {
     for (uint32_t j : f.pattern.RowCols(i)) {
-      EXPECT_NEAR(out[pos], ref(i, j), 1e-12) << i << "," << j;
+      double ref = 0.0;
+      for (size_t k = 0; k < f.n; ++k) {
+        const int64_t kj = f.pattern.PositionOf(k, j);
+        const double masked = kj < 0 ? 0.0 : cur[static_cast<size_t>(kj)];
+        ref += f.trans.At(i, k) * masked;
+      }
+      EXPECT_EQ(out[pos], ref) << i << "," << j;
       ++pos;
     }
   }
 }
 
-TEST(MaskedMultiplyTest, ParallelMatchesSequential) {
-  Fixture f = MakeFixture(30, 0.2, 5);
-  Rng rng(9);
-  std::vector<double> cur(f.pattern.nnz());
-  for (auto& v : cur) v = rng.UniformDouble();
-  std::vector<double> scratch(f.n * f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), scratch.data());
-
-  std::vector<double> seq(f.pattern.nnz(), 0.0);
-  GTER_CHECK_OK(
-      ComputeMaskedProduct(f.trans, scratch.data(), f.pattern, seq.data()));
-  ThreadPool pool(4);
-  std::vector<double> par(f.pattern.nnz(), 0.0);
-  GTER_CHECK_OK(ComputeMaskedProduct(f.trans, scratch.data(), f.pattern,
-                                     par.data(),
-                                     ExecContext::WithPool(&pool)));
-  for (size_t i = 0; i < seq.size(); ++i) EXPECT_DOUBLE_EQ(seq[i], par[i]);
-}
-
-TEST(MaskedMultiplyTest, CsrGatherMatchesDenseReference) {
+TEST(MaskedMultiplyTest, CsrGatherMatchesOracle) {
   Fixture f = MakeFixture(25, 0.3, 17);
-  Rng rng(13);
-  std::vector<double> cur(f.pattern.nnz());
-  for (auto& v : cur) v = rng.UniformDouble();
-
-  // Reference through the dense formulation.
-  DenseMatrix m(f.n, f.n, 0.0);
-  ScatterToDense(f.pattern, cur.data(), m.data());
-  DenseMatrix ref = Multiply(f.trans.ToDense(), m.Hadamard(f.pattern.ToDense()));
-
+  const std::vector<double> cur = RandomIterate(f, 13);
   std::vector<double> out(f.pattern.nnz(), -1.0);
-  ComputeMaskedProductCsr(f.trans, cur.data(), f.pattern, out.data());
-  size_t pos = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    for (uint32_t j : f.pattern.RowCols(i)) {
-      EXPECT_NEAR(out[pos], ref(i, j), 1e-12) << i << "," << j;
-      ++pos;
-    }
-  }
+  ASSERT_TRUE(
+      ComputeMaskedProductCsr(f.trans, cur.data(), f.pattern, out.data()).ok());
+  EXPECT_EQ(out, MaskedProductOracle(f.trans, cur, f.pattern));
 }
 
 TEST(MaskedMultiplyTest, CsrGatherHandlesIsolatedRows) {
@@ -122,31 +97,84 @@ TEST(MaskedMultiplyTest, CsrGatherHandlesIsolatedRows) {
   EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
-TEST(MaskedMultiplyTest, ScatterOverwritesPatternPositions) {
-  Fixture f = MakeFixture(10, 0.4, 11);
-  std::vector<double> ones(f.pattern.nnz(), 1.0);
-  std::vector<double> twos(f.pattern.nnz(), 2.0);
-  std::vector<double> dense(f.n * f.n, 0.0);
-  ScatterToDense(f.pattern, ones.data(), dense.data());
-  ScatterToDense(f.pattern, twos.data(), dense.data());
-  double total = 0.0;
-  for (double v : dense) total += v;
-  EXPECT_DOUBLE_EQ(total, 2.0 * static_cast<double>(f.pattern.nnz()));
+TEST(MaskedMultiplyTest, PanelScratchIsAlignedZeroAndPanelMajor) {
+  EXPECT_EQ(PanelScratch(0).bytes(), 0u);
+  PanelScratch scratch(65);  // two panels, the second one column wide
+  ASSERT_EQ(scratch.num_panels(), 2u);
+  EXPECT_EQ(scratch.bytes(), 2 * 64 * 65 * sizeof(double));
+  for (size_t p = 0; p < scratch.num_panels(); ++p) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(scratch.panel(p)) % 64, 0u);
+    for (size_t e = 0; e < 65 * 64; ++e) ASSERT_EQ(scratch.panel(p)[e], 0.0);
+  }
+  EXPECT_EQ(scratch.panel(1) - scratch.panel(0), 65 * 64);
 }
 
-TEST(MaskedMultiplyTest, EmptyPatternRowsAreSkipped) {
-  // Node 2 is isolated.
+/// The panel kernel against the oracle, bit for bit, on sizes around the
+/// 64-column panel edge (and the 16-column sweep of the 2-wide copy) and
+/// densities from sparse to complete, at every SIMD level, serial and
+/// pooled. Each case runs two steps on one scratch, the second with a
+/// fresh iterate, as CliqueRank reuses it.
+TEST(MaskedMultiplyTest, PanelKernelMatchesOracleBitwise) {
+  ThreadPool pool(4);
+  for (size_t n : {1u, 5u, 17u, 63u, 64u, 65u, 130u, 200u}) {
+    for (double density : {0.05, 0.3, 1.0}) {
+      Fixture f = MakeFixture(n, density, 100 + n);
+      const std::vector<double> first = RandomIterate(f, 200 + n);
+      const std::vector<double> second = RandomIterate(f, 300 + n);
+      const std::vector<double> want =
+          MaskedProductOracle(f.trans, second, f.pattern);
+      for (SimdLevel level : SupportedLevels()) {
+        ScopedSimdLevel scoped(level);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const std::string where =
+              "n " + std::to_string(n) + " density " +
+              std::to_string(density) + " level " + SimdLevelName(level) +
+              (p ? " pooled" : " serial");
+          const ExecContext ctx = ExecContext::WithPool(p);
+          PanelScratch scratch(n);
+          std::vector<double> out(f.pattern.nnz(), -1.0);
+          ASSERT_TRUE(ComputeMaskedProductPanels(f.trans, first.data(),
+                                                 f.pattern, &scratch,
+                                                 out.data(), ctx)
+                          .ok());
+          ASSERT_TRUE(ComputeMaskedProductPanels(f.trans, second.data(),
+                                                 f.pattern, &scratch,
+                                                 out.data(), ctx)
+                          .ok());
+          EXPECT_EQ(out, want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedMultiplyTest, PanelKernelHandlesIsolatedRows) {
+  // Node 2 is isolated: its empty pattern row writes nothing.
   CsrMatrix pattern =
       CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 0, 1.0}});
   CsrMatrix trans = CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 0, 1.0}});
-  std::vector<double> scratch(9, 0.0);
   std::vector<double> cur = {0.5, 0.5};
-  ScatterToDense(pattern, cur.data(), scratch.data());
+  PanelScratch scratch(3);
   std::vector<double> out(2, -1.0);
-  ComputeMaskedProduct(trans, scratch.data(), pattern, out.data());
-  // out[(0,1)] = trans[0,1] * scratch[1*3+1] = 1.0 * 0 = 0
+  ASSERT_TRUE(ComputeMaskedProductPanels(trans, cur.data(), pattern, &scratch,
+                                         out.data())
+                  .ok());
+  // out[(0,1)] = trans[0,1] · scratch(1,1), which is off-pattern → 0.
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_DOUBLE_EQ(out[1], 0.0);
+}
+
+TEST(MaskedMultiplyTest, PanelKernelReportsCancellation) {
+  Fixture f = MakeFixture(40, 0.3, 9);
+  const std::vector<double> cur = RandomIterate(f, 10);
+  CancelToken token;
+  token.Cancel();
+  ExecContext ctx;
+  ctx.cancel = &token;
+  PanelScratch scratch(f.n);
+  std::vector<double> out(f.pattern.nnz(), 0.0);
+  EXPECT_TRUE(IsCancellation(ComputeMaskedProductPanels(
+      f.trans, cur.data(), f.pattern, &scratch, out.data(), ctx)));
 }
 
 }  // namespace

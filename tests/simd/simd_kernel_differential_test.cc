@@ -1,17 +1,15 @@
-// SIMD-vs-scalar differential tests for the dispatched compute core:
-// packed GEMM (≤1e-12 relative, FMA-reassociated), the batched
-// Jaro-Winkler (bitwise), the dispatch machinery itself, and tier
-// independence end to end: RunIter, ResolverState::BuildBatch and a
-// masked-engine FusionPipeline::Run give bitwise-identical output at every
-// level the host supports. AVX2-dependent cases GTEST_SKIP on machines or
-// builds without the level, so the suite passes everywhere.
+// SIMD-vs-scalar differential tests for the dispatched compute core: the
+// dispatch machinery itself, the batched Jaro-Winkler (bitwise), and tier
+// independence end to end: RunIter, ResolverState::BuildBatch and
+// FusionPipeline::Run on both CliqueRank engines give bitwise-identical
+// output at every level the host supports. AVX2-dependent cases
+// GTEST_SKIP on machines or builds without the level, so the suite passes
+// everywhere.
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,8 +27,8 @@
 #include "gter/er/pair_space.h"
 #include "gter/er/preprocess.h"
 #include "gter/graph/bipartite_graph.h"
-#include "gter/matrix/gemm.h"
 #include "gter/text/string_metrics.h"
+#include "common/simd_levels.h"
 
 namespace gter {
 namespace {
@@ -124,99 +122,6 @@ TEST(SimdDispatch, EmitCpuInfoRecordsGaugesAndTraceLabel) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed GEMM.
-
-DenseMatrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
-  DenseMatrix m(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) m(r, c) = rng->UniformDouble(-1.0, 1.0);
-  }
-  return m;
-}
-
-void ExpectGemmClose(const DenseMatrix& ref, const DenseMatrix& got) {
-  ASSERT_EQ(ref.rows(), got.rows());
-  ASSERT_EQ(ref.cols(), got.cols());
-  for (size_t r = 0; r < ref.rows(); ++r) {
-    for (size_t c = 0; c < ref.cols(); ++c) {
-      const double tolerance =
-          1e-12 * std::max(1.0, std::fabs(ref(r, c)));
-      ASSERT_NEAR(got(r, c), ref(r, c), tolerance) << "at (" << r << ", " << c
-                                                   << ")";
-    }
-  }
-}
-
-// (m, k, n) shapes straddling every packing edge: the 4-row micropanel, the
-// 8-column panel, the 64-row MC block, and the 256-deep KC slab.
-class GemmDifferential
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
-
-TEST_P(GemmDifferential, PackedAvx2MatchesScalarWithinTolerance) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  auto [m, k, n] = GetParam();
-  Rng rng(m * 131 + k * 17 + n);
-  DenseMatrix a = RandomMatrix(m, k, &rng);
-  DenseMatrix b = RandomMatrix(k, n, &rng);
-
-  DenseMatrix ref, got;
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    Gemm(a, b, &ref);
-  }
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    Gemm(a, b, &got);
-  }
-  ExpectGemmClose(ref, got);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmDifferential,
-    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 7),
-                      std::make_tuple(4, 8, 8), std::make_tuple(5, 9, 17),
-                      std::make_tuple(63, 64, 65), std::make_tuple(64, 64, 64),
-                      std::make_tuple(65, 257, 9), std::make_tuple(70, 31, 70),
-                      std::make_tuple(130, 300, 66)));
-
-TEST(GemmSimd, SparseRowsSurviveThePanelSkip) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  // Rows 0-3 all zero, row 4 dense: the all-zero micropanel must be
-  // skipped without corrupting C, and the mixed panel must still compute.
-  Rng rng(5);
-  DenseMatrix a(9, 300, 0.0);
-  for (size_t c = 0; c < 300; ++c) a(4, c) = rng.UniformDouble(-1.0, 1.0);
-  for (size_t c = 0; c < 300; c += 3) a(8, c) = rng.UniformDouble(-1.0, 1.0);
-  DenseMatrix b = RandomMatrix(300, 33, &rng);
-  DenseMatrix ref, got;
-  {
-    ScopedSimdLevel scalar(SimdLevel::kScalar);
-    Gemm(a, b, &ref);
-  }
-  {
-    ScopedSimdLevel avx2(SimdLevel::kAvx2);
-    Gemm(a, b, &got);
-  }
-  ExpectGemmClose(ref, got);
-  for (size_t c = 0; c < 33; ++c) ASSERT_EQ(got(0, c), 0.0);
-}
-
-TEST(GemmSimd, PackedKernelIsThreadCountInvariant) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  Rng rng(9);
-  DenseMatrix a = RandomMatrix(150, 90, &rng);
-  DenseMatrix b = RandomMatrix(90, 70, &rng);
-  ScopedSimdLevel avx2(SimdLevel::kAvx2);
-  DenseMatrix serial, parallel;
-  Gemm(a, b, &serial);
-  ThreadPool pool(4);
-  Gemm(a, b, &parallel, ExecContext::WithPool(&pool));
-  // Row blocks are computed independently with a fixed k-order, so the
-  // pool changes nothing — bit for bit.
-  EXPECT_EQ(serial.MaxAbsDiff(parallel), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // RunIter end-to-end.
 
 struct IterWorld {
@@ -248,19 +153,11 @@ struct IterWorld {
   }
 };
 
-// Every level up to what the host supports; on an AVX-512 host all three.
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (level <= DetectSimdLevel()) levels.push_back(level);
-  }
-  return levels;
-}
-
-// Only GEMM may change numerics between tiers: ITER, the incremental
-// engine and the masked CliqueRank engine run scalar code at every level,
-// so their output must not depend on the level at all.
+// No fusion output depends on the tier: ITER and the incremental engine
+// run scalar code at every level, and the dense engine's panel kernel is
+// bitwise equal to the scalar sum at each width, so the masked-engine run
+// on Product and the dense-engine run on Paper (one source, triangles, so
+// every CliqueRank step runs a panel product) must not move at all.
 TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
   if (!Avx2Available()) GTEST_SKIP() << "no SIMD tier to compare";
   IterWorld world(42);
@@ -277,9 +174,17 @@ TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
   fusion_config.rounds = 3;
   fusion_config.cliquerank.engine = CliqueRankEngine::kMaskedSparse;
 
+  Dataset dense_data =
+      GenerateBenchmark(BenchmarkKind::kPaper, 0.1, 5).dataset;
+  RemoveFrequentTerms(&dense_data);
+  FusionConfig dense_config;
+  dense_config.rounds = 2;
+  dense_config.cliquerank.engine = CliqueRankEngine::kDense;
+
   IterResult iter_ref;
   std::unique_ptr<ResolverState> batch_ref;
   FusionResult fusion_ref;
+  FusionResult dense_ref;
   for (SimdLevel level : SupportedLevels()) {
     SCOPED_TRACE(SimdLevelName(level));
     ScopedSimdLevel scoped(level);
@@ -294,10 +199,18 @@ TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
     FusionPipeline pipeline(fusion_data, fusion_config);
     FusionResult fusion = pipeline.Run().value();
 
+    MetricsRegistry dense_metrics;
+    ExecContext dense_ctx;
+    dense_ctx.metrics = &dense_metrics;
+    FusionPipeline dense_pipeline(dense_data, dense_config);
+    FusionResult dense = dense_pipeline.Run(dense_ctx).value();
+    ASSERT_GT(dense_metrics.Counter("cliquerank/steps"), 0u);
+
     if (level == SimdLevel::kScalar) {
       iter_ref = std::move(iter);
       batch_ref = std::move(batch);
       fusion_ref = std::move(fusion);
+      dense_ref = std::move(dense);
       continue;
     }
     EXPECT_EQ(iter.term_weights, iter_ref.term_weights);
@@ -317,6 +230,10 @@ TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
                 std::bit_cast<uint64_t>(fusion_ref.pair_probability[p]))
           << "pair " << p;
     }
+
+    EXPECT_EQ(dense.matches, dense_ref.matches);
+    EXPECT_EQ(dense.cluster_of, dense_ref.cluster_of);
+    EXPECT_EQ(dense.pair_probability, dense_ref.pair_probability);
   }
 }
 

@@ -54,9 +54,12 @@ awk '/^void DeclarePipelineMetrics/,/^}/' "${fusion_cc}" \
   | grep -o '"[^"]*"' | tr -d '"' > "${declared_file}"
 cat "${declared_file}" >> "${slugs_file}"
 
-# 2. ScopedTimer name literals anywhere under src/ (the name is the first
-#    string literal in the constructor call, sometimes on the next line).
-grep -rh -A1 'ScopedTimer [a-z_]*(' "${src}" --include='*.cc' \
+# 2. ScopedTimer name literals anywhere under src/: the name is a string
+#    literal in the constructor call, at most two lines below its opening
+#    line, and a call that picks one of two names by a conditional
+#    (cliquerank.cc: cliquerank/dense_product or cliquerank/masked_product)
+#    contributes both.
+grep -rh -A2 'ScopedTimer [a-z_]*(' "${src}" --include='*.cc' \
   | grep -o '"[a-z0-9_/]*/[a-z0-9_/]*"' | tr -d '"' >> "${slugs_file}"
 
 # 3. The per-request "server/..." literals (service.cc timer names,

@@ -14,9 +14,9 @@
 //       probabilities into entities (connected_components, correlation,
 //       the clean-clean matching family, hierarchical).
 //       --simd=scalar pins the scalar reference kernels; auto picks the
-//       best level CPUID reports. Only the dense CliqueRank engine's GEMM
-//       numerics depend on the level (by at most 1e-12 relative), so a
-//       sparse corpus resolves byte-identically at every level.
+//       best level CPUID reports. The level changes speed only: every
+//       kernel is bitwise equal to its scalar twin, so a corpus resolves
+//       byte-identically at every level.
 //       Ctrl-C (or an elapsed --deadline_ms) cancels the run at the next
 //       stage boundary: the partial results seen so far are reported,
 //       --metrics_out/--trace_out are still written, and the exit code
