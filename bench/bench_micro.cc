@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrates: the masked
 // sparse multiply, both CliqueRank engines, string metrics, tokenization,
-// one ITER sweep, PageRank, and the parallel RSS pair loop — the kernels
-// whose cost model DESIGN.md documents.
+// one whole ITER run, one fusion Run, PageRank, and the parallel RSS pair
+// loop — the kernels whose cost model DESIGN.md documents.
 //
 // Besides the usual --benchmark_* flags, main() accepts:
 //   --metrics_out=PATH   dump the stage timers the kernels record (the
@@ -191,23 +191,46 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
-// One ITER sweep over the Paper corpus at scale 0.2. ITER has a single
-// implementation, so its timer carries no level.
-void BM_IterSweep(benchmark::State& state) {
+// One whole RunIter over the Paper corpus at scale 0.2, at the fusion
+// round's cap (100 sweeps, tolerance 0), so the call's one-time grouping of
+// pairs by shared-term set is paid as often as in a fusion round. ITER has
+// a single implementation, so its timer carries no level.
+IterOptions FusionCapIterOptions() {
+  IterOptions options;
+  options.max_iterations = 100;
+  options.tolerance = 0.0;
+  return options;
+}
+
+void BM_IterRun(benchmark::State& state) {
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
   RemoveFrequentTerms(&data.dataset);
   PairSpace pairs = PairSpace::Build(data.dataset);
   BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
   std::vector<double> probability(pairs.size(), 1.0);
-  IterOptions options;
-  options.max_iterations = 1;  // cost of one sweep
-  options.tolerance = 0.0;
-  TimedLoop(state, TimerName("iter_sweep", data.dataset.size()), [&] {
+  const IterOptions options = FusionCapIterOptions();
+  TimedLoop(state, TimerName("iter_run", data.dataset.size()), [&] {
     benchmark::DoNotOptimize(RunIter(graph, probability, options));
   });
   state.counters["bipartite_edges"] = static_cast<double>(graph.num_edges());
 }
-BENCHMARK(BM_IterSweep);
+BENCHMARK(BM_IterRun);
+
+// One FusionPipeline::Run (default config: 5 rounds) on the two-source
+// Product corpus at scale 0.3, built in memory. Its record graph is
+// bipartite, so CliqueRank runs no product and the timer carries the
+// per-round work around it: ITER, the graph's weights, M_t and M_b.
+void BM_FusionRun(benchmark::State& state) {
+  auto data = GenerateBenchmark(BenchmarkKind::kProduct, 0.3, 5);
+  RemoveFrequentTerms(&data.dataset);
+  FusionPipeline pipeline(data.dataset, FusionConfig());
+  TimedLoop(state, TimerName("fusion_run_product", data.dataset.size()), [&] {
+    auto result = pipeline.Run();
+    benchmark::DoNotOptimize(result.value().pair_probability.data());
+  });
+  state.counters["pairs"] = static_cast<double>(pipeline.pairs().size());
+}
+BENCHMARK(BM_FusionRun);
 
 // CliqueRank through the masked-sparse engine on the same corpus. The
 // Paper graph has triangles, so all 8 steps run (a bipartite graph would
@@ -287,17 +310,16 @@ void BM_Rss(benchmark::State& state) {
 }
 BENCHMARK(BM_Rss)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// One ITER sweep with the propagation loops split across range(0) threads.
-void BM_IterSweepParallel(benchmark::State& state) {
+// BM_IterRun's whole RunIter with the propagation loops split across
+// range(0) threads.
+void BM_IterRunParallel(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
   RemoveFrequentTerms(&data.dataset);
   PairSpace pairs = PairSpace::Build(data.dataset);
   BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
   std::vector<double> probability(pairs.size(), 1.0);
-  IterOptions options;
-  options.max_iterations = 1;  // cost of one sweep
-  options.tolerance = 0.0;
+  const IterOptions options = FusionCapIterOptions();
   ThreadPool pool(threads);
   ExecContext ctx;
   if (threads > 1) ctx.pool = &pool;
@@ -306,7 +328,7 @@ void BM_IterSweepParallel(benchmark::State& state) {
   }
   state.counters["bipartite_edges"] = static_cast<double>(graph.num_edges());
 }
-BENCHMARK(BM_IterSweepParallel)->Arg(1)->Arg(4)->UseRealTime();
+BENCHMARK(BM_IterRunParallel)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_PageRank(benchmark::State& state) {
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <span>
 
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
@@ -15,36 +14,41 @@
 namespace gter {
 namespace {
 
-// The recurrence on the edge pattern, shared by both engines: the iterate,
-// the accumulator and the read-out of p live in value arrays parallel to
-// the pattern's CSR values, and only the per-step product differs. The
-// two products are bit-identical (masked_multiply.h), so the engine
-// choice decides speed and memory, never p.
-Result<std::vector<double>> RunSteps(const CliqueRankSetup& setup,
+// The recurrence on the graph's stored edge pattern, shared by both
+// engines: the iterate, the accumulator and the read-out of p live in
+// value arrays parallel to the pattern's CSR values, and only the per-step
+// product differs. The two products are bit-identical
+// (masked_multiply.h), so the engine choice decides speed and memory,
+// never p. M¹ = M_b becomes the accumulator; the iterates and the
+// product's scratch exist only when a product runs.
+Result<std::vector<double>> RunSteps(const RecordGraph& graph,
+                                     const CsrMatrix& trans,
+                                     std::vector<double> accum,
                                      CliqueRankEngine engine, size_t steps,
-                                     const PairSpace& pairs,
                                      MetricsRegistry* metrics,
                                      TraceRecorder* recorder,
                                      const ExecContext& ctx) {
-  const CsrMatrix& trans = setup.transition;
-  const CsrMatrix& pattern = setup.pattern;
+  const CsrMatrix& pattern = graph.AdjacencyMatrix();
   const size_t n = pattern.rows();
   const bool dense = engine == CliqueRankEngine::kDense;
-  std::vector<double> cur = setup.boosted;
-  std::vector<double> accum = cur;
-  std::vector<double> next(cur.size(), 0.0);
-  // The dense engine's only dense state, made only when a product runs.
+  std::vector<double> cur, next;
+  // The dense engine's only dense state.
   std::optional<PanelScratch> scratch;
-  if (dense && steps > 1) scratch.emplace(n);
+  size_t product_bytes = 0;
+  if (steps > 1) {
+    cur = accum;
+    next.assign(accum.size(), 0.0);
+    if (dense) scratch.emplace(n);
+    // The panel scratch, or the CSR kernel's O(n) per-chunk accumulator.
+    product_bytes = dense ? scratch->bytes() : n * sizeof(double);
+  }
   if (metrics != nullptr) {
-    // cur/accum/next on the edge pattern plus the product's own buffer:
-    // the panel scratch, or the CSR kernel's O(n) per-chunk accumulator.
-    const size_t product_bytes =
-        dense ? (scratch ? scratch->bytes() : 0) : n * sizeof(double);
-    metrics->SetGauge(
-        "cliquerank/scratch_bytes",
-        static_cast<double>(3 * pattern.nnz() * sizeof(double) +
-                            product_bytes));
+    // accum, plus cur/next and the product's own buffer when one runs.
+    const size_t arrays = steps > 1 ? 3 : 1;
+    metrics->SetGauge("cliquerank/scratch_bytes",
+                      static_cast<double>(arrays * accum.size() *
+                                              sizeof(double) +
+                                          product_bytes));
   }
   for (size_t step = 2; step <= steps; ++step) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
@@ -66,34 +70,25 @@ Result<std::vector<double>> RunSteps(const CliqueRankSetup& setup,
     });
   }
 
-  std::vector<double> probability(pairs.size(), 0.0);
-  ParallelFor(ctx.pool, 0, pairs.size(), /*grain=*/256,
+  std::vector<double> probability(graph.num_edges(), 0.0);
+  ParallelFor(ctx.pool, 0, probability.size(), /*grain=*/256,
               [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) {
-      const RecordPair& rp = pairs.pair(p);
-      int64_t pos_ab = pattern.PositionOf(rp.a, rp.b);
-      int64_t pos_ba = pattern.PositionOf(rp.b, rp.a);
-      GTER_CHECK(pos_ab >= 0 && pos_ba >= 0);
-      double avg = (accum[static_cast<size_t>(pos_ab)] +
-                    accum[static_cast<size_t>(pos_ba)]) /
-                   2.0;
+      const RecordGraph::EdgePositions pos = graph.PositionsOf(p);
+      const double avg = (accum[pos.ab] + accum[pos.ba]) / 2.0;
       probability[p] = std::clamp(avg, 0.0, 1.0);
     }
   });
   return probability;
 }
 
-}  // namespace
-
-CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
-                                   const CliqueRankOptions& options) {
-  CliqueRankSetup setup;
-  setup.pattern = graph.AdjacencyMatrix();
-  // A structural copy of the pattern whose values are overwritten row by
-  // row below; rows are visited in CSR order, so the sampled bonuses are
-  // drawn in CSR value order.
-  setup.transition = setup.pattern;
-  setup.boosted.resize(setup.transition.nnz());
+// Writes M_t into `transition` and M_b into `boosted`, value arrays
+// parallel to the graph's pattern. They may be one array: each M_b entry
+// is computed from the same M_t entry and written over it.
+void WriteTransitionAndBoost(const RecordGraph& graph,
+                             const CliqueRankOptions& options,
+                             double* transition, double* boosted) {
+  const CsrMatrix& pattern = graph.AdjacencyMatrix();
   Rng rng(options.seed);
   double expected_boost = 0.0;
   if (options.use_boost && options.boost_mode == BoostMode::kExpected) {
@@ -101,11 +96,13 @@ CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
     expected_boost =
         (std::pow(2.0, options.alpha + 1.0) - 1.0) / (options.alpha + 1.0);
   }
+  // Rows are visited in CSR order, so the sampled bonuses are drawn in CSR
+  // value order.
   for (RecordId r = 0; r < graph.num_nodes(); ++r) {
     auto wts = graph.Weights(r);
     if (wts.empty()) continue;
-    std::span<double> tv = setup.transition.MutableRowValues(r);
-    double* bv = setup.boosted.data() + setup.transition.RowStart(r);
+    double* tv = transition + pattern.RowStart(r);
+    double* bv = boosted + pattern.RowStart(r);
     double row_max = 0.0;
     for (double w : wts) row_max = std::max(row_max, w);
     if (row_max <= 0.0) {
@@ -132,6 +129,17 @@ CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
       bv[k] = t;
     }
   }
+}
+
+}  // namespace
+
+CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
+                                   const CliqueRankOptions& options) {
+  CliqueRankSetup setup;
+  setup.transition.resize(graph.AdjacencyMatrix().nnz());
+  setup.boosted.resize(graph.AdjacencyMatrix().nnz());
+  WriteTransitionAndBoost(graph, options, setup.transition.data(),
+                          setup.boosted.data());
   return setup;
 }
 
@@ -140,17 +148,12 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
                                        const CliqueRankOptions& options,
                                        const ExecContext& ctx) {
   GTER_CHECK(options.max_steps >= 1);
+  GTER_CHECK(pairs.size() == graph.num_edges());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
   MetricsRegistry* metrics = ctx.metrics_or_ambient();
   TraceRecorder* recorder = ctx.trace_or_ambient();
   ScopedTimer total_timer(metrics, recorder, "cliquerank/total");
   Stopwatch watch;
-  CliqueRankSetup setup;
-  {
-    ScopedTimer setup_timer(metrics, recorder, "cliquerank/setup");
-    setup = TransitionAndBoost(graph, options);
-  }
-
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {
     engine = graph.Density() >= options.dense_density_threshold
@@ -161,6 +164,20 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   // neighbours k of i and j. A bipartite graph has none, so those steps add
   // exactly +0.0 and p is the one-step M_b term (DESIGN.md §4).
   const size_t steps = graph.IsBipartite() ? 1 : options.max_steps;
+  // M_b, the first iterate. When products run, M_t is written straight
+  // into a copy of the pattern, the matrix the product kernels take;
+  // otherwise it is needed only on the way to M_b and shares its array.
+  std::vector<double> boosted(graph.AdjacencyMatrix().nnz());
+  CsrMatrix trans;
+  {
+    ScopedTimer setup_timer(metrics, recorder, "cliquerank/setup");
+    double* transition = boosted.data();
+    if (steps > 1) {
+      trans = graph.AdjacencyMatrix();
+      transition = trans.mutable_values().data();
+    }
+    WriteTransitionAndBoost(graph, options, transition, boosted.data());
+  }
   if (metrics != nullptr) {
     metrics->AddCounter("cliquerank/runs");
     metrics->AddCounter(engine == CliqueRankEngine::kDense
@@ -171,7 +188,8 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   CliqueRankResult result;
   result.engine_used = engine;
   Result<std::vector<double>> probability =
-      RunSteps(setup, engine, steps, pairs, metrics, recorder, ctx);
+      RunSteps(graph, trans, std::move(boosted), engine, steps, metrics,
+               recorder, ctx);
   GTER_RETURN_IF_ERROR(probability.status());
   if (metrics != nullptr) {
     // The matrix products that ran: 0 when the graph is bipartite.

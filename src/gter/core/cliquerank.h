@@ -8,7 +8,6 @@
 #include "gter/common/exec_context.h"
 #include "gter/er/pair_space.h"
 #include "gter/graph/record_graph.h"
-#include "gter/matrix/csr_matrix.h"
 
 namespace gter {
 
@@ -64,38 +63,40 @@ struct CliqueRankResult {
   double seconds = 0.0;
 };
 
-/// Runs CliqueRank over the record graph built from ITER's similarities.
-/// Matrix kernels run on `ctx.pool` at `ActiveSimdLevel()`; metrics (engine
-/// chosen, setup and per-step kernel time, matrix steps run, scratch bytes)
-/// go to `ctx.metrics` with ambient fallback. Cancellation is polled at
-/// entry and once per matrix step in both engines. A graph with no records
-/// gives an empty `pair_probability`.
+/// Runs CliqueRank over the record graph built from ITER's similarities;
+/// `pairs` is the pair space the graph was built from. It reads the graph's
+/// stored edge pattern, pair positions and bipartiteness, so a call builds
+/// no structure. Matrix kernels run on `ctx.pool` at `ActiveSimdLevel()`;
+/// metrics (engine chosen, setup and per-step kernel time, matrix steps
+/// run, scratch bytes) go to `ctx.metrics` with ambient fallback.
+/// Cancellation is polled at entry and once per matrix step in both
+/// engines. A graph with no records gives an empty `pair_probability`.
 Result<CliqueRankResult> RunCliqueRank(
     const RecordGraph& graph, const PairSpace& pairs,
     const CliqueRankOptions& options = {},
     const ExecContext& ctx = DefaultExecContext());
 
-/// The one-step matrices CliqueRank's recurrence starts from, all on the
-/// record graph's edge pattern (same CSR layout, so positions line up).
+/// The one-step matrices CliqueRank's recurrence starts from, as value
+/// arrays parallel to the record graph's AdjacencyMatrix() (whose structure
+/// is M_n, the edge pattern the recurrence lives on), so positions line up
+/// with it.
 struct CliqueRankSetup {
-  /// M_n: the symmetric 0/1 adjacency (RecordGraph::AdjacencyMatrix).
-  CsrMatrix pattern;
   /// M_t of Eq. 11/13: row i holds s(i,j)^α / Σ_k s(i,k)^α over i's
   /// neighbors. Rows are stabilized by dividing weights by the row maximum
   /// before powering; rows whose weights are all zero fall back to uniform
   /// transitions.
-  CsrMatrix transition;
-  /// M_b of Eq. 12, parallel to `transition`'s value array: with
-  /// t = M_t[i,j] and per-directed-edge bonus B = (1+b)^α,
-  /// M_b[i,j] = B·t / (1 − t + B·t) (Eq. 12 after dividing by the row's
-  /// unboosted normalizer). Equals M_t when `use_boost` is off; zero
-  /// entries stay zero. Sampled bonuses are drawn from `options.seed` in
-  /// CSR value order.
+  std::vector<double> transition;
+  /// M_b of Eq. 12, parallel to `transition`: with t = M_t[i,j] and
+  /// per-directed-edge bonus B = (1+b)^α, M_b[i,j] = B·t / (1 − t + B·t)
+  /// (Eq. 12 after dividing by the row's unboosted normalizer). Equals M_t
+  /// when `use_boost` is off; zero entries stay zero. Sampled bonuses are
+  /// drawn from `options.seed` in CSR value order.
   std::vector<double> boosted;
 };
 
-/// Builds M_n, M_t and M_b in one sweep over the graph's rows (shared by
-/// both engines; exposed for property tests and ablations).
+/// Computes M_t and M_b in one sweep over the graph's rows from its current
+/// weights; writes only the two value arrays (shared by both engines;
+/// exposed for property tests and ablations).
 CliqueRankSetup TransitionAndBoost(const RecordGraph& graph,
                                    const CliqueRankOptions& options);
 

@@ -51,6 +51,9 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
   };
   // §V-C: p(r_i, r_j) is initialized to 1 before CliqueRank derives it.
   result.pair_probability.assign(pairs_.size(), 1.0);
+  // G_r's structure is fixed by the pair space: round 1 builds it inside
+  // its probability stage, and later rounds only rewrite its weights.
+  RecordGraph graph;
 
   for (size_t round = 1; round <= config_.rounds; ++round) {
     if (Status s = ctx.CheckCancel(); !s.ok()) return fail(std::move(s));
@@ -78,12 +81,18 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     result.pair_scores = std::move(iter.pair_scores);
 
     Stopwatch prob_watch;
-    RecordGraph graph =
-        RecordGraph::Build(dataset_.size(), pairs_, result.pair_scores);
+    if (round == 1) {
+      graph = RecordGraph::Build(dataset_.size(), pairs_, result.pair_scores);
+    } else {
+      graph.SetWeights(result.pair_scores);
+    }
     Result<CliqueRankResult> cr =
         RunCliqueRank(graph, pairs_, config_.cliquerank, ctx);
     if (!cr.ok()) return fail(cr.status());
     result.pair_probability = std::move(cr).value().pair_probability;
+    // The last stage that reads G_r also releases it, so the graph's whole
+    // life is timed as the probability stage.
+    if (round == config_.rounds) graph = RecordGraph();
     stats.probability_seconds = prob_watch.ElapsedSeconds();
     stats.cumulative_seconds = total_watch.ElapsedSeconds();
     result.round_stats.push_back(stats);

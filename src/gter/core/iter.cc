@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 
 #include "gter/common/logging.h"
 #include "gter/common/metrics.h"
@@ -55,15 +56,6 @@ double GatherSum(const double* values, std::span<const uint32_t> idx) {
   return acc;
 }
 
-/// Σ_i weights[idx[i]] · values[idx[i]], accumulated left to right: the
-/// Σ_p p(r_i, r_j)·s(p) of Algorithm 1 lines 5–6.
-double GatherWeightedSum(const double* weights, const double* values,
-                         std::span<const uint32_t> idx) {
-  double acc = 0.0;
-  for (uint32_t i : idx) acc += weights[i] * values[i];
-  return acc;
-}
-
 /// s(r_i, r_j) ← Σ_{t shared} x_t for every pair (Algorithm 1 lines 3–4).
 /// Each pair gathers its own adjacency, so the chunks are independent.
 void ScoreAllPairs(const BipartiteGraph& graph, const std::vector<double>& x,
@@ -71,6 +63,75 @@ void ScoreAllPairs(const BipartiteGraph& graph, const std::vector<double>& x,
   ParallelFor(pool, 0, graph.num_pairs(), kGrain, [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) {
       (*s)[p] = GatherSum(x.data(), graph.TermsOfPair(p));
+    }
+  });
+}
+
+/// The pairs grouped by their shared-term set. s(r_i, r_j) of Algorithm 1
+/// lines 3–4 depends on a pair only through that set, so one ordered sum
+/// per set stands for every pair in it, bit for bit: each set's terms are
+/// one pair's TermsOfPair, the same ascending list every pair of the set
+/// has.
+struct TermSets {
+  /// Set id of each pair, by PairId.
+  std::vector<uint32_t> set_of;
+  /// The first pair (lowest PairId) with each set, by set id.
+  std::vector<PairId> first_pair;
+};
+
+/// Set ids are assigned in first-seen PairId order. A pair with one shared
+/// term is keyed by that term; any other pair by a hash of its term list,
+/// whose collisions are resolved by comparing the lists. The hash map is
+/// only probed, never iterated, so the ids do not depend on its layout.
+TermSets GroupByTermSet(const BipartiteGraph& graph) {
+  constexpr uint32_t kNone = UINT32_MAX;
+  TermSets sets;
+  sets.set_of.resize(graph.num_pairs());
+  std::vector<uint32_t> of_single_term(graph.num_terms(), kNone);
+  // Hash → the newest set with that hash; older ones chain through
+  // next_with_hash (by set id).
+  std::unordered_map<uint64_t, uint32_t> newest_with_hash;
+  std::vector<uint32_t> next_with_hash;
+  const auto new_set = [&](PairId p, uint32_t chain) {
+    sets.first_pair.push_back(p);
+    next_with_hash.push_back(chain);
+    return static_cast<uint32_t>(sets.first_pair.size() - 1);
+  };
+  for (PairId p = 0; p < graph.num_pairs(); ++p) {
+    const std::span<const TermId> terms = graph.TermsOfPair(p);
+    uint32_t id = kNone;
+    if (terms.size() == 1) {
+      uint32_t& slot = of_single_term[terms[0]];
+      if (slot == kNone) slot = new_set(p, kNone);
+      id = slot;
+    } else {
+      uint64_t h = terms.size();
+      for (TermId t : terms) h = (h ^ t) * 0x9E3779B97F4A7C15ull;
+      uint32_t& newest = newest_with_hash.try_emplace(h, kNone).first->second;
+      for (id = newest; id != kNone; id = next_with_hash[id]) {
+        if (std::ranges::equal(graph.TermsOfPair(sets.first_pair[id]),
+                               terms)) {
+          break;
+        }
+      }
+      if (id == kNone) {
+        id = new_set(p, newest);
+        newest = id;
+      }
+    }
+    sets.set_of[p] = id;
+  }
+  return sets;
+}
+
+/// s of every set from x: the left-to-right GatherSum of its term list.
+void ScoreSets(const BipartiteGraph& graph, const TermSets& sets,
+               const std::vector<double>& x, std::vector<double>* score,
+               ThreadPool* pool) {
+  ParallelFor(pool, 0, sets.first_pair.size(), kGrain,
+              [&](size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      (*score)[k] = GatherSum(x.data(), graph.TermsOfPair(sets.first_pair[k]));
     }
   });
 }
@@ -122,8 +183,9 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
   for (double& x : result.term_weights) x = rng.OpenUniformDouble();
 
   std::vector<double>& x = result.term_weights;
-  std::vector<double>& s = result.pair_scores;
   std::vector<double> x_prev(num_terms);
+  const TermSets sets = GroupByTermSet(graph);
+  std::vector<double> set_score(sets.first_pair.size());
 
   // Both sweeps are gather-style — every output element reads only from the
   // previous phase's vector and accumulates its own adjacency in storage
@@ -137,20 +199,21 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
     ScopedTimer sweep_timer(metrics, recorder, "iter/sweep",
                             TraceArg{"sweep", static_cast<double>(iteration)});
 
-    // Lines 3–4: s(r_i, r_j) ← Σ_{t shared} x_t.
-    ScoreAllPairs(graph, x, &s, pool);
+    // Lines 3–4: s(r_i, r_j) ← Σ_{t shared} x_t, once per shared-term set.
+    ScoreSets(graph, sets, x, &set_score, pool);
 
     x_prev = x;
 
-    // Lines 5–6: x_t ← Σ_p p(r_i, r_j)·s(p) / P_t.
+    // Lines 5–6: x_t ← Σ_p p(r_i, r_j)·s(p) / P_t, over the pairs of t in
+    // ascending PairId.
     ParallelFor(pool, 0, num_terms, kGrain, [&](size_t lo, size_t hi) {
       for (TermId t = lo; t < hi; ++t) {
         auto adjacent = graph.PairsOfTerm(t);
-        x[t] = adjacent.empty()
-                   ? 0.0
-                   : GatherWeightedSum(edge_probability.data(), s.data(),
-                                       adjacent) /
-                         graph.Pt(t);
+        double acc = 0.0;
+        for (PairId p : adjacent) {
+          acc += edge_probability[p] * set_score[sets.set_of[p]];
+        }
+        x[t] = adjacent.empty() ? 0.0 : acc / graph.Pt(t);
       }
     });
 
@@ -177,8 +240,12 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
     metrics->AddCounter("iter/converged");
   }
 
-  // Final pair scores from the converged weights.
-  ScoreAllPairs(graph, x, &s, pool);
+  // Final pair scores from the converged weights, written once.
+  ScoreSets(graph, sets, x, &set_score, pool);
+  std::vector<double>& s = result.pair_scores;
+  ParallelFor(pool, 0, num_pairs, kGrain, [&](size_t lo, size_t hi) {
+    for (PairId p = lo; p < hi; ++p) s[p] = set_score[sets.set_of[p]];
+  });
   return result;
 }
 

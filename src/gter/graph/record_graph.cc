@@ -1,85 +1,29 @@
 #include "gter/graph/record_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "gter/common/status.h"
 
 namespace gter {
+namespace {
 
-RecordGraph RecordGraph::Build(size_t num_records, const PairSpace& pairs,
-                               const std::vector<double>& similarity) {
-  GTER_CHECK(similarity.size() == pairs.size());
-  RecordGraph g;
-  std::vector<size_t> degree(num_records, 0);
-  for (const RecordPair& rp : pairs.pairs()) {
-    ++degree[rp.a];
-    ++degree[rp.b];
-  }
-  g.offsets_.assign(num_records + 1, 0);
-  for (size_t r = 0; r < num_records; ++r) {
-    g.offsets_[r + 1] = g.offsets_[r] + degree[r];
-  }
-  size_t total = g.offsets_[num_records];
-  g.adjacency_.resize(total);
-  g.weights_.resize(total);
-  g.edge_pairs_.resize(total);
-  std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (PairId p = 0; p < pairs.size(); ++p) {
-    const RecordPair& rp = pairs.pair(p);
-    double w = std::max(similarity[p], 0.0);
-    g.adjacency_[cursor[rp.a]] = rp.b;
-    g.weights_[cursor[rp.a]] = w;
-    g.edge_pairs_[cursor[rp.a]] = p;
-    ++cursor[rp.a];
-    g.adjacency_[cursor[rp.b]] = rp.a;
-    g.weights_[cursor[rp.b]] = w;
-    g.edge_pairs_[cursor[rp.b]] = p;
-    ++cursor[rp.b];
-  }
-  // Sort each adjacency row by neighbor id (keeps CSR exports canonical).
-  for (size_t r = 0; r < num_records; ++r) {
-    size_t lo = g.offsets_[r], hi = g.offsets_[r + 1];
-    std::vector<size_t> order(hi - lo);
-    for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-      return g.adjacency_[lo + x] < g.adjacency_[lo + y];
-    });
-    std::vector<RecordId> adj(hi - lo);
-    std::vector<double> wts(hi - lo);
-    std::vector<PairId> eps(hi - lo);
-    for (size_t k = 0; k < order.size(); ++k) {
-      adj[k] = g.adjacency_[lo + order[k]];
-      wts[k] = g.weights_[lo + order[k]];
-      eps[k] = g.edge_pairs_[lo + order[k]];
-    }
-    std::copy(adj.begin(), adj.end(), g.adjacency_.begin() + lo);
-    std::copy(wts.begin(), wts.end(), g.weights_.begin() + lo);
-    std::copy(eps.begin(), eps.end(), g.edge_pairs_.begin() + lo);
-  }
-  return g;
-}
-
-double RecordGraph::Density() const {
-  size_t n = num_nodes();
-  if (n < 2) return 0.0;
-  double possible = static_cast<double>(n) * (n - 1) / 2.0;
-  return static_cast<double>(num_edges()) / possible;
-}
-
-bool RecordGraph::IsBipartite() const {
-  // 0 = not reached yet; 1 and 2 are the two sides. One queue serves every
-  // component: each node is pushed once, so `head` only moves forward.
-  std::vector<uint8_t> side(num_nodes(), 0);
+// BFS 2-colouring, O(n + m). 0 = not reached yet; 1 and 2 are the two
+// sides. One queue serves every component: each node is pushed once, so
+// `head` only moves forward.
+bool TwoColourable(const CsrMatrix& adjacency) {
+  const size_t n = adjacency.rows();
+  std::vector<uint8_t> side(n, 0);
   std::vector<RecordId> queue;
-  queue.reserve(num_nodes());
+  queue.reserve(n);
   size_t head = 0;
-  for (RecordId root = 0; root < num_nodes(); ++root) {
+  for (RecordId root = 0; root < n; ++root) {
     if (side[root] != 0) continue;
     side[root] = 1;
     queue.push_back(root);
     for (; head < queue.size(); ++head) {
       const RecordId r = queue[head];
-      for (RecordId nb : Neighbors(r)) {
+      for (RecordId nb : adjacency.RowCols(r)) {
         if (side[nb] == side[r]) return false;
         if (side[nb] == 0) {
           side[nb] = static_cast<uint8_t>(3 - side[r]);
@@ -91,28 +35,74 @@ bool RecordGraph::IsBipartite() const {
   return true;
 }
 
-double RecordGraph::EdgeWeight(RecordId a, RecordId b) const {
-  auto neigh = Neighbors(a);
-  auto it = std::lower_bound(neigh.begin(), neigh.end(), b);
-  if (it == neigh.end() || *it != b) return 0.0;
-  return Weights(a)[static_cast<size_t>(it - neigh.begin())];
+}  // namespace
+
+RecordGraph RecordGraph::Build(size_t num_records, const PairSpace& pairs,
+                               const std::vector<double>& similarity) {
+  GTER_CHECK(similarity.size() == pairs.size());
+  std::vector<size_t> row_ptr(num_records + 1, 0);
+  for (const RecordPair& rp : pairs.pairs()) {
+    GTER_CHECK(rp.a < num_records && rp.b < num_records && rp.a != rp.b);
+    ++row_ptr[rp.a + 1];
+    ++row_ptr[rp.b + 1];
+  }
+  for (size_t r = 0; r < num_records; ++r) row_ptr[r + 1] += row_ptr[r];
+  const size_t nnz = row_ptr[num_records];
+  GTER_CHECK(nnz <= UINT32_MAX);  // EdgePositions holds 32-bit positions
+
+  // Sort 1: each record's incident pairs, in PairId order. The graph is
+  // symmetric, so bucket c also lists the entries of column c.
+  std::vector<PairId> incident(nnz);
+  std::vector<size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (PairId p = 0; p < pairs.size(); ++p) {
+    const RecordPair& rp = pairs.pair(p);
+    incident[cursor[rp.a]++] = p;
+    incident[cursor[rp.b]++] = p;
+  }
+
+  // Sort 2: the columns in ascending order, each entry (r, c) dealt to the
+  // next free slot of row r, so every row ends sorted by neighbour id.
+  RecordGraph g;
+  std::vector<uint32_t> col_idx(nnz);
+  g.edge_pairs_.resize(nnz);
+  g.positions_.resize(pairs.size());
+  std::copy(row_ptr.begin(), row_ptr.end() - 1, cursor.begin());
+  for (RecordId c = 0; c < num_records; ++c) {
+    for (size_t k = row_ptr[c]; k < row_ptr[c + 1]; ++k) {
+      const PairId p = incident[k];
+      const RecordPair& rp = pairs.pair(p);
+      const RecordId r = rp.a == c ? rp.b : rp.a;
+      const size_t pos = cursor[r]++;
+      col_idx[pos] = c;
+      g.edge_pairs_[pos] = p;
+      (r == rp.a ? g.positions_[p].ab : g.positions_[p].ba) =
+          static_cast<uint32_t>(pos);
+    }
+  }
+  g.adjacency_ =
+      CsrMatrix::FromCsr(num_records, num_records, std::move(row_ptr),
+                         std::move(col_idx), std::vector<double>(nnz));
+  g.SetWeights(similarity);
+  g.bipartite_ = TwoColourable(g.adjacency_);
+  if (num_records >= 2) {
+    const double possible =
+        static_cast<double>(num_records) * (num_records - 1) / 2.0;
+    g.density_ = static_cast<double>(g.num_edges()) / possible;
+  }
+  return g;
+}
+
+void RecordGraph::SetWeights(const std::vector<double>& similarity) {
+  GTER_CHECK(similarity.size() == positions_.size());
+  std::span<double> weights = adjacency_.mutable_values();
+  for (size_t e = 0; e < edge_pairs_.size(); ++e) {
+    weights[e] = std::max(similarity[edge_pairs_[e]], 0.0);
+  }
 }
 
 bool RecordGraph::HasEdge(RecordId a, RecordId b) const {
   auto neigh = Neighbors(a);
   return std::binary_search(neigh.begin(), neigh.end(), b);
-}
-
-CsrMatrix RecordGraph::AdjacencyMatrix() const {
-  std::vector<CsrMatrix::Triplet> triplets;
-  triplets.reserve(adjacency_.size());
-  for (RecordId r = 0; r < num_nodes(); ++r) {
-    for (RecordId nb : Neighbors(r)) {
-      triplets.push_back({r, nb, 1.0});
-    }
-  }
-  return CsrMatrix::FromTriplets(num_nodes(), num_nodes(),
-                                 std::move(triplets));
 }
 
 }  // namespace gter

@@ -1,6 +1,7 @@
 #include "gter/matrix/csr_matrix.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "gter/common/status.h"
 
@@ -37,6 +38,29 @@ CsrMatrix CsrMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
+CsrMatrix CsrMatrix::FromCsr(size_t rows, size_t cols,
+                             std::vector<size_t> row_ptr,
+                             std::vector<uint32_t> col_idx,
+                             std::vector<double> values) {
+  GTER_CHECK(row_ptr.size() == rows + 1 && row_ptr[0] == 0);
+  GTER_CHECK(row_ptr[rows] == col_idx.size());
+  GTER_CHECK(values.size() == col_idx.size());
+  for (size_t r = 0; r < rows; ++r) {
+    GTER_CHECK(row_ptr[r] <= row_ptr[r + 1]);
+    for (size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      GTER_CHECK(col_idx[e] < cols);
+      GTER_CHECK(e == row_ptr[r] || col_idx[e - 1] < col_idx[e]);
+    }
+  }
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 double CsrMatrix::At(size_t r, size_t c) const {
   int64_t pos = PositionOf(r, c);
   return pos < 0 ? 0.0 : values_[static_cast<size_t>(pos)];
@@ -49,20 +73,6 @@ int64_t CsrMatrix::PositionOf(size_t r, size_t c) const {
   const uint32_t* it = std::lower_bound(begin, end, static_cast<uint32_t>(c));
   if (it == end || *it != c) return -1;
   return static_cast<int64_t>(it - col_idx_.data());
-}
-
-std::vector<double> CsrMatrix::MultiplyVector(
-    const std::vector<double>& x) const {
-  GTER_CHECK(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      acc += values_[p] * x[col_idx_[p]];
-    }
-    y[r] = acc;
-  }
-  return y;
 }
 
 void CsrMatrix::NormalizeRows() {

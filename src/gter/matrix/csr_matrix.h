@@ -27,6 +27,14 @@ class CsrMatrix {
   static CsrMatrix FromTriplets(size_t rows, size_t cols,
                                 std::vector<Triplet> triplets);
 
+  /// Adopts arrays that already are CSR: `row_ptr` holds rows + 1
+  /// non-decreasing offsets from 0 to nnz, and each row's column indices
+  /// are below `cols` and strictly ascending. Checked in O(rows + nnz).
+  static CsrMatrix FromCsr(size_t rows, size_t cols,
+                           std::vector<size_t> row_ptr,
+                           std::vector<uint32_t> col_idx,
+                           std::vector<double> values);
+
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t nnz() const { return col_idx_.size(); }
@@ -38,11 +46,6 @@ class CsrMatrix {
 
   /// Values of row `r`, parallel to RowCols(r).
   std::span<const double> RowValues(size_t r) const {
-    return {values_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
-  }
-
-  /// Mutable values of row `r`.
-  std::span<double> MutableRowValues(size_t r) {
     return {values_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
   }
 
@@ -60,9 +63,6 @@ class CsrMatrix {
   /// Flat CSR position of the first entry of row `r` (== the position of
   /// every entry in RowCols(r)/RowValues(r) offset by its index).
   size_t RowStart(size_t r) const { return row_ptr_[r]; }
-
-  /// y = this × x (dense vector).
-  std::vector<double> MultiplyVector(const std::vector<double>& x) const;
 
   /// Divides each row by its sum (rows with zero sum are left untouched) —
   /// turns a non-negative weight matrix into a stochastic transition matrix.

@@ -34,18 +34,6 @@ class DenseMatrix {
   /// Sets every entry to `value`.
   void Fill(double value);
 
-  /// Returns the transpose.
-  DenseMatrix Transposed() const;
-
-  /// Multiplies every entry by `s`.
-  void Scale(double s);
-
-  /// max over entries of |this - other| (shapes must match).
-  double MaxAbsDiff(const DenseMatrix& other) const;
-
-  /// Sum of all entries.
-  double Sum() const;
-
   /// Identity matrix of size n.
   static DenseMatrix Identity(size_t n);
 

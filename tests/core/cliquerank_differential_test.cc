@@ -73,13 +73,16 @@ std::vector<double> FullRecurrence(const RecordGraph& graph,
                                    const PairSpace& pairs,
                                    const CliqueRankOptions& options) {
   const CliqueRankSetup setup = TransitionAndBoost(graph, options);
+  const CsrMatrix& pattern = graph.AdjacencyMatrix();
+  CsrMatrix trans = pattern;
+  std::copy(setup.transition.begin(), setup.transition.end(),
+            trans.mutable_values().begin());
   std::vector<double> cur = setup.boosted;
   std::vector<double> accum = cur;
   std::vector<double> next(cur.size(), 0.0);
   for (size_t step = 2; step <= options.max_steps; ++step) {
-    EXPECT_TRUE(ComputeMaskedProductCsr(setup.transition, cur.data(),
-                                        setup.pattern, next.data())
-                    .ok());
+    EXPECT_TRUE(
+        ComputeMaskedProductCsr(trans, cur.data(), pattern, next.data()).ok());
     cur.swap(next);
     for (size_t e = 0; e < cur.size(); ++e) accum[e] += cur[e];
   }
@@ -87,8 +90,8 @@ std::vector<double> FullRecurrence(const RecordGraph& graph,
   for (PairId p = 0; p < pairs.size(); ++p) {
     const RecordPair& rp = pairs.pair(p);
     const double avg =
-        (accum[static_cast<size_t>(setup.pattern.PositionOf(rp.a, rp.b))] +
-         accum[static_cast<size_t>(setup.pattern.PositionOf(rp.b, rp.a))]) /
+        (accum[static_cast<size_t>(pattern.PositionOf(rp.a, rp.b))] +
+         accum[static_cast<size_t>(pattern.PositionOf(rp.b, rp.a))]) /
         2.0;
     probability[p] = std::clamp(avg, 0.0, 1.0);
   }

@@ -111,10 +111,10 @@ TEST(CliqueRankTest, SingleStepEqualsBoostedTransition) {
   options.max_steps = 1;
   options.use_boost = false;  // then M¹ = M_t exactly
   auto result = RunCliqueRank(graph, f.pairs, options).value();
-  const CsrMatrix mt = TransitionAndBoost(graph, options).transition;
+  const std::vector<double> mt = TransitionAndBoost(graph, options).transition;
   for (PairId p = 0; p < f.pairs.size(); ++p) {
-    const RecordPair& rp = f.pairs.pair(p);
-    double expected = (mt.At(rp.a, rp.b) + mt.At(rp.b, rp.a)) / 2.0;
+    const RecordGraph::EdgePositions pos = graph.PositionsOf(p);
+    double expected = (mt[pos.ab] + mt[pos.ba]) / 2.0;
     EXPECT_NEAR(result.pair_probability[p], std::min(expected, 1.0), 1e-12);
   }
 }

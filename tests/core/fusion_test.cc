@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gter/common/thread_pool.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "gter/eval/confusion.h"
@@ -192,6 +193,86 @@ TEST(FusionTest, EtaRuleDecidesAndClustererFormsEntities) {
       const RecordPair& rp = pairs.pair(p);
       EXPECT_EQ(result.cluster_of[rp.a], result.cluster_of[rp.b])
           << "pair " << p;
+    }
+  }
+}
+
+// Run's rounds rebuilt from the public pieces, with a fresh RecordGraph
+// every round: ITER, RecordGraph::Build, CliqueRank, then the η rule and
+// the configured clusterer.
+FusionResult RebuildEveryRound(const Dataset& ds, const FusionConfig& config,
+                               const ExecContext& ctx) {
+  const PairSpace pairs = PairSpace::Build(ds);
+  const BipartiteGraph bipartite = BipartiteGraph::Build(ds, pairs);
+  FusionResult result;
+  result.pair_probability.assign(pairs.size(), 1.0);
+  for (size_t round = 1; round <= config.rounds; ++round) {
+    IterOptions iter_options = config.iter;
+    iter_options.track_convergence =
+        config.iter.track_convergence && round == 1;
+    IterResult iter =
+        RunIter(bipartite, result.pair_probability, iter_options, ctx).value();
+    if (iter_options.track_convergence) {
+      result.first_iter_trace = iter.update_trace;
+    }
+    result.term_weights = std::move(iter.term_weights);
+    result.pair_scores = std::move(iter.pair_scores);
+    const RecordGraph graph =
+        RecordGraph::Build(ds.size(), pairs, result.pair_scores);
+    result.pair_probability =
+        RunCliqueRank(graph, pairs, config.cliquerank, ctx)
+            .value()
+            .pair_probability;
+  }
+  result.matches.resize(pairs.size());
+  for (PairId p = 0; p < pairs.size(); ++p) {
+    result.matches[p] = result.pair_probability[p] >= config.eta;
+  }
+  ClusterProblem problem;
+  problem.num_records = ds.size();
+  problem.pairs = &pairs;
+  problem.pair_probability = &result.pair_probability;
+  problem.eta = config.eta;
+  std::vector<uint32_t> source_of;
+  if (ds.num_sources() > 1) {
+    for (const Record& r : ds.records()) source_of.push_back(r.source);
+    problem.source_of = &source_of;
+  }
+  Clustering clustering =
+      MakeClusterer(config.clusterer, config.clusterer_options)
+          ->Cluster(problem, ctx)
+          .value();
+  result.cluster_of = std::move(clustering.cluster_of);
+  result.num_clusters = clustering.num_clusters;
+  return result;
+}
+
+// Run builds G_r once and reweights it in later rounds; its output must be
+// the per-round rebuild's, bit for bit, on two-source data (bipartite, one
+// CliqueRank step) and one-source data (triangles, every step), serial and
+// pooled.
+TEST(FusionTest, RunEqualsPerRoundRebuildBitwise) {
+  ThreadPool pool(4);
+  for (auto [kind, scale] : {std::pair{BenchmarkKind::kProduct, 0.1},
+                             std::pair{BenchmarkKind::kPaper, 0.08}}) {
+    auto data = GenerateBenchmark(kind, scale, 9);
+    RemoveFrequentTerms(&data.dataset);
+    FusionConfig config = FastConfig();
+    config.iter.track_convergence = true;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(BenchmarkName(kind) + (p ? " pooled" : " serial"));
+      const ExecContext ctx = ExecContext::WithPool(p);
+      const FusionResult want = RebuildEveryRound(data.dataset, config, ctx);
+      const FusionResult got =
+          FusionPipeline(data.dataset, config).Run(ctx).value();
+      EXPECT_EQ(got.pair_probability, want.pair_probability);
+      EXPECT_EQ(got.pair_scores, want.pair_scores);
+      EXPECT_EQ(got.term_weights, want.term_weights);
+      EXPECT_EQ(got.first_iter_trace, want.first_iter_trace);
+      EXPECT_EQ(got.matches, want.matches);
+      EXPECT_EQ(got.cluster_of, want.cluster_of);
+      EXPECT_EQ(got.num_clusters, want.num_clusters);
+      EXPECT_GT(std::count(got.matches.begin(), got.matches.end(), true), 0);
     }
   }
 }

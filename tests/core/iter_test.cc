@@ -1,7 +1,16 @@
 #include "gter/core/iter.h"
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/iter_oracle.h"
+#include "gter/common/random.h"
+#include "gter/common/thread_pool.h"
+#include "gter/datagen/datagen.h"
+#include "gter/er/preprocess.h"
 #include "gter/eval/spearman.h"
 #include "gter/eval/term_score.h"
 
@@ -169,6 +178,86 @@ TEST(IterTest, LearnedRankingCorrelatesWithOracle) {
     }
   }
   EXPECT_GT(SpearmanRho(learned, truth_scores), 0.5);
+}
+
+// RunIter against the per-pair oracle, EXPECT_EQ on every output, under
+// both normalizations, uniform and uneven (partly zero) edge probability,
+// the default tolerance and the fusion cap (100 sweeps, tolerance 0), and
+// serial and 4-thread execution.
+void ExpectMatchesOracle(const BipartiteGraph& graph) {
+  ThreadPool pool(4);
+  const std::vector<double> uniform(graph.num_pairs(), 1.0);
+  const std::vector<double> uneven = [&] {
+    Rng rng(17);
+    std::vector<double> prob(graph.num_pairs());
+    for (double& p : prob) {
+      p = rng.UniformDouble() < 0.2 ? 0.0 : rng.UniformDouble();
+    }
+    return prob;
+  }();
+  for (IterNormalization norm :
+       {IterNormalization::kLogistic, IterNormalization::kL2}) {
+    for (const std::vector<double>* prob : {&uniform, &uneven}) {
+      for (double tolerance : {1e-7, 0.0}) {
+        IterOptions options;
+        options.normalization = norm;
+        options.tolerance = tolerance;
+        options.track_convergence = true;
+        const IterResult want = IterOracle(graph, *prob, options);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          SCOPED_TRACE(
+              std::string(norm == IterNormalization::kL2 ? "l2" : "logistic") +
+              (prob == &uniform ? " uniform" : " uneven") + " tolerance " +
+              std::to_string(tolerance) + (p ? " pooled" : " serial"));
+          const IterResult got =
+              RunIter(graph, *prob, options, ExecContext::WithPool(p)).value();
+          EXPECT_EQ(got.term_weights, want.term_weights);
+          EXPECT_EQ(got.pair_scores, want.pair_scores);
+          EXPECT_EQ(got.iterations, want.iterations);
+          EXPECT_EQ(got.converged, want.converged);
+          EXPECT_EQ(got.update_trace, want.update_trace);
+        }
+      }
+    }
+  }
+}
+
+// Six groups of twelve records: a group's records share its three words,
+// a third of all records share one of three words across groups, and a
+// word per record is unique. So most pairs share one of a few multi-term
+// sets, and the cross-group pairs share one term.
+TEST(IterOracleTest, RepeatedMultiTermSetsMatchPerPairSweepBitwise) {
+  Dataset ds("sets");
+  for (int r = 0; r < 72; ++r) {
+    const std::string g = std::to_string(r / 12);
+    std::string text =
+        "g" + g + "a g" + g + "b g" + g + "c u" + std::to_string(r);
+    if (r % 3 == 0) text += " common" + std::to_string(r % 9);
+    ds.AddRecord(0, text);
+  }
+  const PairSpace pairs = PairSpace::Build(ds);
+  const BipartiteGraph graph = BipartiteGraph::Build(ds, pairs);
+  std::map<std::vector<TermId>, size_t> uses;
+  for (PairId p = 0; p < graph.num_pairs(); ++p) {
+    const auto terms = graph.TermsOfPair(p);
+    ++uses[std::vector<TermId>(terms.begin(), terms.end())];
+  }
+  size_t shared_multi_term_sets = 0;
+  for (const auto& [terms, count] : uses) {
+    shared_multi_term_sets += terms.size() > 1 && count >= 10;
+  }
+  ASSERT_GE(shared_multi_term_sets, 6u);
+  ASSERT_LT(uses.size(), graph.num_pairs() / 10);
+  ExpectMatchesOracle(graph);
+}
+
+TEST(IterOracleTest, PaperCorpusMatchesPerPairSweepBitwise) {
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.1, 11);
+  RemoveFrequentTerms(&data.dataset);
+  const PairSpace pairs = PairSpace::Build(data.dataset);
+  const BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
+  ASSERT_GT(graph.num_pairs(), 1000u);
+  ExpectMatchesOracle(graph);
 }
 
 TEST(IterDeathTest, WrongProbabilitySizeAborts) {

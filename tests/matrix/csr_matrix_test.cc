@@ -58,16 +58,6 @@ TEST(CsrMatrixTest, EmptyRowHasEmptySpans) {
   EXPECT_TRUE(m.RowValues(1).empty());
 }
 
-TEST(CsrMatrixTest, MultiplyVector) {
-  CsrMatrix m = SmallMatrix();
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  auto y = m.MultiplyVector(x);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 1 * 1 + 2 * 3);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-  EXPECT_DOUBLE_EQ(y[2], 3 * 1 + 4 * 2);
-}
-
 TEST(CsrMatrixTest, NormalizeRowsMakesStochastic) {
   CsrMatrix m = SmallMatrix();
   m.NormalizeRows();
@@ -85,8 +75,6 @@ TEST(CsrMatrixTest, NormalizeSkipsEmptyAndZeroRows) {
 TEST(CsrMatrixTest, EmptyMatrix) {
   CsrMatrix m = CsrMatrix::FromTriplets(3, 3, {});
   EXPECT_EQ(m.nnz(), 0u);
-  auto y = m.MultiplyVector({1, 2, 3});
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(CsrMatrixTest, ExplicitZerosAreStructural) {

@@ -28,40 +28,6 @@ TEST(DenseMatrixTest, ElementAccessIsRowMajor) {
   EXPECT_DOUBLE_EQ(m.row(1)[1], 4);
 }
 
-TEST(DenseMatrixTest, Transposed) {
-  DenseMatrix m(2, 3);
-  int v = 0;
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 3; ++c) m(r, c) = ++v;
-  }
-  DenseMatrix t = m.Transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(t(c, r), m(r, c));
-  }
-}
-
-TEST(DenseMatrixTest, Scale) {
-  DenseMatrix a(2, 2, 3.0);
-  a.Scale(2.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 6.0);
-  EXPECT_DOUBLE_EQ(a(1, 0), 6.0);
-}
-
-TEST(DenseMatrixTest, MaxAbsDiff) {
-  DenseMatrix a(2, 2, 1.0);
-  DenseMatrix b(2, 2, 1.0);
-  b(1, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 3.0);
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(a), 0.0);
-}
-
-TEST(DenseMatrixTest, Sum) {
-  DenseMatrix m(3, 3, 2.0);
-  EXPECT_DOUBLE_EQ(m.Sum(), 18.0);
-}
-
 TEST(DenseMatrixTest, Identity) {
   DenseMatrix id = DenseMatrix::Identity(3);
   for (size_t r = 0; r < 3; ++r) {
