@@ -58,7 +58,7 @@ void Run(double scale, uint64_t seed) {
   std::printf(
       "The kAuto engine picks masked-sparse below density %.2f and dense "
       "above.\n\n",
-      CliqueRankOptions{}.dense_density_threshold);
+      kDenseDensityThreshold);
 }
 
 // Seconds of the faster of three runs of one engine.

@@ -5,11 +5,17 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <thread>
 
 namespace gter {
 namespace {
 
 thread_local MetricsRegistry* tls_current_registry = nullptr;
+
+/// Set in a slot's epoch while the recorder that claimed the slot zeroes
+/// it. Recorders wait for the epoch to clear; snapshots skip the slot, as
+/// the flagged value lies past every window.
+constexpr uint64_t kResetting = uint64_t{1} << 63;
 
 uint64_t SteadyNowNs() {
   return static_cast<uint64_t>(
@@ -210,14 +216,20 @@ void SlidingHistogram::RecordAt(double value, uint64_t now_ns) {
   const uint64_t epoch = now_ns / slot_ns_;
   Slot& slot = slots_[epoch % kNumSlots];
   uint64_t seen = slot.epoch.load(std::memory_order_acquire);
-  if (seen != epoch) {
-    // The slot's previous tenancy has lapsed. One recorder wins the CAS
-    // and recycles it; losers (and recorders racing the reset) proceed
-    // into the slot immediately — a bounded number of observations at the
-    // rotation edge may be dropped or mis-binned, which monitoring
-    // tolerates in exchange for a lock-free record path.
-    if (slot.epoch.compare_exchange_strong(seen, epoch,
-                                           std::memory_order_acq_rel)) {
+  while (seen != epoch) {
+    // A slot only moves forward: a record older than the slot's tenancy,
+    // or than the tenancy being installed, is dropped.
+    if ((seen & ~kResetting) > epoch) return;
+    if ((seen & kResetting) != 0) {
+      std::this_thread::yield();
+      seen = slot.epoch.load(std::memory_order_acquire);
+      continue;
+    }
+    // The slot's tenancy has lapsed. The CAS winner zeroes the slot and
+    // only then publishes its epoch, so no record of the new epoch lands
+    // before the reset; a loser reloads `seen` and re-checks.
+    if (slot.epoch.compare_exchange_weak(seen, epoch | kResetting,
+                                         std::memory_order_acq_rel)) {
       slot.sum.store(0.0, std::memory_order_relaxed);
       slot.min.store(std::numeric_limits<double>::infinity(),
                      std::memory_order_relaxed);
@@ -226,6 +238,8 @@ void SlidingHistogram::RecordAt(double value, uint64_t now_ns) {
       for (auto& bucket : slot.buckets) {
         bucket.store(0, std::memory_order_relaxed);
       }
+      slot.epoch.store(epoch, std::memory_order_release);
+      seen = epoch;
     }
   }
   slot.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);

@@ -82,13 +82,18 @@ struct Histogram {
 /// snapshot reflects only recent observations (live serving percentiles)
 /// while old slots are recycled in place.
 ///
-/// The record path is lock-free: plain atomic adds into the slot owned by
-/// the current epoch, plus one CAS to claim a slot whose epoch has lapsed
-/// (the winner zeroes it). Observations racing a rotation may land in the
-/// slot being recycled and be dropped — a bounded, monitoring-acceptable
-/// loss at slot boundaries only. Snapshots derive each slot's count from
-/// its bucket array (never a separately-torn counter), so the Prometheus
-/// invariant `+Inf bucket == _count` holds for every snapshot.
+/// The record path takes no lock: plain atomic adds into the slot whose
+/// epoch equals the record's, plus one CAS to claim a slot whose epoch has
+/// lapsed. The winner zeroes the slot and only then publishes the new
+/// epoch; recorders of that epoch wait for it before adding, so no record
+/// is lost to the reset. A slot only moves forward: a record older than
+/// its slot's epoch (at least a whole window behind it) is dropped, as no
+/// window that slot can still serve contains it. The one remaining loss is
+/// a recorder stalled for a whole window between reading the epoch and
+/// adding, while another recorder recycles the slot. Snapshots derive each
+/// slot's count from its bucket array (never a separately-torn counter),
+/// so the Prometheus invariant `+Inf bucket == _count` holds for every
+/// snapshot.
 ///
 /// `RecordAt`/`SnapshotAt` take an explicit steady-clock timestamp — the
 /// production path (`Record`/`Snapshot`) reads the clock once; tests
@@ -105,8 +110,8 @@ class SlidingHistogram {
   /// Records one observation at the current steady-clock time.
   void Record(double value);
 
-  /// Records one observation as of steady-clock time `now_ns` (test hook;
-  /// timestamps must be non-decreasing across threads for exact windows).
+  /// Records one observation as of steady-clock time `now_ns` (test hook).
+  /// An observation older than its slot's epoch is dropped.
   void RecordAt(double value, uint64_t now_ns);
 
   /// Merges every slot still inside the window into one plain Histogram.

@@ -156,7 +156,7 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   Stopwatch watch;
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {
-    engine = graph.Density() >= options.dense_density_threshold
+    engine = graph.Density() >= kDenseDensityThreshold
                  ? CliqueRankEngine::kDense
                  : CliqueRankEngine::kMaskedSparse;
   }

@@ -11,10 +11,14 @@
 
 namespace gter {
 
+/// kAuto runs the dense engine on record graphs whose edge density is at
+/// least this, and the masked-sparse engine below it.
+inline constexpr double kDenseDensityThreshold = 0.25;
+
 /// Which matrix engine evaluates the recurrence M^k = M_t × (M^{k-1} ⊙ M_n).
 enum class CliqueRankEngine {
-  /// Pick by graph density: masked-sparse below `dense_density_threshold`,
-  /// dense above.
+  /// Pick by graph density: masked-sparse below kDenseDensityThreshold,
+  /// dense at or above it.
   kAuto,
   /// Each step scatters the iterate into one n×n column-panel scratch and
   /// runs a vectorized dot product per edge (ComputeMaskedProductPanels).
@@ -50,8 +54,6 @@ struct CliqueRankOptions {
   BoostMode boost_mode = BoostMode::kSampled;
   uint64_t seed = 7;
   CliqueRankEngine engine = CliqueRankEngine::kAuto;
-  /// kAuto switches to the dense engine above this edge density.
-  double dense_density_threshold = 0.25;
 };
 
 /// Output of one CliqueRank run.

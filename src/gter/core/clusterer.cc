@@ -98,28 +98,14 @@ class CorrelationClusterer : public Clusterer {
   CorrelationClusteringOptions options_;
 };
 
-// ---------------------------------------------------------------------------
-// The clean-clean bipartite matching family (Papadakis et al.). All five
-// variants share one skeleton: restrict the p ≥ η edges to cross-source
-// ones, optionally reduce them to per-record best edges, then build a
-// matching greedily by weight. Every record ends up with ≤ 1 partner, so
-// the bipartite contract holds by construction.
-
-enum class MatchingReduce {
-  kAll,              // unique mapping: greedy over every eligible edge
-  kRowBest,          // proposals from source-0 records only
-  kColumnBest,       // proposals from source-1 records only
-  kAnyBest,          // union of every record's best edge
-  kMutualBest,       // reciprocity: both endpoints name each other best
-  kStrictMutualBest  // reciprocity with no weight ties at either endpoint
-};
-
-class MatchingClusterer : public Clusterer {
+/// Unique mapping, the clean-clean matching endgame (Papadakis et al.,
+/// arxiv 2112.14030): restrict the p ≥ η edges to cross-source ones, then
+/// accept them greedily by weight while both endpoints are still free.
+/// Every record ends up with ≤ 1 partner, so the bipartite contract holds
+/// by construction.
+class UniqueMappingClusterer : public Clusterer {
  public:
-  MatchingClusterer(std::string name, MatchingReduce reduce)
-      : name_(std::move(name)), reduce_(reduce) {}
-
-  std::string name() const override { return name_; }
+  std::string name() const override { return "unique_mapping"; }
 
   Result<Clustering> Cluster(const ClusterProblem& problem,
                              const ExecContext& ctx) const override {
@@ -143,89 +129,17 @@ class MatchingClusterer : public Clusterer {
       if (sources != nullptr && (*sources)[rp.a] == (*sources)[rp.b]) continue;
       eligible.push_back(p);
     }
-
-    // Best eligible edge per record: highest weight, then smallest
-    // neighbor id. `ambiguous` marks records whose maximum is tied.
-    std::vector<PairId> best(problem.num_records, kInvalidPairId);
-    std::vector<char> ambiguous(problem.num_records, 0);
-    auto offer = [&](RecordId r, RecordId neighbor, PairId p) {
-      if (best[r] == kInvalidPairId) {
-        best[r] = p;
-        return;
-      }
-      const double held = prob[best[r]];
-      if (prob[p] > held) {
-        best[r] = p;
-        ambiguous[r] = 0;
-      } else if (prob[p] == held) {
-        ambiguous[r] = 1;
-        const RecordPair& held_pair = pairs.pair(best[r]);
-        RecordId held_neighbor = held_pair.a == r ? held_pair.b : held_pair.a;
-        if (neighbor < held_neighbor) best[r] = p;
-      }
-    };
-    size_t scanned = 0;
-    for (PairId p : eligible) {
-      if (++scanned % kPollBatch == 0) GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-      const RecordPair& rp = pairs.pair(p);
-      offer(rp.a, rp.b, p);
-      offer(rp.b, rp.a, p);
-    }
-
-    // Reduce to the variant's candidate edge set.
-    std::vector<PairId> candidates;
-    auto side_best = [&](uint32_t side) {
-      // Single-source problems have no row/column distinction: every
-      // record proposes (row and column assignment coincide).
-      for (RecordId r = 0; r < problem.num_records; ++r) {
-        if (best[r] == kInvalidPairId) continue;
-        if (sources != nullptr && (*sources)[r] != side) continue;
-        candidates.push_back(best[r]);
-      }
-    };
-    switch (reduce_) {
-      case MatchingReduce::kAll:
-        candidates = eligible;
-        break;
-      case MatchingReduce::kRowBest:
-        side_best(0);
-        break;
-      case MatchingReduce::kColumnBest:
-        side_best(sources != nullptr ? 1 : 0);
-        break;
-      case MatchingReduce::kAnyBest:
-        for (RecordId r = 0; r < problem.num_records; ++r) {
-          if (best[r] != kInvalidPairId) candidates.push_back(best[r]);
-        }
-        break;
-      case MatchingReduce::kMutualBest:
-      case MatchingReduce::kStrictMutualBest:
-        for (PairId p : eligible) {
-          const RecordPair& rp = pairs.pair(p);
-          if (best[rp.a] != p || best[rp.b] != p) continue;
-          if (reduce_ == MatchingReduce::kStrictMutualBest &&
-              (ambiguous[rp.a] || ambiguous[rp.b])) {
-            continue;
-          }
-          candidates.push_back(p);
-        }
-        break;
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
 
-    // Greedy matching by weight descending, pair id ascending — the
-    // deterministic unique-mapping sweep.
-    std::stable_sort(candidates.begin(), candidates.end(),
+    // Greedy matching by weight descending, pair id ascending.
+    std::stable_sort(eligible.begin(), eligible.end(),
                      [&prob](PairId x, PairId y) {
                        if (prob[x] != prob[y]) return prob[x] > prob[y];
                        return x < y;
                      });
     std::vector<RecordId> partner(problem.num_records, kInvalidRecordId);
-    scanned = 0;
-    for (PairId p : candidates) {
+    size_t scanned = 0;
+    for (PairId p : eligible) {
       if (++scanned % kPollBatch == 0) GTER_RETURN_IF_ERROR(ctx.CheckCancel());
       const RecordPair& rp = pairs.pair(p);
       if (partner[rp.a] != kInvalidRecordId ||
@@ -247,10 +161,6 @@ class MatchingClusterer : public Clusterer {
     }
     return FinishClustering(std::move(labels), metrics);
   }
-
- private:
-  std::string name_;
-  MatchingReduce reduce_;
 };
 
 // ---------------------------------------------------------------------------
@@ -363,11 +273,6 @@ constexpr KindEntry kKinds[] = {
     {ClustererKind::kConnectedComponents, "connected_components"},
     {ClustererKind::kCorrelation, "correlation"},
     {ClustererKind::kUniqueMapping, "unique_mapping"},
-    {ClustererKind::kRowAssignment, "row_assignment"},
-    {ClustererKind::kColumnAssignment, "column_assignment"},
-    {ClustererKind::kBestMatch, "best_match"},
-    {ClustererKind::kReciprocalMatch, "reciprocal_match"},
-    {ClustererKind::kExactMatch, "exact_match"},
     {ClustererKind::kHierarchical, "hierarchical"},
 };
 
@@ -408,23 +313,7 @@ std::unique_ptr<Clusterer> MakeClusterer(ClustererKind kind,
     case ClustererKind::kCorrelation:
       return std::make_unique<CorrelationClusterer>(options.correlation);
     case ClustererKind::kUniqueMapping:
-      return std::make_unique<MatchingClusterer>("unique_mapping",
-                                                 MatchingReduce::kAll);
-    case ClustererKind::kRowAssignment:
-      return std::make_unique<MatchingClusterer>("row_assignment",
-                                                 MatchingReduce::kRowBest);
-    case ClustererKind::kColumnAssignment:
-      return std::make_unique<MatchingClusterer>("column_assignment",
-                                                 MatchingReduce::kColumnBest);
-    case ClustererKind::kBestMatch:
-      return std::make_unique<MatchingClusterer>("best_match",
-                                                 MatchingReduce::kAnyBest);
-    case ClustererKind::kReciprocalMatch:
-      return std::make_unique<MatchingClusterer>("reciprocal_match",
-                                                 MatchingReduce::kMutualBest);
-    case ClustererKind::kExactMatch:
-      return std::make_unique<MatchingClusterer>(
-          "exact_match", MatchingReduce::kStrictMutualBest);
+      return std::make_unique<UniqueMappingClusterer>();
     case ClustererKind::kHierarchical:
       return std::make_unique<HierarchicalClusterer>(options.merge_threshold);
   }

@@ -25,13 +25,13 @@ struct ClusterProblem {
   /// p(r_i, r_j) in [0, 1]. Pairs absent from `pairs` have weight 0.
   const std::vector<double>* pair_probability = nullptr;
   /// Match threshold η: edges with p ≥ η are "same entity" votes. The
-  /// correlation, connected-components, and matching endgames key off it;
-  /// the hierarchical endgame uses its own merge threshold instead.
+  /// correlation, connected-components, and unique-mapping endgames key off
+  /// it; the hierarchical endgame uses its own merge threshold instead.
   double eta = 0.98;
   /// Source per record, or nullptr/empty for single-source data. When
-  /// present, the clean-clean (matching) endgames ignore same-source edges
-  /// and uphold the bipartite contract: no entity holds two records from
-  /// one source.
+  /// present, the unique-mapping endgame ignores same-source edges and
+  /// upholds the bipartite contract: no entity holds two records from one
+  /// source.
   const std::vector<uint32_t>* source_of = nullptr;
 };
 
@@ -54,8 +54,8 @@ struct Clustering {
 ///  * Cancellation — `ctx.cancel` is polled at entry and at every
 ///    restart/merge/edge-batch boundary; a tripped token unwinds with
 ///    Cancelled/DeadlineExceeded and leaves no residue.
-///  * Bipartite invariant — clean-clean endgames never place two records
-///    of the same source in one entity (when `source_of` is given).
+///  * Bipartite invariant — the unique-mapping endgame never places two
+///    records of the same source in one entity (when `source_of` is given).
 class Clusterer {
  public:
   virtual ~Clusterer() = default;
@@ -74,19 +74,11 @@ class Clusterer {
 ///   positive chains whole clusters together).
 /// kCorrelation — randomized-pivot correlation clustering with local-move
 ///   refinement (wraps CorrelationCluster bit-identically).
-/// The clean-clean bipartite matching family (Papadakis et al.,
-/// arxiv 2112.14030) — each record ends up with at most one partner, so
-/// entities have at most two records:
-///   kUniqueMapping   — greedy globally by weight: accept an edge when both
-///                      endpoints are still free.
-///   kRowAssignment   — every source-0 record proposes to its best
-///                      candidate; contested source-1 records keep the
-///                      heaviest proposal.
-///   kColumnAssignment — the same from the source-1 side.
-///   kBestMatch       — greedy over the union of every record's best edge.
-///   kReciprocalMatch — only mutual-best edges match (reciprocity).
-///   kExactMatch      — mutual-best with no ties allowed at either
-///                      endpoint (the strictest, highest-precision variant).
+/// kUniqueMapping — clean-clean bipartite matching (Papadakis et al.,
+///   arxiv 2112.14030): greedy globally by weight, accepting a
+///   cross-source p ≥ η edge when both endpoints are still free. Each
+///   record ends up with at most one partner, so entities have at most two
+///   records.
 /// kHierarchical — graph-based hierarchical record clustering (Ebeid &
 ///   Talburt, arxiv 2112.06331): average-linkage agglomeration over the
 ///   similarity graph until the best inter-cluster link drops below the
@@ -95,11 +87,6 @@ enum class ClustererKind {
   kConnectedComponents,
   kCorrelation,
   kUniqueMapping,
-  kRowAssignment,
-  kColumnAssignment,
-  kBestMatch,
-  kReciprocalMatch,
-  kExactMatch,
   kHierarchical,
 };
 

@@ -6,36 +6,6 @@
 
 namespace gter {
 
-std::vector<std::string> ParseCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
 std::string FormatCsvLine(const std::vector<std::string>& fields) {
   std::string out;
   for (size_t i = 0; i < fields.size(); ++i) {

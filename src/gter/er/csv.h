@@ -11,12 +11,6 @@
 
 namespace gter {
 
-/// Parses one line of RFC-4180-ish CSV (double-quote quoting, embedded
-/// commas and escaped quotes inside quoted fields). The line must not
-/// contain record terminators — use CsvParser / ParseCsv for full
-/// documents, where quoted fields may span lines.
-std::vector<std::string> ParseCsvLine(const std::string& line);
-
 /// Serializes fields into one CSV record, quoting where needed. Quoting
 /// covers `,`, `"`, LF, and CR, so any byte string round-trips through
 /// FormatCsvLine → CsvParser (see DESIGN.md §5 for the contract).

@@ -77,20 +77,4 @@ PairId PairSpace::Find(RecordId a, RecordId b) const {
   return it == index_.end() ? kInvalidPairId : it->second;
 }
 
-uint64_t PairSpace::UniverseSize(const Dataset& dataset) const {
-  if (dataset.num_sources() == 2) {
-    uint64_t s0 = 0, s1 = 0;
-    for (const Record& r : dataset.records()) {
-      if (r.source == 0) {
-        ++s0;
-      } else {
-        ++s1;
-      }
-    }
-    return s0 * s1;
-  }
-  uint64_t n = dataset.size();
-  return n * (n - 1) / 2;
-}
-
 }  // namespace gter

@@ -54,11 +54,6 @@ class PairSpace {
   /// can simply grow. Self-pairs are a checked error.
   PairId Append(RecordId a, RecordId b);
 
-  /// Total pairs in the full candidate universe of the dataset, i.e.
-  /// n·(n−1)/2 for single-source or |S0|·|S1| for two-source. Pairs sharing
-  /// no term are counted here but not materialized.
-  uint64_t UniverseSize(const Dataset& dataset) const;
-
  private:
   static uint64_t Key(RecordId a, RecordId b) {
     return (static_cast<uint64_t>(a) << 32) | b;

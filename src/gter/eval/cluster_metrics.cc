@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "gter/common/status.h"
-#include "gter/graph/union_find.h"
 
 namespace gter {
 namespace {
@@ -60,14 +59,6 @@ ClusterEvaluation EvaluateClustering(const std::vector<uint32_t>& predicted,
     eval.adjusted_rand_index = denom == 0.0 ? 0.0 : (index - expected) / denom;
   }
   return eval;
-}
-
-std::vector<uint32_t> ClustersFromMatches(
-    size_t num_records,
-    const std::vector<std::pair<uint32_t, uint32_t>>& matches) {
-  UnionFind uf(num_records);
-  for (const auto& [a, b] : matches) uf.Union(a, b);
-  return uf.ComponentLabels();
 }
 
 }  // namespace gter

@@ -24,12 +24,6 @@ struct ClusterEvaluation {
 ClusterEvaluation EvaluateClustering(const std::vector<uint32_t>& predicted,
                                      const GroundTruth& truth);
 
-/// Builds clusters from match decisions by transitive closure: every
-/// predicted-matching pair is merged. Returns one dense label per record.
-std::vector<uint32_t> ClustersFromMatches(
-    size_t num_records,
-    const std::vector<std::pair<uint32_t, uint32_t>>& matches);
-
 }  // namespace gter
 
 #endif  // GTER_EVAL_CLUSTER_METRICS_H_

@@ -70,12 +70,10 @@
 
 #include "gter/eval/cluster_metrics.h"
 #include "gter/eval/confusion.h"
-#include "gter/eval/pr_curve.h"
 #include "gter/eval/spearman.h"
 #include "gter/eval/term_score.h"
 #include "gter/eval/threshold_sweep.h"
 
-#include "gter/baselines/edit_distance_resolver.h"
 #include "gter/baselines/hybrid.h"
 #include "gter/baselines/jaccard_resolver.h"
 #include "gter/baselines/simrank.h"
@@ -98,7 +96,6 @@
 #include "gter/core/correlation_clustering.h"
 #include "gter/core/fusion.h"
 #include "gter/core/iter.h"
-#include "gter/core/iter_matrix.h"
 #include "gter/core/model_io.h"
 #include "gter/core/resolver.h"
 #include "gter/core/resolver_state.h"

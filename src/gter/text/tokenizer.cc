@@ -22,18 +22,4 @@ std::vector<std::string> Tokenize(std::string_view text) {
   return Tokenize(text, TokenizerOptions{});
 }
 
-std::vector<std::string> CharNgrams(std::string_view token, size_t n) {
-  std::vector<std::string> grams;
-  if (n == 0) return grams;
-  if (token.size() <= n) {
-    grams.emplace_back(token);
-    return grams;
-  }
-  grams.reserve(token.size() - n + 1);
-  for (size_t i = 0; i + n <= token.size(); ++i) {
-    grams.emplace_back(token.substr(i, n));
-  }
-  return grams;
-}
-
 }  // namespace gter

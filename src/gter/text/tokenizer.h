@@ -24,11 +24,6 @@ std::vector<std::string> Tokenize(std::string_view text,
 /// Tokenizes with default options.
 std::vector<std::string> Tokenize(std::string_view text);
 
-/// Character n-grams of `token` (used by approximate string metrics and by
-/// the typo-robust feature extractors). Returns the token itself when it is
-/// shorter than `n`.
-std::vector<std::string> CharNgrams(std::string_view token, size_t n);
-
 }  // namespace gter
 
 #endif  // GTER_TEXT_TOKENIZER_H_

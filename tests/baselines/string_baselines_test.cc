@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "gter/baselines/edit_distance_resolver.h"
 #include "gter/baselines/jaccard_resolver.h"
 #include "gter/baselines/tfidf_resolver.h"
 
@@ -60,18 +59,6 @@ TEST(TfIdfScorerTest, DiscriminativeTermsDominateCommonOnes) {
   TfIdfScorer scorer;
   auto scores = scorer.Score(ds, pairs);
   EXPECT_GT(scores[pairs.Find(0, 1)], scores[pairs.Find(2, 3)]);
-}
-
-TEST(EditDistanceScorerTest, OrdersBySurfaceSimilarity) {
-  Fixture f;
-  EditDistanceScorer scorer;
-  EXPECT_EQ(scorer.name(), "EditDistance");
-  auto scores = scorer.Score(f.ds, f.pairs);
-  EXPECT_GT(scores[f.pairs.Find(0, 1)], scores[f.pairs.Find(0, 2)]);
-  for (double s : scores) {
-    EXPECT_GE(s, 0.0);
-    EXPECT_LE(s, 1.0);
-  }
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "gter/core/clusterer.h"
 #include "gter/core/correlation_clustering.h"
 #include "gter/core/fusion.h"
-#include "gter/core/iter_matrix.h"
 #include "gter/core/rss.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/blocking.h"
@@ -88,9 +87,6 @@ std::vector<std::pair<std::string, StageFn>> Stages(const CancelWorld& w) {
   std::vector<std::pair<std::string, StageFn>> stages;
   stages.emplace_back("iter", [&w](const ExecContext& ctx) {
     return RunIter(w.bipartite, w.uniform, {}, ctx).status();
-  });
-  stages.emplace_back("iter_matrix", [&w](const ExecContext& ctx) {
-    return RunIterMatrixForm(w.bipartite, w.uniform, {}, ctx).status();
   });
   stages.emplace_back("rss", [&w](const ExecContext& ctx) {
     RssOptions options;

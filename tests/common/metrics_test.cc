@@ -314,6 +314,18 @@ TEST(SlidingHistogram, RotationRecyclesLapsedSlots) {
   EXPECT_DOUBLE_EQ(snap.max, 2.0);
 }
 
+TEST(SlidingHistogram, StaleRecordNeverRecyclesANewerSlot) {
+  SlidingHistogram sliding(8.0);
+  sliding.RecordAt(5.0, 9 * kSec);  // epoch 9 → slot 1
+  sliding.RecordAt(5.0, 9 * kSec);
+  // Epoch 1 maps to slot 1 too, but lies a whole window behind it: the
+  // record is dropped instead of recycling the slot backwards.
+  sliding.RecordAt(7.0, 1 * kSec);
+  Histogram snap = sliding.SnapshotAt(9 * kSec);
+  EXPECT_EQ(snap.count, 2u);
+  EXPECT_DOUBLE_EQ(snap.max, 5.0);
+}
+
 TEST(SlidingHistogram, SnapshotCountMatchesBucketTotal) {
   // The Prometheus writer relies on count == Σ buckets for the
   // `+Inf == _count` invariant; the snapshot derives count from the

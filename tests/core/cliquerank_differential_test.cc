@@ -99,7 +99,7 @@ std::vector<double> FullRecurrence(const RecordGraph& graph,
 }
 
 // (records, density, seed, sources): densities straddle
-// dense_density_threshold (0.25) so both sides of the kAuto switch are
+// kDenseDensityThreshold (0.25) so both sides of the kAuto switch are
 // differentially covered. Two-source worlds have about half the overall
 // density, so only their 0.6 arm (about 0.3) sits above the switch.
 class CliqueRankEngineDifferential

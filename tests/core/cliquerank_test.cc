@@ -94,13 +94,19 @@ TEST(CliqueRankTest, EmptyGraphGivesEmptyProbabilities) {
 TEST(CliqueRankTest, AutoEngineSelectsByDensity) {
   TwoCliques f;  // 7 edges over 15 possible → density ≈ 0.47
   RecordGraph graph = f.Graph();
-  CliqueRankOptions options;
-  options.engine = CliqueRankEngine::kAuto;
-  options.dense_density_threshold = 0.25;
-  auto result = RunCliqueRank(graph, f.pairs, options).value();
+  ASSERT_GE(graph.Density(), kDenseDensityThreshold);
+  auto result = RunCliqueRank(graph, f.pairs, {}).value();
   EXPECT_EQ(result.engine_used, CliqueRankEngine::kDense);
-  options.dense_density_threshold = 0.9;
-  result = RunCliqueRank(graph, f.pairs, options).value();
+
+  // The same two triangles and bridge among 12 records: 7 edges over 66
+  // possible → density ≈ 0.11.
+  const PairSpace sparse_pairs = PairSpace::FromPairs(
+      {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {4, 5}});
+  const RecordGraph sparse =
+      RecordGraph::Build(12, sparse_pairs, {0.9, 0.85, 0.9, 0.1, 0.9, 0.85,
+                                            0.9});
+  ASSERT_LT(sparse.Density(), kDenseDensityThreshold);
+  result = RunCliqueRank(sparse, sparse_pairs, {}).value();
   EXPECT_EQ(result.engine_used, CliqueRankEngine::kMaskedSparse);
 }
 

@@ -5,7 +5,7 @@
 //   * the output is a true partition — one dense label per record, labels
 //     in first-occurrence (smallest-member) order, no empty cluster;
 //   * identical problems yield identical partitions (determinism);
-//   * the clean-clean endgames uphold the bipartite contract — no two
+//   * the unique-mapping endgame upholds the bipartite contract — no two
 //     records of the same source share an entity, every record has at
 //     most one partner (entities of size ≤ 2).
 
@@ -59,20 +59,6 @@ struct RandomWorld {
   }
 };
 
-bool IsMatchingKind(ClustererKind kind) {
-  switch (kind) {
-    case ClustererKind::kUniqueMapping:
-    case ClustererKind::kRowAssignment:
-    case ClustererKind::kColumnAssignment:
-    case ClustererKind::kBestMatch:
-    case ClustererKind::kReciprocalMatch:
-    case ClustererKind::kExactMatch:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// The partition contract: labels dense in [0, num_clusters), assigned in
 /// first-occurrence order (record 0 is always label 0, and label k+1 first
 /// appears after label k). Density in that order implies no empty cluster.
@@ -121,24 +107,20 @@ TEST_P(ClustererProperty, CleanCleanEndgamesUpholdTheBipartiteContract) {
   auto [n, density, seed] = GetParam();
   RandomWorld world(n, density, seed);
   ClusterProblem problem = world.Problem(n, 0.5, /*with_sources=*/true);
+  Clustering clustering =
+      MakeClusterer(ClustererKind::kUniqueMapping)->Cluster(problem).value();
 
-  for (ClustererKind kind : AllClustererKinds()) {
-    if (!IsMatchingKind(kind)) continue;
-    SCOPED_TRACE(ClustererKindName(kind));
-    Clustering clustering = MakeClusterer(kind)->Cluster(problem).value();
-
-    std::vector<std::vector<RecordId>> members(clustering.num_clusters);
-    for (RecordId r = 0; r < n; ++r) {
-      members[clustering.cluster_of[r]].push_back(r);
-    }
-    for (const std::vector<RecordId>& entity : members) {
-      // ≤ 1 partner per record: entities never exceed two records.
-      ASSERT_LE(entity.size(), 2u);
-      if (entity.size() == 2) {
-        // No two same-source records in one entity.
-        EXPECT_NE(world.sources[entity[0]], world.sources[entity[1]])
-            << "records " << entity[0] << " and " << entity[1];
-      }
+  std::vector<std::vector<RecordId>> members(clustering.num_clusters);
+  for (RecordId r = 0; r < n; ++r) {
+    members[clustering.cluster_of[r]].push_back(r);
+  }
+  for (const std::vector<RecordId>& entity : members) {
+    // ≤ 1 partner per record: entities never exceed two records.
+    ASSERT_LE(entity.size(), 2u);
+    if (entity.size() == 2) {
+      // No two same-source records in one entity.
+      EXPECT_NE(world.sources[entity[0]], world.sources[entity[1]])
+          << "records " << entity[0] << " and " << entity[1];
     }
   }
 }
@@ -149,8 +131,8 @@ TEST_P(ClustererProperty, MatchedPairsAreEligibleEdges) {
   const double eta = 0.5;
   ClusterProblem problem = world.Problem(n, eta, /*with_sources=*/true);
 
-  // Every 2-record entity a matching endgame forms must be backed by a
-  // candidate edge at or above the threshold — matchers never invent pairs.
+  // Every 2-record entity unique mapping forms must be backed by a
+  // candidate edge at or above the threshold — it never invents pairs.
   std::set<std::pair<RecordId, RecordId>> eligible;
   for (PairId p = 0; p < world.pairs.size(); ++p) {
     if (world.prob[p] < eta) continue;
@@ -158,20 +140,17 @@ TEST_P(ClustererProperty, MatchedPairsAreEligibleEdges) {
     if (world.sources[rp.a] == world.sources[rp.b]) continue;
     eligible.insert({rp.a, rp.b});
   }
-  for (ClustererKind kind : AllClustererKinds()) {
-    if (!IsMatchingKind(kind)) continue;
-    SCOPED_TRACE(ClustererKindName(kind));
-    Clustering clustering = MakeClusterer(kind)->Cluster(problem).value();
-    std::vector<std::vector<RecordId>> members(clustering.num_clusters);
-    for (RecordId r = 0; r < n; ++r) {
-      members[clustering.cluster_of[r]].push_back(r);
-    }
-    for (const std::vector<RecordId>& entity : members) {
-      if (entity.size() != 2) continue;
-      EXPECT_TRUE(eligible.count({entity[0], entity[1]}))
-          << "entity {" << entity[0] << ", " << entity[1]
-          << "} has no eligible edge";
-    }
+  Clustering clustering =
+      MakeClusterer(ClustererKind::kUniqueMapping)->Cluster(problem).value();
+  std::vector<std::vector<RecordId>> members(clustering.num_clusters);
+  for (RecordId r = 0; r < n; ++r) {
+    members[clustering.cluster_of[r]].push_back(r);
+  }
+  for (const std::vector<RecordId>& entity : members) {
+    if (entity.size() != 2) continue;
+    EXPECT_TRUE(eligible.count({entity[0], entity[1]}))
+        << "entity {" << entity[0] << ", " << entity[1]
+        << "} has no eligible edge";
   }
 }
 
@@ -255,9 +234,15 @@ TEST(ClustererRegistry, NamesRoundTripAndUnknownNamesAreRejected) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), kind);
   }
-  Result<ClustererKind> bad = ParseClustererKind("kmeans");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // Besides a name that was never registered, the one-partner matchers
+  // that older gterd clients may still send are rejected like any other.
+  for (const char* name : {"kmeans", "row_assignment", "column_assignment",
+                           "best_match", "reciprocal_match", "exact_match"}) {
+    SCOPED_TRACE(name);
+    Result<ClustererKind> bad = ParseClustererKind(name);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gter/common/random.h"
+#include "gter/core/clusterer.h"
 #include "gter/datagen/datagen.h"
 #include "gter/er/preprocess.h"
 #include "gter/eval/cluster_metrics.h"
@@ -58,15 +59,17 @@ TEST(CorrelationClusteringTest, SingleFalseLinkIsOutvoted) {
   }
   f.Set(0, 4, 1.0);  // the false link
 
-  // Closure: one cluster.
-  std::vector<std::pair<uint32_t, uint32_t>> matched;
-  for (PairId p = 0; p < f.pairs.size(); ++p) {
-    if (f.probability[p] >= 0.98) {
-      matched.emplace_back(f.pairs.pair(p).a, f.pairs.pair(p).b);
-    }
-  }
-  auto closure = ClustersFromMatches(8, matched);
-  EXPECT_EQ(closure[0], closure[7]);
+  // Closure (the connected_components endgame at η = 0.98): one cluster.
+  ClusterProblem problem;
+  problem.num_records = 8;
+  problem.pairs = &f.pairs;
+  problem.pair_probability = &f.probability;
+  problem.eta = 0.98;
+  Clustering closure = MakeClusterer(ClustererKind::kConnectedComponents)
+                           ->Cluster(problem)
+                           .value();
+  EXPECT_EQ(closure.num_clusters, 1u);
+  EXPECT_EQ(closure.cluster_of[0], closure.cluster_of[7]);
 
   // Correlation clustering: two clusters.
   auto result = CorrelationCluster(8, f.pairs, f.probability).value();

@@ -14,27 +14,37 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// The one record ParseCsv reads from `line` (a record with no terminator).
+std::vector<std::string> ParseOneRecord(const std::string& line) {
+  auto rows = ParseCsv(line);
+  if (!rows.ok() || rows.value().size() != 1) {
+    ADD_FAILURE() << "expected one record in: " << line;
+    return {};
+  }
+  return rows.value()[0];
+}
+
 TEST(CsvLineTest, SimpleFields) {
-  auto fields = ParseCsvLine("a,b,c");
+  auto fields = ParseOneRecord("a,b,c");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[0], "a");
   EXPECT_EQ(fields[2], "c");
 }
 
 TEST(CsvLineTest, QuotedFieldWithComma) {
-  auto fields = ParseCsvLine("a,\"b, with comma\",c");
+  auto fields = ParseOneRecord("a,\"b, with comma\",c");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[1], "b, with comma");
 }
 
 TEST(CsvLineTest, EscapedQuotes) {
-  auto fields = ParseCsvLine("\"say \"\"hi\"\"\",x");
+  auto fields = ParseOneRecord("\"say \"\"hi\"\"\",x");
   ASSERT_EQ(fields.size(), 2u);
   EXPECT_EQ(fields[0], "say \"hi\"");
 }
 
 TEST(CsvLineTest, EmptyFields) {
-  auto fields = ParseCsvLine(",,");
+  auto fields = ParseOneRecord(",,");
   ASSERT_EQ(fields.size(), 3u);
   for (const auto& f : fields) EXPECT_TRUE(f.empty());
 }
@@ -43,7 +53,7 @@ TEST(CsvLineTest, FormatAndParseRoundTrip) {
   std::vector<std::string> original = {"plain", "with, comma", "with \"quote\"",
                                        ""};
   std::string line = FormatCsvLine(original);
-  EXPECT_EQ(ParseCsvLine(line), original);
+  EXPECT_EQ(ParseOneRecord(line), original);
 }
 
 TEST(CsvFileTest, WriteAndReadBack) {

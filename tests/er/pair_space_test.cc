@@ -55,28 +55,6 @@ TEST(PairSpaceTest, TwoSourceRestrictsToCrossPairs) {
   EXPECT_NE(space.Find(1, 2), kInvalidPairId);
 }
 
-TEST(PairSpaceTest, UniverseSizeSingleSource) {
-  Dataset ds("test");
-  for (int i = 0; i < 5; ++i) {
-    std::string text = "r";
-    text += std::to_string(i);
-    ds.AddRecord(0, std::move(text));
-  }
-  PairSpace space = PairSpace::Build(ds);
-  EXPECT_EQ(space.UniverseSize(ds), 10u);  // 5*4/2
-}
-
-TEST(PairSpaceTest, UniverseSizeTwoSource) {
-  Dataset ds("two", 2);
-  ds.AddRecord(0, "a");
-  ds.AddRecord(0, "b");
-  ds.AddRecord(1, "c");
-  ds.AddRecord(1, "d");
-  ds.AddRecord(1, "e");
-  PairSpace space = PairSpace::Build(ds);
-  EXPECT_EQ(space.UniverseSize(ds), 6u);  // 2*3
-}
-
 TEST(PairSpaceTest, EmptyDatasetYieldsNoPairs) {
   Dataset ds("test");
   PairSpace space = PairSpace::Build(ds);

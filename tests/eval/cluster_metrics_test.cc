@@ -46,20 +46,5 @@ TEST(ClusterMetricsTest, LabelPermutationInvariance) {
   EXPECT_DOUBLE_EQ(a.adjusted_rand_index, b.adjusted_rand_index);
 }
 
-TEST(ClustersFromMatchesTest, TransitiveClosure) {
-  auto labels = ClustersFromMatches(5, {{0, 1}, {1, 2}});
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_NE(labels[3], labels[4]);
-}
-
-TEST(ClustersFromMatchesTest, NoMatches) {
-  auto labels = ClustersFromMatches(3, {});
-  EXPECT_EQ(labels[0], 0u);
-  EXPECT_EQ(labels[1], 1u);
-  EXPECT_EQ(labels[2], 2u);
-}
-
 }  // namespace
 }  // namespace gter

@@ -29,9 +29,9 @@ namespace {
 // tokens (pasadena, marina, ...) are shared across entities, so the
 // candidate space has cross-entity edges for the endgames to reject.
 // Entities 0 (3 records) and 5 (4 records) exceed one record per source:
-// the transitive endgames can recover them fully, while the clean-clean
-// matching family caps at one partner per record — its pinned F1 sits
-// strictly below the closure family's, and the bands encode that gap.
+// the transitive endgames can recover them fully, while unique mapping
+// caps at one partner per record — its pinned F1 sits strictly below the
+// closure family's, and the bands encode that gap.
 constexpr const char* kFixtureCsv =
     "entity,source,field\n"
     "0,0,golden dragon szechuan pasadena 8185551234\n"
@@ -103,17 +103,12 @@ TEST(EndgameRegressionTest, EveryEndgameF1StaysInItsPinnedBand) {
 
   // Measured F1 at the pinned config, ±0.10. The three families land on
   // three distinct values: the transitive closures recover most of the
-  // multi-record entities (0.889), the one-partner matchers cap their
-  // recall (0.696), and hierarchical sits between (0.750).
+  // multi-record entities (0.889), unique mapping caps its recall
+  // (0.696), and hierarchical sits between (0.750).
   const F1Band kBands[] = {
       {ClustererKind::kConnectedComponents, 0.79, 0.99},
       {ClustererKind::kCorrelation, 0.79, 0.99},
       {ClustererKind::kUniqueMapping, 0.60, 0.80},
-      {ClustererKind::kRowAssignment, 0.60, 0.80},
-      {ClustererKind::kColumnAssignment, 0.60, 0.80},
-      {ClustererKind::kBestMatch, 0.60, 0.80},
-      {ClustererKind::kReciprocalMatch, 0.60, 0.80},
-      {ClustererKind::kExactMatch, 0.60, 0.80},
       {ClustererKind::kHierarchical, 0.65, 0.85},
   };
   for (const F1Band& band : kBands) {

@@ -34,29 +34,5 @@ TEST(TokenizerTest, DuplicatesPreserved) {
   EXPECT_EQ(tokens[0], tokens[1]);
 }
 
-TEST(CharNgramsTest, BasicTrigrams) {
-  auto grams = CharNgrams("hello", 3);
-  ASSERT_EQ(grams.size(), 3u);
-  EXPECT_EQ(grams[0], "hel");
-  EXPECT_EQ(grams[1], "ell");
-  EXPECT_EQ(grams[2], "llo");
-}
-
-TEST(CharNgramsTest, ShortTokenReturnsItself) {
-  auto grams = CharNgrams("ab", 3);
-  ASSERT_EQ(grams.size(), 1u);
-  EXPECT_EQ(grams[0], "ab");
-}
-
-TEST(CharNgramsTest, ExactLengthToken) {
-  auto grams = CharNgrams("abc", 3);
-  ASSERT_EQ(grams.size(), 1u);
-  EXPECT_EQ(grams[0], "abc");
-}
-
-TEST(CharNgramsTest, ZeroNReturnsEmpty) {
-  EXPECT_TRUE(CharNgrams("abc", 0).empty());
-}
-
 }  // namespace
 }  // namespace gter

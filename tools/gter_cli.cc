@@ -12,7 +12,7 @@
 //       Resolve a CSV dataset; write matched pairs and term weights.
 //       --clusterer picks the clustering endgame that turns pairwise
 //       probabilities into entities (connected_components, correlation,
-//       the clean-clean matching family, hierarchical).
+//       unique_mapping, hierarchical).
 //       --simd=scalar pins the scalar reference kernels; auto picks the
 //       best level CPUID reports. The level changes speed only: every
 //       kernel is bitwise equal to its scalar twin, so a corpus resolves
@@ -127,7 +127,8 @@ int RunResolve(int argc, char** argv) {
   flags.AddInt("steps", 20, "random-walk steps S");
   flags.AddDouble("max_df_ratio", 0.12, "frequent-term removal ratio");
   flags.AddString("clusterer", "connected_components",
-                  "clustering endgame (see eval-endgames for the registry)");
+                  "clustering endgame: connected_components, correlation, "
+                  "unique_mapping or hierarchical");
   flags.AddDouble("merge_threshold", 0.5,
                   "hierarchical endgame: stop merging below this linkage");
   flags.AddString("matches", "matches.csv", "output: matched pairs CSV");
