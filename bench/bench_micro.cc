@@ -8,7 +8,7 @@
 //                        input of `gter_cli report` / tools/perf_gate.sh)
 //   --trace_out=PATH     dump a Chrome/Perfetto trace of the run
 //   --log_level=LEVEL    debug|info|warning|error
-//   --simd=LEVEL         scalar|avx2|avx512|auto — caps the dispatch level
+//   --simd=LEVEL         scalar|avx512|auto — caps the dispatch level
 //                        the kernels may use (per-benchmark "simd" args
 //                        still pin each measurement below that cap)
 
@@ -25,7 +25,7 @@ namespace gter {
 namespace {
 
 // Pins the SIMD level of the benchmark's "simd" argument (0 = scalar,
-// 1 = avx2, 2 = avx512) for the benchmark's lifetime, or skips the
+// 2 = avx512) for the benchmark's lifetime, or skips the
 // benchmark when the level exceeds what the CPU/build supports — or what a
 // global --simd= cap allows (so `--simd=scalar` runs produce scalar-only
 // timers, directly diffable against pre-SIMD baselines). Each dispatched

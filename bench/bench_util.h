@@ -7,7 +7,7 @@
 //   --scale   dataset scale (1.0 = the paper's sizes; default below)
 //   --seed    generator seed
 //   --threads worker threads for the parallel hot paths (1 = sequential)
-//   --simd    compute-kernel level: scalar | avx2 | avx512 | auto
+//   --simd    compute-kernel level: scalar | avx512 | auto
 // and prints a paper-style table to stdout. The default scale is reduced
 // so the whole bench suite completes in minutes on a small machine; pass
 // --scale=1 to reproduce the published dataset sizes.

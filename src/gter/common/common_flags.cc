@@ -27,7 +27,7 @@ Status ApplyLogLevelFlag(const FlagSet& flags) {
 void AddCommonStageFlags(FlagSet* flags) {
   flags->AddInt("threads", 1, "worker threads (0 = all cores, 1 = serial)");
   flags->AddString("simd", "auto",
-                   "compute kernels: scalar | avx2 | avx512 | auto (scalar = "
+                   "compute kernels: scalar | avx512 | auto (scalar = "
                    "the determinism reference path; requests above the host's "
                    "capability clamp down)");
   flags->AddString("metrics_out", "",

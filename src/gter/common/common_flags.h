@@ -15,7 +15,7 @@ namespace gter {
 /// suite, the examples):
 ///
 ///   --threads      worker threads (0 = all cores, 1 = serial)
-///   --simd         compute-kernel level: scalar | avx2 | avx512 | auto
+///   --simd         compute-kernel level: scalar | avx512 | auto
 ///   --metrics_out  pipeline metrics JSON dump path
 ///   --trace_out    Chrome/Perfetto trace-event JSON dump path
 ///   --log_level    minimum log severity

@@ -96,20 +96,16 @@ std::string CpuFeatureString() {
 }
 
 SimdLevel DetectSimdLevel() {
-#if GTER_HAVE_AVX2 || GTER_HAVE_AVX512
-  const CpuFeatures& f = DetectCpuFeatures();
 #if GTER_HAVE_AVX512
+  const CpuFeatures& f = DetectCpuFeatures();
   // The avx512 kernels' intrinsics need only F and BW. DQ, VL and
   // VPOPCNTDQ are still required because no kernel has been measured on
-  // a host without them (e.g. Skylake-SP), so such hosts stay on avx2.
+  // a host without them (e.g. Skylake-SP), so such hosts stay on the
+  // baseline kernels.
   if (f.avx2 && f.fma && f.avx512f && f.avx512bw && f.avx512dq &&
       f.avx512vl && f.avx512vpopcntdq) {
     return SimdLevel::kAvx512;
   }
-#endif
-#if GTER_HAVE_AVX2
-  if (f.avx2 && f.fma) return SimdLevel::kAvx2;
-#endif
 #endif
   return SimdLevel::kScalar;
 }
@@ -134,10 +130,6 @@ bool ParseSimdLevel(std::string_view text, SimdLevel* level) {
     *level = SimdLevel::kScalar;
     return true;
   }
-  if (text == "avx2") {
-    *level = SimdLevel::kAvx2;
-    return true;
-  }
   if (text == "avx512") {
     *level = SimdLevel::kAvx512;
     return true;
@@ -153,8 +145,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kAvx2:
-      return "avx2";
     case SimdLevel::kAvx512:
       return "avx512";
   }

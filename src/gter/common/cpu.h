@@ -45,34 +45,33 @@ const CpuFeatures& DetectCpuFeatures();
 std::string CpuFeatureString();
 
 /// Dispatch tiers, ordered: a level is usable iff every lower level is.
-/// kAvx2 implies FMA (no kernel has an avx2 tier any more). kAvx512
-/// requires the F+BW+DQ+VL+VPOPCNTDQ feature set the *_avx512.cc TUs are
-/// compiled against — a host with only avx512f (e.g. Skylake-X without
-/// VPOPCNTDQ) clamps to kAvx2 rather than risking an illegal instruction
-/// in a kernel tail.
+/// kAvx512 requires AVX2, FMA and the F+BW+DQ+VL+VPOPCNTDQ feature set
+/// the *_avx512.cc TUs are compiled against — a host without all of them
+/// (e.g. Skylake-X without VPOPCNTDQ) clamps to kScalar, the baseline
+/// kernels, rather than risking an illegal instruction in a kernel tail.
+/// kAvx512 keeps the value 2 it had when a level 1 (avx2) existed, so the
+/// `simd/level` gauge and bench_micro's level arguments read as before.
 enum class SimdLevel : int {
   kScalar = 0,
-  kAvx2 = 1,
   kAvx512 = 2,
 };
 
 /// Highest level this binary can run: the minimum of what the CPU reports
-/// and what the build compiled in (GTER_HAVE_AVX2 / GTER_HAVE_AVX512).
-/// Cached.
+/// and what the build compiled in (GTER_HAVE_AVX512). Cached.
 SimdLevel DetectSimdLevel();
 
 /// The process-wide level every dispatched kernel consults. Starts at
 /// `DetectSimdLevel()`; `SetSimdLevel` overrides it (clamped to the
-/// detected maximum, so requesting avx512 on an avx2-only machine silently
+/// detected maximum, so requesting avx512 on a machine without it silently
 /// degrades instead of crashing on an illegal instruction).
 SimdLevel ActiveSimdLevel();
 void SetSimdLevel(SimdLevel level);
 
-/// Parses "scalar" | "avx2" | "avx512" | "auto" (auto → DetectSimdLevel()).
+/// Parses "scalar" | "avx512" | "auto" (auto → DetectSimdLevel()).
 /// Returns false on anything else.
 bool ParseSimdLevel(std::string_view text, SimdLevel* level);
 
-/// Canonical flag spelling of `level` ("scalar", "avx2", "avx512").
+/// Canonical flag spelling of `level` ("scalar", "avx512").
 const char* SimdLevelName(SimdLevel level);
 
 /// RAII override of the active level for a scope — the harness the
@@ -94,7 +93,7 @@ class ScopedSimdLevel {
 /// Records which compute path this run executed on: detected features and
 /// the active level as gauges (`cpu/avx2`, `cpu/fma`, `simd/level`, ... —
 /// 0/1 flags, level as its enum value) into `metrics`, and as "M"
-/// process-label metadata (`simd=avx2 cpu=sse2+...`) into `trace`. Either
+/// process-label metadata (`simd=avx512 cpu=sse2+...`) into `trace`. Either
 /// sink may be null. The CLI and every bench binary call this right after
 /// installing their registry/recorder, so run reports and Perfetto traces
 /// say which path produced them.

@@ -12,8 +12,9 @@
 namespace gter {
 
 /// Prometheus text-exposition (format 0.0.4) rendering of a
-/// MetricsRegistry, plus the scrape-side parsing helpers bench_loadgen
-/// and the tests use to read percentiles back out of `/metrics`.
+/// MetricsRegistry, plus the scrape-side parsing helpers perfbench's
+/// serve workloads and the tests use to read percentiles back out of
+/// `/metrics`.
 ///
 /// Mapping from registry sections to Prometheus families:
 ///   counters           → `counter`  (one sample)

@@ -53,13 +53,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  GTER_CHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
@@ -100,19 +93,6 @@ double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  GTER_CHECK(n > 0);
-  double total = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) total += std::pow(static_cast<double>(k), -s);
-  double target = UniformDouble() * total;
-  double acc = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) {
-    acc += std::pow(static_cast<double>(k), -s);
-    if (acc >= target) return k;
-  }
-  return n;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   GTER_CHECK(k <= n);
   // Floyd's algorithm: expected O(k) insertions, exact distribution.
@@ -135,24 +115,6 @@ Rng Rng::Fork(uint64_t stream_id) const {
   uint64_t s = mix;
   (void)SplitMix64(&s);
   return Rng(SplitMix64(&s));
-}
-
-ZipfSampler::ZipfSampler(size_t n, double exponent) {
-  GTER_CHECK(n > 0);
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    acc += std::pow(static_cast<double>(k + 1), -exponent);
-    cdf_[k] = acc;
-  }
-  for (auto& v : cdf_) v /= acc;
-}
-
-size_t ZipfSampler::Sample(Rng* rng) const {
-  double u = rng->UniformDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
 }
 
 }  // namespace gter

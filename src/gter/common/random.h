@@ -23,9 +23,6 @@ class Rng {
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of entropy.
   double UniformDouble();
 
@@ -43,12 +40,6 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
-
-  /// Zipf-distributed rank in [1, n] with exponent `s` (>0), via inverse-CDF
-  /// over a precomputation-free harmonic sum (O(n) worst case only on first
-  /// use per (n, s); callers in datagen use ZipfSampler for hot loops).
-  /// Exposed mainly for tests.
-  uint64_t Zipf(uint64_t n, double s);
 
   /// Fisher–Yates shuffle of `items`.
   template <typename T>
@@ -76,21 +67,6 @@ class Rng {
   uint64_t seed_;
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
-};
-
-/// Precomputed alias-free Zipf sampler over ranks [0, n) with exponent s.
-/// Sampling is O(log n) via binary search on the CDF.
-class ZipfSampler {
- public:
-  ZipfSampler(size_t n, double exponent);
-
-  /// Returns a rank in [0, n); rank 0 is the most probable.
-  size_t Sample(Rng* rng) const;
-
-  size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace gter

@@ -48,10 +48,6 @@ Status ThreadPool::Submit(TaskGroup* group, std::function<void()> task) {
   return Status::OK();
 }
 
-Status ThreadPool::Submit(std::function<void()> task) {
-  return Submit(&default_group_, std::move(task));
-}
-
 std::deque<ThreadPool::Task>::iterator ThreadPool::FindTask(
     TaskGroup* group) {
   return std::find_if(tasks_.begin(), tasks_.end(),
@@ -89,8 +85,6 @@ void ThreadPool::Wait(TaskGroup* group) {
     }
   }
 }
-
-void ThreadPool::Wait() { Wait(&default_group_); }
 
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);

@@ -75,17 +75,10 @@ class ThreadPool {
   /// races degrade to lost work the caller can observe instead of a crash.
   Status Submit(TaskGroup* group, std::function<void()> task);
 
-  /// Enqueues a task into the pool-wide default group (legacy interface;
-  /// prefer an explicit TaskGroup). Same shutdown semantics as above.
-  Status Submit(std::function<void()> task);
-
   /// Blocks until every task submitted to `group` has finished. Runs the
   /// group's queued tasks while waiting, so this is safe to call from a
   /// worker thread; tasks of other groups are left to the workers.
   void Wait(TaskGroup* group);
-
-  /// Blocks until the pool-wide default group is empty (legacy interface).
-  void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -114,7 +107,6 @@ class ThreadPool {
   /// helpers share it; completion events are rare enough that the shared
   /// condvar beats per-group condvars in allocation and fairness.
   std::condition_variable wakeup_;
-  TaskGroup default_group_;
   bool shutting_down_ = false;
 };
 

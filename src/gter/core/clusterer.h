@@ -3,12 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "gter/common/exec_context.h"
-#include "gter/core/correlation_clustering.h"
 #include "gter/er/pair_space.h"
 
 namespace gter {
@@ -42,38 +40,13 @@ struct Clustering {
   size_t num_clusters = 0;
 };
 
-/// Strategy interface for the final entity-formation step (DESIGN.md §4f):
-/// similarity graph in, entity partition out.
-///
-/// Contract every implementation upholds:
-///  * Partition validity — every record gets exactly one label, labels are
-///    dense in [0, num_clusters), no cluster is empty.
-///  * Determinism — identical problems yield identical partitions, at any
-///    thread count, before and after a cancelled attempt (ties break on
-///    record/pair ids; stochastic endgames are seeded through options).
-///  * Cancellation — `ctx.cancel` is polled at entry and at every
-///    restart/merge/edge-batch boundary; a tripped token unwinds with
-///    Cancelled/DeadlineExceeded and leaves no residue.
-///  * Bipartite invariant — the unique-mapping endgame never places two
-///    records of the same source in one entity (when `source_of` is given).
-class Clusterer {
- public:
-  virtual ~Clusterer() = default;
-
-  /// Registry name ("correlation", "unique_mapping", ...).
-  virtual std::string name() const = 0;
-
-  virtual Result<Clustering> Cluster(
-      const ClusterProblem& problem,
-      const ExecContext& ctx = DefaultExecContext()) const = 0;
-};
-
 /// The registered endgames.
 ///
 /// kConnectedComponents — transitive closure of p ≥ η edges (one false
 ///   positive chains whole clusters together).
 /// kCorrelation — randomized-pivot correlation clustering with local-move
-///   refinement (wraps CorrelationCluster bit-identically).
+///   refinement (CorrelationCluster at default options, its
+///   together-threshold at the problem's η).
 /// kUniqueMapping — clean-clean bipartite matching (Papadakis et al.,
 ///   arxiv 2112.14030): greedy globally by weight, accepting a
 ///   cross-source p ≥ η edge when both endpoints are still free. Each
@@ -90,12 +63,8 @@ enum class ClustererKind {
   kHierarchical,
 };
 
-/// Tuning knobs shared by MakeClusterer. Fields irrelevant to the chosen
-/// kind are ignored.
+/// Tuning knobs of Cluster(). Kinds that have no knob ignore them.
 struct ClustererOptions {
-  /// Correlation endgame: restarts/refinement/seed. Its together-threshold
-  /// always tracks the problem's η.
-  CorrelationClusteringOptions correlation;
   /// Hierarchical endgame: clusters merge while the average inter-cluster
   /// edge weight (absent edges count 0) is ≥ this.
   double merge_threshold = 0.5;
@@ -112,9 +81,26 @@ Result<ClustererKind> ParseClustererKind(const std::string& name);
 /// the property suite and the eval harness.
 const std::vector<ClustererKind>& AllClustererKinds();
 
-/// Builds the endgame for `kind`.
-std::unique_ptr<Clusterer> MakeClusterer(ClustererKind kind,
-                                         const ClustererOptions& options = {});
+/// The final entity-formation step (DESIGN.md §4f): runs endgame `kind`
+/// on `problem`, similarity graph in, entity partition out.
+///
+/// Contract every kind upholds:
+///  * Partition validity — every record gets exactly one label, labels are
+///    dense in [0, num_clusters), no cluster is empty.
+///  * Determinism — identical problems yield identical partitions, at any
+///    thread count, before and after a cancelled attempt (ties break on
+///    record/pair ids; the correlation endgame's pivots are seeded).
+///  * Cancellation — `ctx.cancel` is polled at entry and at every
+///    restart/merge/edge-batch boundary; a tripped token unwinds with
+///    Cancelled/DeadlineExceeded and leaves no residue.
+///  * Bipartite invariant — the unique-mapping endgame never places two
+///    records of the same source in one entity (when `source_of` is given).
+///
+/// It counts `cluster/endgame_runs` but leaves the `cluster/clusters`
+/// gauge to whoever serves the partition.
+Result<Clustering> Cluster(ClustererKind kind, const ClusterProblem& problem,
+                           const ClustererOptions& options = {},
+                           const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

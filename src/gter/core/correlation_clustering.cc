@@ -148,11 +148,6 @@ Result<CorrelationClusteringResult> CorrelationCluster(
   best.cluster_of = Densify(best.cluster_of);
   if (metrics != nullptr) {
     metrics->AddCounter("cluster/restarts", options.restarts);
-    uint32_t num_clusters = 0;
-    for (uint32_t l : best.cluster_of) {
-      num_clusters = std::max(num_clusters, l + 1);
-    }
-    metrics->SetGauge("cluster/clusters", static_cast<double>(num_clusters));
   }
   return best;
 }

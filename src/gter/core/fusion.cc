@@ -125,11 +125,14 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     problem.source_of = &source_of;
   }
   Result<Clustering> clustered =
-      MakeClusterer(config_.clusterer, config_.clusterer_options)
-          ->Cluster(problem, ctx);
+      Cluster(config_.clusterer, problem, config_.clusterer_options, ctx);
   if (!clustered.ok()) return fail(clustered.status());
   result.num_clusters = clustered.value().num_clusters;
   result.cluster_of = std::move(clustered).value().cluster_of;
+  if (metrics != nullptr) {
+    metrics->SetGauge("cluster/clusters",
+                      static_cast<double>(result.num_clusters));
+  }
 
   result.total_seconds = total_watch.ElapsedSeconds();
   return std::move(partial_);

@@ -33,8 +33,8 @@ void ResolverState::GrowToVocabulary() {
   // logistic map has one positive attractor, so the value is free — and a
   // term only ever seen in one record has no pairs, so its first sweep
   // parks it at 0 anyway.
-  x_.resize(vocab, kInitialWeight);
-  inverted_.resize(vocab);
+  model_.term_weights.resize(vocab, kInitialWeight);
+  model_.inverted.resize(vocab);
 }
 
 void ResolverState::StructuralIngest(RecordId r) {
@@ -50,8 +50,8 @@ void ResolverState::StructuralIngest(RecordId r) {
   // record never pairs with itself.
   std::vector<RecordId> neighbors;
   for (TermId t : rec.terms) {
-    neighbors.insert(neighbors.end(), inverted_[t].begin(),
-                     inverted_[t].end());
+    neighbors.insert(neighbors.end(), model_.inverted[t].begin(),
+                     model_.inverted[t].end());
   }
   std::sort(neighbors.begin(), neighbors.end());
   neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
@@ -62,18 +62,18 @@ void ResolverState::StructuralIngest(RecordId r) {
     if (two_source && dataset_->record(b).source == rec.source) continue;
     std::vector<TermId> shared =
         SortedIntersection(rec.terms, dataset_->record(b).terms);
-    const PairId p = pairs_.Append(b, r);
+    const PairId p = model_.pairs.Append(b, r);
     const PairId g = graph_.AddPair(shared);
     GTER_CHECK(p == g);
-    s_.push_back(0.0);
-    probability_.push_back(0.0);
-    matches_.push_back(false);
+    model_.pair_scores.push_back(0.0);
+    model_.pair_probability.push_back(0.0);
+    model_.matches.push_back(false);
     pairs_of_record_[b].push_back(p);
     pairs_of_record_[r].push_back(p);
   }
 
   // Posting upsert: r is the largest id, so postings stay sorted.
-  for (TermId t : rec.terms) inverted_[t].push_back(r);
+  for (TermId t : rec.terms) model_.inverted[t].push_back(r);
 
   // The record's terms are the invalidated frontier: each gained a record
   // (N_t — and so P_t — changed) and possibly new pairs.
@@ -84,9 +84,9 @@ void ResolverState::StructuralIngest(RecordId r) {
 }
 
 double ResolverState::PairProbabilityOf(PairId p) const {
-  const RecordPair& rp = pairs_.pair(p);
+  const RecordPair& rp = model_.pairs.pair(p);
   const double denom = std::max(best_[rp.a], best_[rp.b]);
-  return denom > 0.0 ? s_[p] / denom : 0.0;
+  return denom > 0.0 ? model_.pair_scores[p] / denom : 0.0;
 }
 
 void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
@@ -96,19 +96,19 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   // every batch build lands here), the sparse bookkeeping below would
   // sort two ids per touched pair just to rediscover "everything". One
   // sequential pass over the pair table is cheaper and exact.
-  if (touched_pairs.size() >= pairs_.size() / 2) {
+  if (touched_pairs.size() >= model_.pairs.size() / 2) {
     std::fill(best_.begin(), best_.end(), 0.0);
-    const size_t num_pairs = pairs_.size();
+    const size_t num_pairs = model_.pairs.size();
     for (PairId p = 0; p < num_pairs; ++p) {
-      const RecordPair& rp = pairs_.pair(p);
-      best_[rp.a] = std::max(best_[rp.a], s_[p]);
-      best_[rp.b] = std::max(best_[rp.b], s_[p]);
+      const RecordPair& rp = model_.pairs.pair(p);
+      best_[rp.a] = std::max(best_[rp.a], model_.pair_scores[p]);
+      best_[rp.b] = std::max(best_[rp.b], model_.pair_scores[p]);
     }
-    matched_count_ = 0;
+    model_.matched_count = 0;
     for (PairId p = 0; p < num_pairs; ++p) {
-      probability_[p] = PairProbabilityOf(p);
-      matches_[p] = probability_[p] >= options_.eta;
-      matched_count_ += matches_[p] ? 1 : 0;
+      model_.pair_probability[p] = PairProbabilityOf(p);
+      model_.matches[p] = model_.pair_probability[p] >= options_.eta;
+      model_.matched_count += model_.matches[p] ? 1 : 0;
     }
     RebuildClusters(metrics, recorder);
     return;
@@ -119,8 +119,8 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   std::vector<RecordId> cand;
   cand.reserve(touched_pairs.size() * 2);
   for (PairId p : touched_pairs) {
-    cand.push_back(pairs_.pair(p).a);
-    cand.push_back(pairs_.pair(p).b);
+    cand.push_back(model_.pairs.pair(p).a);
+    cand.push_back(model_.pairs.pair(p).b);
   }
   std::sort(cand.begin(), cand.end());
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
@@ -128,7 +128,9 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   std::vector<RecordId> rescaled;
   for (RecordId r : cand) {
     double b = 0.0;
-    for (PairId p : pairs_of_record_[r]) b = std::max(b, s_[p]);
+    for (PairId p : pairs_of_record_[r]) {
+      b = std::max(b, model_.pair_scores[p]);
+    }
     if (b != best_[r]) {
       best_[r] = b;
       rescaled.push_back(r);
@@ -147,12 +149,12 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
 
   bool flips = false;
   for (PairId p : rescore) {
-    probability_[p] = PairProbabilityOf(p);
-    const bool match = probability_[p] >= options_.eta;
-    if (match != matches_[p]) {
+    model_.pair_probability[p] = PairProbabilityOf(p);
+    const bool match = model_.pair_probability[p] >= options_.eta;
+    if (match != model_.matches[p]) {
       flips = true;
-      matched_count_ += match ? 1 : -1;
-      matches_[p] = match;
+      model_.matched_count += match ? 1 : -1;
+      model_.matches[p] = match;
     }
   }
 
@@ -165,9 +167,10 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   // labelled prefix therefore has no match, and its id exceeds every
   // labelled one: the prefix keeps its labels (dense, stable by smallest
   // member) and each new record opens the next label as a singleton.
-  for (size_t r = cluster_of_.size(); r < ingested_records_; ++r) {
-    cluster_of_.push_back(static_cast<uint32_t>(cluster_members_.size()));
-    cluster_members_.push_back({static_cast<RecordId>(r)});
+  for (size_t r = model_.cluster_of.size(); r < ingested_records_; ++r) {
+    model_.cluster_of.push_back(
+        static_cast<uint32_t>(model_.cluster_members.size()));
+    model_.cluster_members.push_back({static_cast<RecordId>(r)});
   }
 }
 
@@ -175,16 +178,16 @@ void ResolverState::RebuildClusters(MetricsRegistry* metrics,
                                     TraceRecorder* recorder) {
   ScopedTimer timer(metrics, recorder, "resolver_state/rebuild_clusters");
   UnionFind uf(ingested_records_);
-  const size_t num_pairs = pairs_.size();
+  const size_t num_pairs = model_.pairs.size();
   for (PairId p = 0; p < num_pairs; ++p) {
-    if (!matches_[p]) continue;
-    const RecordPair& rp = pairs_.pair(p);
+    if (!model_.matches[p]) continue;
+    const RecordPair& rp = model_.pairs.pair(p);
     uf.Union(rp.a, rp.b);
   }
-  cluster_of_ = uf.ComponentLabels();
-  cluster_members_.assign(uf.num_components(), {});
+  model_.cluster_of = uf.ComponentLabels();
+  model_.cluster_members.assign(uf.num_components(), {});
   for (RecordId r = 0; r < ingested_records_; ++r) {
-    cluster_members_[cluster_of_[r]].push_back(r);
+    model_.cluster_members[model_.cluster_of[r]].push_back(r);
   }
 }
 
@@ -205,7 +208,8 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
   if (metrics != nullptr) metrics->AddCounter("ingest/dirty_reiter_runs");
 
   Result<IterDirtyResult> swept =
-      RunIterDirty(graph_, dirty, options_.iter, &x_, &s_, ctx);
+      RunIterDirty(graph_, dirty, options_.iter, &model_.term_weights,
+                   &model_.pair_scores, ctx);
   if (!swept.ok()) {
     // Weights are mid-flight: scores of pairs adjacent to moved terms may
     // be stale. Escalate the resume to a full frontier — correct from any
@@ -287,22 +291,22 @@ Result<IngestStats> ResolverState::IngestNext(const ExecContext& ctx) {
   IngestStats stats;
   stats.record = id;
   const size_t terms_before = graph_.num_terms();
-  const size_t pairs_before = pairs_.size();
+  const size_t pairs_before = model_.pairs.size();
   {
     ScopedTimer structural(metrics, recorder,
                            "resolver_state/structural_ingest");
     StructuralIngest(id);
   }
   stats.new_terms = graph_.num_terms() - terms_before;
-  stats.new_pairs = pairs_.size() - pairs_before;
+  stats.new_pairs = model_.pairs.size() - pairs_before;
   ++records_ingested_;
   if (metrics != nullptr) metrics->AddCounter("ingest/records");
 
   GTER_RETURN_IF_ERROR(ConvergeAndRefresh(ctx));
   stats.sweeps = last_converge_sweeps_;
   stats.used_full_resweep = last_used_full_;
-  stats.cluster = cluster_of_[id];
-  stats.cluster_size = cluster_members_[stats.cluster].size();
+  stats.cluster = model_.cluster_of[id];
+  stats.cluster_size = model_.cluster_members[stats.cluster].size();
   return stats;
 }
 

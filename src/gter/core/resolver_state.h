@@ -15,6 +15,29 @@
 
 namespace gter {
 
+/// The resolution model a resolver serves: everything `gterd`'s read
+/// handlers consult. `ResolverState` keeps its live copy here, and the
+/// batch-trained serving model fills one from a fusion run (DESIGN.md §5c).
+struct ServedModel {
+  /// Candidate pairs.
+  PairSpace pairs;
+  /// ITER term weights, indexed by TermId (vocabulary-sized).
+  std::vector<double> term_weights;
+  /// ITER pair scores, indexed by PairId.
+  std::vector<double> pair_scores;
+  /// Match probabilities, indexed by PairId.
+  std::vector<double> pair_probability;
+  /// p ≥ η decisions, indexed by PairId.
+  std::vector<bool> matches;
+  size_t matched_count = 0;
+  /// Dense cluster label per record (stable by smallest member) and the
+  /// member lists per label.
+  std::vector<uint32_t> cluster_of;
+  std::vector<std::vector<RecordId>> cluster_members;
+  /// Shared-term inverted index (vocabulary-sized, postings ascending).
+  std::vector<std::vector<RecordId>> inverted;
+};
+
 /// Options for the incremental resolver state (DESIGN.md §4g).
 struct ResolverStateOptions {
   /// Match threshold on the reciprocal-best pair probability.
@@ -113,28 +136,26 @@ class ResolverState {
   const ResolverStateOptions& options() const { return options_; }
   /// Records resolved so far (≤ dataset().size()).
   size_t num_records() const { return ingested_records_; }
-  const PairSpace& pairs() const { return pairs_; }
   const BipartiteGraph& graph() const { return graph_; }
 
-  /// ITER term weights, indexed by TermId (vocabulary-sized).
-  const std::vector<double>& term_weights() const { return x_; }
-  /// ITER pair scores, indexed by PairId.
-  const std::vector<double>& pair_scores() const { return s_; }
-  /// Reciprocal-best match probabilities, indexed by PairId.
-  const std::vector<double>& pair_probability() const { return probability_; }
-  const std::vector<bool>& matches() const { return matches_; }
-  size_t matched_count() const { return matched_count_; }
-  /// Dense cluster labels (stable by smallest member), one per resolved
-  /// record, and the member lists per label.
-  const std::vector<uint32_t>& cluster_of() const { return cluster_of_; }
-  size_t num_clusters() const { return cluster_members_.size(); }
-  const std::vector<std::vector<RecordId>>& cluster_members() const {
-    return cluster_members_;
+  /// The live model over the resolved records. Its probabilities are the
+  /// reciprocal-best ones; its inverted index postings ascend because
+  /// ingest order is id order. The accessors below forward to it.
+  const ServedModel& model() const { return model_; }
+  const PairSpace& pairs() const { return model_.pairs; }
+  const std::vector<double>& term_weights() const {
+    return model_.term_weights;
   }
-  /// Shared-term inverted index over resolved records (vocabulary-sized;
-  /// postings ascend because ingest order is id order).
-  const std::vector<std::vector<RecordId>>& inverted_index() const {
-    return inverted_;
+  const std::vector<double>& pair_scores() const { return model_.pair_scores; }
+  const std::vector<double>& pair_probability() const {
+    return model_.pair_probability;
+  }
+  const std::vector<bool>& matches() const { return model_.matches; }
+  size_t matched_count() const { return model_.matched_count; }
+  const std::vector<uint32_t>& cluster_of() const { return model_.cluster_of; }
+  size_t num_clusters() const { return model_.cluster_members.size(); }
+  const std::vector<std::vector<RecordId>>& cluster_members() const {
+    return model_.cluster_members;
   }
 
   /// Monotonic state version: bumps on every structural mutation and every
@@ -175,19 +196,11 @@ class ResolverState {
   Dataset* dataset_;
   ResolverStateOptions options_;
   BipartiteGraph graph_;
-  PairSpace pairs_;
-  std::vector<std::vector<RecordId>> inverted_;
+  ServedModel model_;
   std::vector<std::vector<PairId>> pairs_of_record_;
-  std::vector<double> x_;
-  std::vector<double> s_;
   /// best_[r] = max s over r's pairs (0 when r has none) — the reciprocal-
   /// best denominator.
   std::vector<double> best_;
-  std::vector<double> probability_;
-  std::vector<bool> matches_;
-  size_t matched_count_ = 0;
-  std::vector<uint32_t> cluster_of_;
-  std::vector<std::vector<RecordId>> cluster_members_;
 
   size_t ingested_records_ = 0;
   std::vector<TermId> pending_dirty_;

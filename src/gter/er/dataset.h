@@ -27,6 +27,11 @@ class Dataset {
   void set_tokenizer_options(TokenizerOptions options) {
     tokenizer_options_ = std::move(options);
   }
+  /// Text meant to match this dataset's terms (queries, later records)
+  /// tokenizes with these.
+  const TokenizerOptions& tokenizer_options() const {
+    return tokenizer_options_;
+  }
 
   const std::string& name() const { return name_; }
   uint32_t num_sources() const { return num_sources_; }

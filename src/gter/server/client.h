@@ -44,8 +44,8 @@ class GterdClient {
   /// One-shot HTTP/1.0 GET against the server's observability listener
   /// (DESIGN.md §4c): connects, issues `GET <path>`, reads until the peer
   /// closes, and returns the response *body*. Any status other than
-  /// 200 OK is an error carrying the status line. Used by bench_loadgen
-  /// and the tests to scrape /metrics; not a general HTTP client.
+  /// 200 OK is an error carrying the status line. Used by the tests to
+  /// scrape /metrics; not a general HTTP client.
   static Result<std::string> HttpGet(const std::string& host, uint16_t port,
                                      const std::string& path);
 

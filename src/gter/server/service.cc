@@ -55,11 +55,7 @@ ResolutionService::ResolutionService(Dataset dataset,
                                      ResolutionServiceOptions options)
     : dataset_(std::move(dataset)),
       options_(std::move(options)),
-      start_time_(std::chrono::steady_clock::now()) {
-  // Ingested records and query text must tokenize the way the training
-  // corpus did.
-  dataset_.set_tokenizer_options(options_.tokenizer);
-}
+      start_time_(std::chrono::steady_clock::now()) {}
 
 Result<std::unique_ptr<ResolutionService>> ResolutionService::Create(
     Dataset dataset, ResolutionServiceOptions options, const ExecContext& ctx) {
@@ -70,47 +66,42 @@ Result<std::unique_ptr<ResolutionService>> ResolutionService::Create(
 }
 
 Status ResolutionService::Train(const ExecContext& ctx) {
+  source_of_.reserve(dataset_.size());
+  for (const Record& r : dataset_.records()) source_of_.push_back(r.source);
   if (options_.incremental) {
     // Incremental mode: the startup "training" is a ResolverState batch
     // build over the loaded dataset; every later add_record extends it.
     Stopwatch watch;
-    state_ = std::make_unique<ResolverState>(&dataset_, options_.resolver);
+    ResolverStateOptions resolver;
+    resolver.eta = options_.fusion.eta;
+    state_ = std::make_unique<ResolverState>(&dataset_, resolver);
     GTER_RETURN_IF_ERROR(state_->BuildBatch(ctx));
     train_seconds_ = watch.ElapsedSeconds();
-    source_of_.clear();
-    source_of_.reserve(dataset_.size());
-    for (const Record& r : dataset_.records()) source_of_.push_back(r.source);
     return Status::OK();
   }
   FusionPipeline pipeline(dataset_, options_.fusion);
   Result<FusionResult> run = pipeline.Run(ctx);
   if (!run.ok()) return run.status();
   FusionResult result = std::move(run).value();
-
-  term_weights_ = std::move(result.term_weights);
-  term_weights_.resize(dataset_.vocabulary().size(), 0.0);
-  pairs_ = pipeline.pairs();
-  pair_scores_ = std::move(result.pair_scores);
-  pair_probability_ = std::move(result.pair_probability);
-  matches_ = std::move(result.matches);
   train_seconds_ = result.total_seconds;
-  matched_count_ = 0;
-  for (bool m : matches_) matched_count_ += m;
 
+  ServedModel& m = batch_model_;
+  m.pairs = pipeline.pairs();
+  m.term_weights = std::move(result.term_weights);
+  m.term_weights.resize(dataset_.vocabulary().size(), 0.0);
+  m.pair_scores = std::move(result.pair_scores);
+  m.pair_probability = std::move(result.pair_probability);
+  m.matches = std::move(result.matches);
+  for (bool match : m.matches) m.matched_count += match;
   // The entity partition comes from the pipeline's configured clustering
   // endgame (connected components by default — the historical closure).
-  cluster_of_ = std::move(result.cluster_of);
-  uint32_t num_clusters = 0;
-  for (uint32_t c : cluster_of_) num_clusters = std::max(num_clusters, c + 1);
-  cluster_members_.assign(num_clusters, {});
-  for (RecordId r = 0; r < cluster_of_.size(); ++r) {
-    cluster_members_[cluster_of_[r]].push_back(r);
+  m.cluster_of = std::move(result.cluster_of);
+  m.cluster_members.assign(result.num_clusters, {});
+  for (RecordId r = 0; r < m.cluster_of.size(); ++r) {
+    m.cluster_members[m.cluster_of[r]].push_back(r);
   }
-  inverted_ = dataset_.BuildInvertedIndex();
-  inverted_.resize(dataset_.vocabulary().size());
-  source_of_.clear();
-  source_of_.reserve(dataset_.size());
-  for (const Record& r : dataset_.records()) source_of_.push_back(r.source);
+  m.inverted = dataset_.BuildInvertedIndex();
+  m.inverted.resize(dataset_.vocabulary().size());
   return Status::OK();
 }
 
@@ -157,6 +148,7 @@ Result<JsonValue> ResolutionService::Handle(const GterdRequest& request,
 
 double ResolutionService::SharedTermWeight(const std::vector<TermId>& a,
                                            const std::vector<TermId>& b) const {
+  const std::vector<double>& weights = model().term_weights;
   double sum = 0.0;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -165,7 +157,7 @@ double ResolutionService::SharedTermWeight(const std::vector<TermId>& a,
     } else if (b[j] < a[i]) {
       ++j;
     } else {
-      sum += WeightsView()[a[i]];
+      sum += weights[a[i]];
       ++i;
       ++j;
     }
@@ -186,16 +178,17 @@ Result<JsonValue> ResolutionService::PairScore(const JsonValue& params,
     return Status::OutOfRange("record id out of range (dataset has " +
                               std::to_string(dataset_.size()) + " records)");
   }
+  const ServedModel& m = model();
   JsonValue out = JsonValue::MakeObject();
   out.Set("a", JsonValue::MakeNumber(a.value()));
   out.Set("b", JsonValue::MakeNumber(b.value()));
-  PairId p = PairsView().Find(a.value(), b.value());
+  PairId p = m.pairs.Find(a.value(), b.value());
   if (p != kInvalidPairId) {
     // Candidate pair: serve the model's score verbatim (live in
     // incremental mode, fusion-trained otherwise).
-    out.Set("score", JsonValue::MakeNumber(ScoresView()[p]));
-    out.Set("probability", JsonValue::MakeNumber(ProbabilityView()[p]));
-    out.Set("match", JsonValue::MakeBool(MatchesView()[p]));
+    out.Set("score", JsonValue::MakeNumber(m.pair_scores[p]));
+    out.Set("probability", JsonValue::MakeNumber(m.pair_probability[p]));
+    out.Set("match", JsonValue::MakeBool(m.matches[p]));
     out.Set("in_candidate_space", JsonValue::MakeBool(true));
   } else {
     // Outside the candidate space (no shared term at training time, or a
@@ -236,8 +229,9 @@ Result<JsonValue> ResolutionService::Resolve(const JsonValue& params,
   }
 
   std::shared_lock lock(mu_);
+  const ServedModel& m = model();
 
-  // Re-cluster the trained probabilities under the request's context: the
+  // Re-cluster the served probabilities under the request's context: the
   // clusterer polls `ctx`, so a per-request deadline fires mid-run and the
   // status propagates out as DeadlineExceeded. Records ingested after
   // training have no candidate pairs and come out as singletons.
@@ -245,20 +239,20 @@ Result<JsonValue> ResolutionService::Resolve(const JsonValue& params,
   if (endgame.has_value()) {
     ClusterProblem problem;
     problem.num_records = dataset_.size();
-    problem.pairs = &PairsView();
-    problem.pair_probability = &ProbabilityView();
-    problem.eta = Eta();
+    problem.pairs = &m.pairs;
+    problem.pair_probability = &m.pair_probability;
+    problem.eta = options_.fusion.eta;
     if (dataset_.num_sources() > 1) problem.source_of = &source_of_;
-    Result<Clustering> fresh =
-        MakeClusterer(*endgame, options_.fusion.clusterer_options)
-            ->Cluster(problem, ctx);
+    Result<Clustering> fresh = Cluster(
+        *endgame, problem, options_.fusion.clusterer_options, ctx);
     if (!fresh.ok()) return fresh.status();
     fresh_cluster_of = std::move(fresh).value().cluster_of;
   }
   // Query terms: tokenize like the corpus, keep the sorted unique ids that
   // exist in the trained vocabulary.
   std::vector<TermId> query_terms;
-  for (const std::string& token : Tokenize(text.value(), options_.tokenizer)) {
+  for (const std::string& token :
+       Tokenize(text.value(), dataset_.tokenizer_options())) {
     TermId t = dataset_.vocabulary().Lookup(token);
     if (t != kInvalidTermId) query_terms.push_back(t);
   }
@@ -279,8 +273,8 @@ Result<JsonValue> ResolutionService::Resolve(const JsonValue& params,
   size_t postings_since_poll = 0;
   for (TermId t : query_terms) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    const double w = WeightsView()[t];
-    for (RecordId r : InvertedView()[t]) {
+    const double w = m.term_weights[t];
+    for (RecordId r : m.inverted[t]) {
       Candidate& c = scores[r];
       c.score += w;
       ++c.overlap;
@@ -336,7 +330,7 @@ Result<JsonValue> ResolutionService::Resolve(const JsonValue& params,
   // cancelled ingest left the decision pass pending: serve it as a
   // singleton until the next converge labels it.
   const std::vector<uint32_t>& labels =
-      endgame.has_value() ? fresh_cluster_of : ClusterOfView();
+      endgame.has_value() ? fresh_cluster_of : m.cluster_of;
   JsonValue best_obj = JsonValue::MakeObject();
   best_obj.Set("record", JsonValue::MakeNumber(best));
   best_obj.Set("score", JsonValue::MakeNumber(ranked.front().score));
@@ -356,7 +350,7 @@ Result<JsonValue> ResolutionService::Resolve(const JsonValue& params,
         }
       }
     } else {
-      for (RecordId member : ClusterMembersView()[best_cluster]) {
+      for (RecordId member : m.cluster_members[best_cluster]) {
         clique.Append(JsonValue::MakeNumber(member));
       }
     }
@@ -405,26 +399,27 @@ Result<JsonValue> ResolutionService::AddRecord(const JsonValue& params,
     out.Set("new_pairs", JsonValue::MakeNumber(stats.new_pairs));
     out.Set("sweeps", JsonValue::MakeNumber(stats.sweeps));
   } else {
+    ServedModel& m = batch_model_;
     const size_t vocab_before = dataset_.vocabulary().size();
     RecordId id = dataset_.AddRecord(source, text.value());
     // Terms interned by this record get zero weight until the next
     // training run; the record scores through the terms it shares with
     // the trained vocabulary.
-    term_weights_.resize(dataset_.vocabulary().size(), 0.0);
-    inverted_.resize(dataset_.vocabulary().size());
+    m.term_weights.resize(dataset_.vocabulary().size(), 0.0);
+    m.inverted.resize(dataset_.vocabulary().size());
     for (TermId t : dataset_.record(id).terms) {
-      inverted_[t].push_back(id);  // id is the largest, so order is kept
+      m.inverted[t].push_back(id);  // id is the largest, so order is kept
     }
-    const uint32_t cluster = static_cast<uint32_t>(cluster_members_.size());
-    cluster_of_.push_back(cluster);
-    cluster_members_.push_back({id});
+    const uint32_t cluster = static_cast<uint32_t>(m.cluster_members.size());
+    m.cluster_of.push_back(cluster);
+    m.cluster_members.push_back({id});
     source_of_.push_back(source);
     // The served partition grew by one singleton; incremental mode sets
     // the same gauge after every converge.
     MetricsRegistry* metrics = ctx.metrics_or_ambient();
     if (metrics != nullptr) {
       metrics->SetGauge("cluster/clusters",
-                        static_cast<double>(cluster_members_.size()));
+                        static_cast<double>(m.cluster_members.size()));
     }
     records_added_.fetch_add(1, std::memory_order_relaxed);
     out.Set("record", JsonValue::MakeNumber(id));
@@ -456,6 +451,7 @@ JsonValue PercentilesJson(const Histogram& h) {
 
 JsonValue ResolutionService::Stats(const ExecContext& ctx) const {
   std::shared_lock lock(mu_);
+  const ServedModel& m = model();
   JsonValue out = JsonValue::MakeObject();
   out.Set("uptime_s",
           JsonValue::MakeNumber(std::chrono::duration<double>(
@@ -465,9 +461,9 @@ JsonValue ResolutionService::Stats(const ExecContext& ctx) const {
   out.Set("records", JsonValue::MakeNumber(dataset_.size()));
   out.Set("vocabulary_terms",
           JsonValue::MakeNumber(dataset_.vocabulary().size()));
-  out.Set("candidate_pairs", JsonValue::MakeNumber(PairsView().size()));
-  out.Set("matched_pairs", JsonValue::MakeNumber(MatchedCountView()));
-  out.Set("cliques", JsonValue::MakeNumber(ClusterMembersView().size()));
+  out.Set("candidate_pairs", JsonValue::MakeNumber(m.pairs.size()));
+  out.Set("matched_pairs", JsonValue::MakeNumber(m.matched_count));
+  out.Set("cliques", JsonValue::MakeNumber(m.cluster_members.size()));
   out.Set("train_seconds", JsonValue::MakeNumber(train_seconds_));
   out.Set("incremental", JsonValue::MakeBool(state_ != nullptr));
   if (state_ != nullptr) {

@@ -19,21 +19,20 @@
 
 namespace gter {
 
-/// Options for building a ResolutionService.
+/// Options for building a ResolutionService. Query and ingested text
+/// tokenizes with the dataset's own TokenizerOptions.
 struct ResolutionServiceOptions {
-  /// Fusion configuration for the startup training run.
+  /// Fusion configuration for the startup training run. Its `eta` is the
+  /// match threshold in both modes; its clusterer options also serve
+  /// resolve's `clusterer` override.
   FusionConfig fusion;
-  /// Tokenizer applied to query/ingested text; must match the one the
-  /// dataset was built with so query terms intern identically.
-  TokenizerOptions tokenizer;
   /// Serve from the incremental ResolverState engine (DESIGN.md §4g)
   /// instead of a frozen fusion run: training becomes a ResolverState
   /// batch build and add_record becomes a real ingest — the record joins
   /// the candidate space, ITER re-converges over the dirty region under
   /// the request's context, and the response reports the resolved
-  /// cluster. `resolver` (not `fusion`) then governs eta/Pt/iter knobs.
+  /// cluster.
   bool incremental = false;
-  ResolverStateOptions resolver;
 };
 
 /// The long-lived resolution model behind gterd: a dataset, the fusion
@@ -114,38 +113,10 @@ class ResolutionService {
   double SharedTermWeight(const std::vector<TermId>& a,
                           const std::vector<TermId>& b) const;
 
-  // Mode-dispatching views over the model (mu_ held): incremental mode
-  // serves the ResolverState's live vectors, batch mode the frozen
-  // fusion-trained members. Handlers read through these only.
-  const PairSpace& PairsView() const {
-    return state_ ? state_->pairs() : pairs_;
-  }
-  const std::vector<double>& WeightsView() const {
-    return state_ ? state_->term_weights() : term_weights_;
-  }
-  const std::vector<double>& ScoresView() const {
-    return state_ ? state_->pair_scores() : pair_scores_;
-  }
-  const std::vector<double>& ProbabilityView() const {
-    return state_ ? state_->pair_probability() : pair_probability_;
-  }
-  const std::vector<bool>& MatchesView() const {
-    return state_ ? state_->matches() : matches_;
-  }
-  const std::vector<uint32_t>& ClusterOfView() const {
-    return state_ ? state_->cluster_of() : cluster_of_;
-  }
-  const std::vector<std::vector<RecordId>>& ClusterMembersView() const {
-    return state_ ? state_->cluster_members() : cluster_members_;
-  }
-  const std::vector<std::vector<RecordId>>& InvertedView() const {
-    return state_ ? state_->inverted_index() : inverted_;
-  }
-  size_t MatchedCountView() const {
-    return state_ ? state_->matched_count() : matched_count_;
-  }
-  double Eta() const {
-    return state_ ? options_.resolver.eta : options_.fusion.eta;
+  /// The served model (mu_ held): the incremental engine's live one, or
+  /// the batch-trained copy. Read handlers consult only this.
+  const ServedModel& model() const {
+    return state_ != nullptr ? state_->model() : batch_model_;
   }
 
   mutable std::shared_mutex mu_;
@@ -153,29 +124,19 @@ class ResolutionService {
   ResolutionServiceOptions options_;
 
   /// The incremental engine (set iff options_.incremental). Guarded by
-  /// mu_: ingest mutates under the exclusive lock, reads go through the
-  /// views under shared locks.
+  /// mu_: ingest mutates under the exclusive lock, reads go through
+  /// model() under shared locks.
   std::unique_ptr<ResolverState> state_;
-
-  // The batch-trained model (guarded by mu_; term_weights_ is resized,
-  // zero padded, when add_record grows the vocabulary). Unused in
-  // incremental mode — the views above dispatch to state_ instead.
-  std::vector<double> term_weights_;
-  PairSpace pairs_;
-  std::vector<double> pair_scores_;
-  std::vector<double> pair_probability_;
-  std::vector<bool> matches_;
-  size_t matched_count_ = 0;
+  /// The batch-trained model (guarded by mu_; unused in incremental
+  /// mode). add_record grows it: zero weights for new terms, postings,
+  /// and a singleton cluster per record.
+  ServedModel batch_model_;
+  /// Per-record source, the clusterers' bipartite input (both modes).
+  std::vector<uint32_t> source_of_;
   double train_seconds_ = 0.0;
   /// Service birth (training start); `stats` serves the elapsed time as
   /// `uptime_s`.
   std::chrono::steady_clock::time_point start_time_;
-
-  // Clique structure and the online-scoring indexes.
-  std::vector<uint32_t> cluster_of_;                // by RecordId
-  std::vector<std::vector<RecordId>> cluster_members_;  // by cluster id
-  std::vector<std::vector<RecordId>> inverted_;     // by TermId, sorted
-  std::vector<uint32_t> source_of_;                 // by RecordId
 
   // Request counters for stats (atomic: bumped outside the lock).
   std::atomic<uint64_t> requests_total_{0};

@@ -117,9 +117,7 @@ std::vector<std::pair<std::string, StageFn>> Stages(const CancelWorld& w) {
   for (ClustererKind kind : AllClustererKinds()) {
     stages.emplace_back(std::string("cluster_") + ClustererKindName(kind),
                         [&w, kind](const ExecContext& ctx) {
-                          return MakeClusterer(kind)
-                              ->Cluster(w.Problem(), ctx)
-                              .status();
+                          return Cluster(kind, w.Problem(), {}, ctx).status();
                         });
   }
   stages.emplace_back("lsh_blocking", [&w](const ExecContext& ctx) {
@@ -230,33 +228,32 @@ TEST(CancelRerunTest, ClusterersAreDeterministicAfterACancelledAttempt) {
   CancelWorld w;
   for (ClustererKind kind : AllClustererKinds()) {
     SCOPED_TRACE(ClustererKindName(kind));
-    std::unique_ptr<Clusterer> clusterer = MakeClusterer(kind);
-    Clustering baseline = clusterer->Cluster(w.Problem()).value();
+    Clustering baseline = Cluster(kind, w.Problem()).value();
 
     CancelToken token;
     token.CancelAfterPolls(0);
     ExecContext ctx = ExecContext::WithCancel(&token);
-    Result<Clustering> cancelled = clusterer->Cluster(w.Problem(), ctx);
+    Result<Clustering> cancelled = Cluster(kind, w.Problem(), {}, ctx);
     ASSERT_FALSE(cancelled.ok());
     EXPECT_TRUE(IsCancellation(cancelled.status()))
         << cancelled.status().ToString();
 
     token.Reset();
-    Clustering rerun = clusterer->Cluster(w.Problem(), ctx).value();
+    Clustering rerun = Cluster(kind, w.Problem(), {}, ctx).value();
     EXPECT_EQ(baseline.cluster_of, rerun.cluster_of);
     EXPECT_EQ(baseline.num_clusters, rerun.num_clusters);
 
     // A mid-run trip must also leave no residue.
     token.Reset();
     token.CancelAfterPolls(2);
-    Result<Clustering> mid = clusterer->Cluster(w.Problem(), ctx);
+    Result<Clustering> mid = Cluster(kind, w.Problem(), {}, ctx);
     if (mid.ok()) {
       EXPECT_EQ(baseline.cluster_of, mid.value().cluster_of);
     } else {
       EXPECT_TRUE(IsCancellation(mid.status()));
     }
     token.Reset();
-    Clustering again = clusterer->Cluster(w.Problem(), ctx).value();
+    Clustering again = Cluster(kind, w.Problem(), {}, ctx).value();
     EXPECT_EQ(baseline.cluster_of, again.cluster_of);
   }
 }

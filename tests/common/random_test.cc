@@ -42,20 +42,6 @@ TEST(RngTest, NextBoundedIsRoughlyUniform) {
   }
 }
 
-TEST(RngTest, UniformIntInclusiveBounds) {
-  Rng rng(3);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    int64_t v = rng.UniformInt(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, UniformDoubleInHalfOpenUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {
@@ -159,30 +145,6 @@ TEST(RngTest, ForkProducesIndependentStreams) {
   Rng again = base.Fork(0);
   Rng child_a2 = Rng(31).Fork(0);
   EXPECT_EQ(again.Next(), child_a2.Next());
-}
-
-TEST(ZipfSamplerTest, RankZeroIsMostFrequent) {
-  ZipfSampler sampler(100, 1.2);
-  Rng rng(33);
-  std::vector<size_t> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[sampler.Sample(&rng)];
-  EXPECT_GT(counts[0], counts[10]);
-  EXPECT_GT(counts[10], counts[90]);
-}
-
-TEST(ZipfSamplerTest, SamplesStayInRange) {
-  ZipfSampler sampler(7, 0.8);
-  Rng rng(35);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(sampler.Sample(&rng), 7u);
-}
-
-TEST(RngTest, ZipfDirectStaysInRange) {
-  Rng rng(37);
-  for (int i = 0; i < 200; ++i) {
-    uint64_t v = rng.Zipf(50, 1.0);
-    EXPECT_GE(v, 1u);
-    EXPECT_LE(v, 50u);
-  }
 }
 
 }  // namespace

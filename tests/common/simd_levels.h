@@ -8,12 +8,10 @@
 namespace gter {
 
 /// Every dispatch level up to what the host supports, lowest first; on an
-/// AVX-512 host all three. Tests run a kernel at each to pin tier
-/// independence.
+/// AVX-512 host both. Tests run a kernel at each to pin tier independence.
 inline std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx512}) {
     if (level <= DetectSimdLevel()) levels.push_back(level);
   }
   return levels;

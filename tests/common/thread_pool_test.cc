@@ -15,38 +15,45 @@ namespace {
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(2);
+  TaskGroup group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    ASSERT_TRUE(pool.Submit(&group, [&counter] { counter.fetch_add(1); })
+                    .ok());
   }
-  pool.Wait();
+  pool.Wait(&group);
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, WaitOnEmptyPoolReturnsImmediately) {
   ThreadPool pool(2);
-  pool.Wait();  // must not hang
+  TaskGroup group;
+  pool.Wait(&group);  // must not hang
 }
 
 TEST(ThreadPoolTest, MultipleWaitCycles) {
   ThreadPool pool(3);
+  TaskGroup group;
   std::atomic<int> counter{0};
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      ASSERT_TRUE(pool.Submit(&group, [&counter] { counter.fetch_add(1); })
+                      .ok());
     }
-    pool.Wait();
+    pool.Wait(&group);
     EXPECT_EQ(counter.load(), (round + 1) * 20);
   }
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
+  TaskGroup group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    ASSERT_TRUE(pool.Submit(&group, [&counter] { counter.fetch_add(1); })
+                    .ok());
   }
-  pool.Wait();
+  pool.Wait(&group);
   EXPECT_EQ(counter.load(), 10);
 }
 
@@ -185,13 +192,16 @@ TEST(TaskGroupTest, GroupIsReusableAfterWait) {
 TEST(ThreadPoolTest, SubmitDuringShutdownIsRejected) {
   std::atomic<bool> saw_rejection{false};
   std::atomic<int> noops{0};
+  // Declared before the pool: the group outlives every task, which the
+  // pool's destructor drains.
+  TaskGroup group;
   {
     ThreadPool pool(2);
-    ASSERT_TRUE(pool.Submit([&] {
+    ASSERT_TRUE(pool.Submit(&group, [&] {
       // Keep submitting no-ops until destruction flips the pool into
       // shutdown; then Submit must fail cleanly instead of crashing.
       for (;;) {
-        Status s = pool.Submit([&noops] { noops.fetch_add(1); });
+        Status s = pool.Submit(&group, [&noops] { noops.fetch_add(1); });
         if (!s.ok()) {
           EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
           saw_rejection.store(true);

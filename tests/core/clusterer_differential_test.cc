@@ -59,17 +59,16 @@ TEST_P(ClustererDifferential, CorrelationViaInterfaceIsBitIdentical) {
   problem.pairs = &world.pairs;
   problem.pair_probability = &world.prob;
   problem.eta = eta;
-  std::unique_ptr<Clusterer> clusterer =
-      MakeClusterer(ClustererKind::kCorrelation);
 
   // Serial and 8-thread contexts must both reproduce the direct call
   // exactly — labels are integers, so "bitwise" is plain equality.
-  Clustering serial = clusterer->Cluster(problem).value();
+  Clustering serial = Cluster(ClustererKind::kCorrelation, problem).value();
   EXPECT_EQ(serial.cluster_of, direct.cluster_of);
 
   ThreadPool pool(8);
-  Clustering pooled =
-      clusterer->Cluster(problem, ExecContext::WithPool(&pool)).value();
+  Clustering pooled = Cluster(ClustererKind::kCorrelation, problem, {},
+                              ExecContext::WithPool(&pool))
+                          .value();
   EXPECT_EQ(pooled.cluster_of, direct.cluster_of);
   EXPECT_EQ(pooled.num_clusters, serial.num_clusters);
 }
@@ -94,9 +93,7 @@ TEST_P(ClustererDifferential, ConnectedComponentsMatchesUnionFindClosure) {
   problem.pair_probability = &world.prob;
   problem.eta = eta;
   Clustering clustering =
-      MakeClusterer(ClustererKind::kConnectedComponents)
-          ->Cluster(problem)
-          .value();
+      Cluster(ClustererKind::kConnectedComponents, problem).value();
   EXPECT_EQ(clustering.cluster_of, expected);
 }
 

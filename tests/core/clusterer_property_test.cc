@@ -87,16 +87,14 @@ TEST_P(ClustererProperty, EveryEndgameYieldsAValidDeterministicPartition) {
 
   for (ClustererKind kind : AllClustererKinds()) {
     SCOPED_TRACE(ClustererKindName(kind));
-    std::unique_ptr<Clusterer> clusterer = MakeClusterer(kind);
-    ASSERT_EQ(clusterer->name(), ClustererKindName(kind));
     for (bool with_sources : {false, true}) {
       SCOPED_TRACE(with_sources ? "two sources" : "single source");
       ClusterProblem problem = world.Problem(n, eta, with_sources);
-      Clustering first = clusterer->Cluster(problem).value();
+      Clustering first = Cluster(kind, problem).value();
       ExpectValidPartition(first, n);
 
       // Determinism: the same problem re-clusters identically.
-      Clustering second = clusterer->Cluster(problem).value();
+      Clustering second = Cluster(kind, problem).value();
       EXPECT_EQ(first.cluster_of, second.cluster_of);
       EXPECT_EQ(first.num_clusters, second.num_clusters);
     }
@@ -108,7 +106,7 @@ TEST_P(ClustererProperty, CleanCleanEndgamesUpholdTheBipartiteContract) {
   RandomWorld world(n, density, seed);
   ClusterProblem problem = world.Problem(n, 0.5, /*with_sources=*/true);
   Clustering clustering =
-      MakeClusterer(ClustererKind::kUniqueMapping)->Cluster(problem).value();
+      Cluster(ClustererKind::kUniqueMapping, problem).value();
 
   std::vector<std::vector<RecordId>> members(clustering.num_clusters);
   for (RecordId r = 0; r < n; ++r) {
@@ -141,7 +139,7 @@ TEST_P(ClustererProperty, MatchedPairsAreEligibleEdges) {
     eligible.insert({rp.a, rp.b});
   }
   Clustering clustering =
-      MakeClusterer(ClustererKind::kUniqueMapping)->Cluster(problem).value();
+      Cluster(ClustererKind::kUniqueMapping, problem).value();
   std::vector<std::vector<RecordId>> members(clustering.num_clusters);
   for (RecordId r = 0; r < n; ++r) {
     members[clustering.cluster_of[r]].push_back(r);
@@ -178,7 +176,7 @@ TEST(ClustererEdgeCases, EmptyGraphYieldsAllSingletons) {
   problem.pair_probability = &prob;
   for (ClustererKind kind : AllClustererKinds()) {
     SCOPED_TRACE(ClustererKindName(kind));
-    Clustering clustering = MakeClusterer(kind)->Cluster(problem).value();
+    Clustering clustering = Cluster(kind, problem).value();
     EXPECT_EQ(clustering.num_clusters, 5u);
     EXPECT_EQ(clustering.cluster_of, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
   }
@@ -193,7 +191,7 @@ TEST(ClustererEdgeCases, ZeroRecordsYieldZeroClusters) {
   problem.pair_probability = &prob;
   for (ClustererKind kind : AllClustererKinds()) {
     SCOPED_TRACE(ClustererKindName(kind));
-    Clustering clustering = MakeClusterer(kind)->Cluster(problem).value();
+    Clustering clustering = Cluster(kind, problem).value();
     EXPECT_EQ(clustering.num_clusters, 0u);
     EXPECT_TRUE(clustering.cluster_of.empty());
   }
@@ -208,10 +206,9 @@ TEST(ClustererEdgeCases, HierarchicalThresholdSweepIsMonotonic) {
   for (double threshold : {1.01, 0.9, 0.7, 0.5, 0.3, 0.1, 0.0}) {
     ClustererOptions options;
     options.merge_threshold = threshold;
-    Clustering clustering =
-        MakeClusterer(ClustererKind::kHierarchical, options)
-            ->Cluster(world.Problem(60, 0.5, false))
-            .value();
+    Clustering clustering = Cluster(ClustererKind::kHierarchical,
+                                    world.Problem(60, 0.5, false), options)
+                                .value();
     if (!first) {
       EXPECT_LE(clustering.num_clusters, previous)
           << "threshold " << threshold;
@@ -222,8 +219,8 @@ TEST(ClustererEdgeCases, HierarchicalThresholdSweepIsMonotonic) {
   // Above any edge weight nothing merges; the partition is all singletons.
   ClustererOptions options;
   options.merge_threshold = 1.01;
-  Clustering top = MakeClusterer(ClustererKind::kHierarchical, options)
-                       ->Cluster(world.Problem(60, 0.5, false))
+  Clustering top = Cluster(ClustererKind::kHierarchical,
+                          world.Problem(60, 0.5, false), options)
                        .value();
   EXPECT_EQ(top.num_clusters, 60u);
 }

@@ -65,9 +65,8 @@ TEST(CorrelationClusteringTest, SingleFalseLinkIsOutvoted) {
   problem.pairs = &f.pairs;
   problem.pair_probability = &f.probability;
   problem.eta = 0.98;
-  Clustering closure = MakeClusterer(ClustererKind::kConnectedComponents)
-                           ->Cluster(problem)
-                           .value();
+  Clustering closure =
+      Cluster(ClustererKind::kConnectedComponents, problem).value();
   EXPECT_EQ(closure.num_clusters, 1u);
   EXPECT_EQ(closure.cluster_of[0], closure.cluster_of[7]);
 

@@ -181,9 +181,7 @@ TEST(FusionTest, EtaRuleDecidesAndClustererFormsEntities) {
       problem.source_of = &source_of;
     }
     Clustering expected =
-        MakeClusterer(config.clusterer, config.clusterer_options)
-            ->Cluster(problem)
-            .value();
+        Cluster(config.clusterer, problem, config.clusterer_options).value();
     EXPECT_EQ(result.cluster_of, expected.cluster_of);
     EXPECT_EQ(result.num_clusters, expected.num_clusters);
 
@@ -239,8 +237,7 @@ FusionResult RebuildEveryRound(const Dataset& ds, const FusionConfig& config,
     problem.source_of = &source_of;
   }
   Clustering clustering =
-      MakeClusterer(config.clusterer, config.clusterer_options)
-          ->Cluster(problem, ctx)
+      Cluster(config.clusterer, problem, config.clusterer_options, ctx)
           .value();
   result.cluster_of = std::move(clustering.cluster_of);
   result.num_clusters = clustering.num_clusters;

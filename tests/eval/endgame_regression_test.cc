@@ -113,8 +113,7 @@ TEST(EndgameRegressionTest, EveryEndgameF1StaysInItsPinnedBand) {
   };
   for (const F1Band& band : kBands) {
     SCOPED_TRACE(ClustererKindName(band.kind));
-    Result<Clustering> clustered =
-        MakeClusterer(band.kind)->Cluster(problem);
+    Result<Clustering> clustered = Cluster(band.kind, problem);
     ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
     ClusterEvaluation eval =
         EvaluateClustering(clustered.value().cluster_of, truth);

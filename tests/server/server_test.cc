@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -41,21 +42,24 @@ double SecondsSince(steady_clock::time_point start) {
   return std::chrono::duration<double>(steady_clock::now() - start).count();
 }
 
-/// A tiny five-record dataset (two duplicate pairs and a singleton), the
-/// trained service, and a listening server on an ephemeral loopback port.
+/// A tiny five-record dataset (two duplicate pairs and a singleton, then
+/// any `extra_texts`), the trained service, and a listening server on an
+/// ephemeral loopback port.
 struct ServerFixture {
   std::unique_ptr<ResolutionService> service;
   std::unique_ptr<GterdServer> server;
 
   explicit ServerFixture(GterdServerOptions options = {},
                          ResolutionServiceOptions service_options = {},
-                         const ExecContext& ctx = DefaultExecContext()) {
+                         const ExecContext& ctx = DefaultExecContext(),
+                         const std::vector<std::string>& extra_texts = {}) {
     Dataset dataset("server-test");
     dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
     dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
     dataset.AddRecord(0, "blue lagoon seafood grill marina 3105559876");
     dataset.AddRecord(0, "blue lagoon seafood grill marina 3105559876");
     dataset.AddRecord(0, "taco fiesta cantina downtown 2135550000");
+    for (const std::string& text : extra_texts) dataset.AddRecord(0, text);
     auto built = ResolutionService::Create(std::move(dataset),
                                            std::move(service_options), ctx);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -410,6 +414,39 @@ TEST(ResolutionServiceTest, CancelledAddRecordKeepsSourcesAligned) {
   }
 }
 
+TEST(ResolutionServiceTest, QueriesAndIngestsTokenizeLikeTheDataset) {
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "batch");
+    TokenizerOptions tokenizer;
+    tokenizer.min_token_length = 3;
+    Dataset dataset("min-token-length-3");
+    dataset.set_tokenizer_options(tokenizer);
+    dataset.AddRecord(0, "golden dragon pasadena");
+    dataset.AddRecord(0, "golden dragon pasadena");
+    ResolutionServiceOptions options;
+    options.incremental = incremental;
+    auto built = ResolutionService::Create(std::move(dataset), options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ResolutionService& service = *built.value();
+
+    // "ab" is shorter than the dataset's minimum token length, so the
+    // record brings one new term, not two.
+    GterdRequest add;
+    add.method = "add_record";
+    add.params.Set("text", JsonValue::MakeString("ab cdef"));
+    Result<JsonValue> added = service.Handle(add, DefaultExecContext());
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    EXPECT_EQ(added.value().NumberOr("new_terms", -1), 1.0);
+
+    GterdRequest resolve;
+    resolve.method = "resolve";
+    resolve.params.Set("text", JsonValue::MakeString("ab cdef golden"));
+    Result<JsonValue> resolved = service.Handle(resolve, DefaultExecContext());
+    ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+    EXPECT_EQ(resolved.value().NumberOr("query_terms", -1), 2.0);
+  }
+}
+
 TEST(GterdServerTest, MalformedJsonAnswersErrorAndKeepsConnection) {
   ServerFixture fx;
   GterdClient client = fx.Connect();
@@ -548,54 +585,70 @@ TEST(GterdServerTest, MidRequestDisconnectCancelsInFlightWork) {
 }
 
 TEST(GterdServerTest, SixteenConcurrentConnectionsZeroProtocolErrors) {
-  ServerFixture fx;
+  // Each connection cycles resolve : add_record : pair_score : stats at
+  // 8:1:4:3, so in incremental mode real ingests (exclusive lock plus a
+  // dirty-region re-ITER) race the shared-lock reads.
+  enum Method { kResolve, kAddRecord, kPairScore, kStats };
+  static constexpr Method kCycle[] = {
+      kResolve, kPairScore, kResolve, kStats,    kResolve, kPairScore,
+      kResolve, kAddRecord, kResolve, kStats,    kResolve, kPairScore,
+      kResolve, kStats,     kResolve, kPairScore};
   constexpr int kConnections = 16;
   constexpr int kRequests = 50;
-  std::atomic<int> ok{0};
-  std::atomic<int> errors{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kConnections);
-  for (int c = 0; c < kConnections; ++c) {
-    workers.emplace_back([&fx, &ok, &errors, c] {
-      auto connected = GterdClient::Connect("127.0.0.1", fx.server->port());
-      if (!connected.ok()) {
-        errors += kRequests;
-        return;
-      }
-      GterdClient client = std::move(connected).value();
-      for (int i = 0; i < kRequests; ++i) {
-        Result<JsonValue> r = Status::Internal("unset");
-        switch ((c + i) % 3) {
-          case 0:
-            r = client.Call("stats", JsonValue::MakeObject());
-            break;
-          case 1: {
-            JsonValue params = JsonValue::MakeObject();
-            params.Set("a", JsonValue::MakeNumber(i % 5));
-            params.Set("b", JsonValue::MakeNumber((i + 1) % 5));
-            r = client.Call("pair_score", std::move(params));
-            break;
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "batch");
+    ResolutionServiceOptions service_options;
+    service_options.incremental = incremental;
+    ServerFixture fx({}, service_options);
+    std::atomic<int> ok{0};
+    std::atomic<int> errors{0};
+    std::vector<std::thread> workers;
+    workers.reserve(kConnections);
+    for (int c = 0; c < kConnections; ++c) {
+      workers.emplace_back([&fx, &ok, &errors, c] {
+        auto connected =
+            GterdClient::Connect("127.0.0.1", fx.server->port());
+        if (!connected.ok()) {
+          errors += kRequests;
+          return;
+        }
+        GterdClient client = std::move(connected).value();
+        for (int i = 0; i < kRequests; ++i) {
+          Result<JsonValue> r = Status::Internal("unset");
+          JsonValue params = JsonValue::MakeObject();
+          switch (kCycle[(c + i) % std::size(kCycle)]) {
+            case kStats:
+              r = client.Call("stats", std::move(params));
+              break;
+            case kPairScore:
+              params.Set("a", JsonValue::MakeNumber(i % 5));
+              params.Set("b", JsonValue::MakeNumber((i + 1) % 5));
+              r = client.Call("pair_score", std::move(params));
+              break;
+            case kAddRecord:
+              params.Set("text", JsonValue::MakeString(
+                                     "blue lagoon grill " + std::to_string(c)));
+              r = client.Call("add_record", std::move(params));
+              break;
+            case kResolve:
+              params.Set("text",
+                         JsonValue::MakeString("blue lagoon seafood grill"));
+              r = client.Call("resolve", std::move(params));
+              break;
           }
-          default: {
-            JsonValue params = JsonValue::MakeObject();
-            params.Set("text",
-                       JsonValue::MakeString("blue lagoon seafood grill"));
-            r = client.Call("resolve", std::move(params));
-            break;
+          if (r.ok()) {
+            ++ok;
+          } else {
+            ++errors;
           }
         }
-        if (r.ok()) {
-          ++ok;
-        } else {
-          ++errors;
-        }
-      }
-    });
+      });
+    }
+    for (auto& w : workers) w.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(ok.load(), kConnections * kRequests);
+    EXPECT_GE(fx.server->connections_accepted(), 16u);
   }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(ok.load(), kConnections * kRequests);
-  EXPECT_GE(fx.server->connections_accepted(), 16u);
 }
 
 // --- Serving-side observability (DESIGN.md §4c) -------------------------
@@ -683,26 +736,48 @@ TEST(GterdServerTest, ClusterGaugeTracksServedPartition) {
     options.metrics_port = 0;
     ResolutionServiceOptions service_options;
     service_options.incremental = incremental;
-    ServerFixture fx(options, service_options, ctx);
+    // A third copy of records 0/1 trains with them: both modes serve the
+    // three as one entity.
+    const std::string golden = "golden dragon szechuan pasadena 8185551234";
+    ServerFixture fx(options, service_options, ctx, {golden});
     GterdClient client = fx.Connect();
     const auto cliques = [&client] {
       auto stats = client.Call("stats", JsonValue::MakeObject());
       EXPECT_TRUE(stats.ok()) << stats.status().ToString();
       return stats.ok() ? stats.value().NumberOr("cliques", -1) : -1.0;
     };
+    const auto clique_size = [&client](const char* clusterer) {
+      JsonValue params = JsonValue::MakeObject();
+      params.Set("text", JsonValue::MakeString("golden dragon pasadena"));
+      if (clusterer != nullptr) {
+        params.Set("clusterer", JsonValue::MakeString(clusterer));
+      }
+      auto r = client.Call("resolve", std::move(params));
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      return r.ok() ? r.value().Find("clique")->array().size() : size_t{0};
+    };
     const uint16_t port = fx.server->metrics_port();
 
+    EXPECT_EQ(cliques(), 3.0);
     EXPECT_EQ(ScrapeGauge(port, "gter_cluster_clusters"), cliques());
-    // A new entity, then a third copy of records 0/1: batch mode parks
-    // both as singletons, incremental mode merges the copy.
-    for (const char* text : {"zanzibar mango treehouse 5105551111",
-                             "golden dragon szechuan pasadena 8185551234"}) {
+    // A new entity, then a fourth copy: batch mode parks both as
+    // singletons, incremental mode merges the copy.
+    for (const std::string& text :
+         {std::string("zanzibar mango treehouse 5105551111"), golden}) {
       JsonValue add = JsonValue::MakeObject();
       add.Set("text", JsonValue::MakeString(text));
       ASSERT_TRUE(client.Call("add_record", std::move(add)).ok());
       EXPECT_EQ(ScrapeGauge(port, "gter_cluster_clusters"), cliques()) << text;
     }
     EXPECT_EQ(cliques(), incremental ? 4.0 : 5.0);
+
+    // unique_mapping gives each record at most one partner, so it splits
+    // the served golden-dragon entity: a resolve that overrides the
+    // endgame answers from a partition with more clusters than the served
+    // one, and the gauge keeps reporting the served partition.
+    EXPECT_EQ(clique_size(nullptr), incremental ? 4u : 3u);
+    EXPECT_EQ(clique_size("unique_mapping"), 2u);
+    EXPECT_EQ(ScrapeGauge(port, "gter_cluster_clusters"), cliques());
   }
 }
 

@@ -2,8 +2,8 @@
 // dispatch machinery itself, the batched Jaro-Winkler (bitwise), and tier
 // independence end to end: RunIter, ResolverState::BuildBatch and
 // FusionPipeline::Run on both CliqueRank engines give bitwise-identical
-// output at every level the host supports. AVX2-dependent cases
-// GTEST_SKIP on machines or builds without the level, so the suite passes
+// output at every level the host supports. Cases that compare two levels
+// GTEST_SKIP on machines or builds without AVX-512, so the suite passes
 // everywhere.
 
 #include <bit>
@@ -33,7 +33,7 @@
 namespace gter {
 namespace {
 
-bool Avx2Available() { return DetectSimdLevel() >= SimdLevel::kAvx2; }
+bool SimdTierAvailable() { return DetectSimdLevel() > SimdLevel::kScalar; }
 
 // ---------------------------------------------------------------------------
 // Dispatch machinery.
@@ -42,22 +42,20 @@ TEST(SimdDispatch, ParseSimdLevel) {
   SimdLevel level;
   ASSERT_TRUE(ParseSimdLevel("scalar", &level));
   EXPECT_EQ(level, SimdLevel::kScalar);
-  ASSERT_TRUE(ParseSimdLevel("avx2", &level));
-  EXPECT_EQ(level, SimdLevel::kAvx2);
   ASSERT_TRUE(ParseSimdLevel("avx512", &level));
   EXPECT_EQ(level, SimdLevel::kAvx512);
   ASSERT_TRUE(ParseSimdLevel("auto", &level));
   EXPECT_EQ(level, DetectSimdLevel());
   EXPECT_FALSE(ParseSimdLevel("sse9", &level));
+  // No kernel has an avx2 tier, so there is no avx2 level to select.
+  EXPECT_FALSE(ParseSimdLevel("avx2", &level));
   EXPECT_FALSE(ParseSimdLevel("", &level));
 }
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx512}) {
     SimdLevel parsed;
     ASSERT_TRUE(ParseSimdLevel(SimdLevelName(level), &parsed));
     EXPECT_EQ(parsed, level);
@@ -75,11 +73,9 @@ TEST(SimdDispatch, ScopedLevelRestores) {
 
 TEST(SimdDispatch, SetSimdLevelClampsToDetected) {
   const SimdLevel before = ActiveSimdLevel();
-  SetSimdLevel(SimdLevel::kAvx2);
-  // Requesting avx2 on a scalar-only machine degrades instead of crashing.
-  EXPECT_LE(ActiveSimdLevel(), DetectSimdLevel());
-  // Same for avx512 on an avx2-only (or scalar-only) machine: the request
-  // clamps to the detected tier, it never selects unrunnable kernels.
+  // Requesting avx512 on a machine without it degrades instead of
+  // crashing: the request clamps to the detected tier, it never selects
+  // unrunnable kernels.
   SetSimdLevel(SimdLevel::kAvx512);
   EXPECT_LE(ActiveSimdLevel(), DetectSimdLevel());
   {
@@ -159,7 +155,7 @@ struct IterWorld {
 // on Product and the dense-engine run on Paper (one source, triangles, so
 // every CliqueRank step runs a panel product) must not move at all.
 TEST(SimdTierIndependence, EveryLevelMatchesScalarBitwise) {
-  if (!Avx2Available()) GTEST_SKIP() << "no SIMD tier to compare";
+  if (!SimdTierAvailable()) GTEST_SKIP() << "no SIMD tier to compare";
   IterWorld world(42);
   IterOptions iter_options;
   iter_options.max_iterations = 30;

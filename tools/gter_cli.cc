@@ -7,7 +7,7 @@
 //   gter_cli resolve --in data.csv [--sources 1] [--eta 0.98]
 //                    [--rounds 5] [--matches out.csv] [--weights w.csv]
 //                    [--clusterer connected_components] [--merge_threshold T]
-//                    [--simd scalar|avx2|avx512|auto] [--deadline_ms N]
+//                    [--simd scalar|avx512|auto] [--deadline_ms N]
 //                    [--incremental]
 //       Resolve a CSV dataset; write matched pairs and term weights.
 //       --clusterer picks the clustering endgame that turns pairwise
@@ -460,8 +460,7 @@ int RunEvalEndgames(int argc, char** argv) {
     options.merge_threshold = flags.GetDouble("merge_threshold");
     for (ClustererKind kind : AllClustererKinds()) {
       Stopwatch watch;
-      Result<Clustering> clustered =
-          MakeClusterer(kind, options)->Cluster(problem, ctx);
+      Result<Clustering> clustered = Cluster(kind, problem, options, ctx);
       if (!clustered.ok()) return Fail(clustered.status());
       const double seconds = watch.ElapsedSeconds();
       ClusterEvaluation eval =

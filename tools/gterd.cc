@@ -106,8 +106,6 @@ int Run(int argc, char** argv) {
   service_options.fusion.cliquerank.max_steps =
       static_cast<size_t>(flags.GetInt("steps"));
   service_options.incremental = flags.GetBool("incremental");
-  // The incremental engine reads its threshold from the resolver options.
-  service_options.resolver.eta = flags.GetDouble("eta");
 
   std::unique_ptr<ThreadPool> pool = MakeThreadPool(flags.GetInt("threads"));
   ExecContext ctx;

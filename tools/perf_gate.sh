@@ -8,8 +8,7 @@
 # never gate (noise floor), so short sub-benchmarks can't flake the gate.
 #
 # Usage:
-#   tools/perf_gate.sh <build-dir> [baseline.json] [regress-ratio] [simd] \
-#                      [loadgen-conns] [p99-budget-ms]
+#   tools/perf_gate.sh <build-dir> [baseline.json] [regress-ratio] [simd]
 #
 #   build-dir      CMake build directory holding bench/bench_micro and
 #                  tools/gter_cli (e.g. `build`).
@@ -24,29 +23,14 @@
 #                  recorded on one specific machine; tighten it when the
 #                  baseline is regenerated on the machine running the gate.
 #   simd           Dispatch level the gate run uses: auto (default),
-#                  avx512, avx2, or scalar. The gate normally runs the SIMD
+#                  avx512, or scalar. The gate normally runs the SIMD
 #                  path (what production runs — auto picks the highest tier
 #                  the host supports); pass `scalar` to compare a candidate
 #                  against a pre-SIMD baseline like for like — scalar-only
-#                  timers are recorded and the *_avx2 / *_avx512 bench
-#                  variants skip. Levels above the host's capability clamp
-#                  down, so `avx512` is safe to pass everywhere: on a
-#                  non-avx512 host it degrades to the avx2 run.
-#   loadgen-conns  When > 0, additionally run bench/bench_loadgen against a
-#                  self-hosted gterd with this many concurrent connections
-#                  and gate on ZERO protocol errors (bench_loadgen exits
-#                  non-zero if any request fails). This is a correctness
-#                  gate, not a latency gate: the qps/percentile numbers are
-#                  printed for the log but never diffed against a baseline,
-#                  so it cannot flake on a slow machine. Default 0 (off).
-#                  Also settable via the PERF_GATE_LOADGEN env var.
-#   p99-budget-ms  When > 0 (and loadgen-conns > 0), the loadgen run also
-#                  gates on latency: it warms up each connection and fails
-#                  if the measured client p99 exceeds this many
-#                  milliseconds. OFF by default (0) because a wall-clock
-#                  budget is only meaningful on a dedicated reference
-#                  machine — opt in where the hardware is pinned. Also
-#                  settable via the PERF_GATE_P99_BUDGET_MS env var.
+#                  timers are recorded and the *_avx512 bench variants
+#                  skip. Levels above the host's capability clamp down, so
+#                  `avx512` is safe to pass everywhere: on a non-avx512
+#                  host it degrades to the scalar run.
 #
 # Wired into ctest behind -DGTER_PERF_GATE=ON with label `perf`:
 #   cmake -B build -S . -DGTER_PERF_GATE=ON && cmake --build build -j
@@ -62,12 +46,10 @@
 set -u -o pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-build_dir="${1:?usage: tools/perf_gate.sh <build-dir> [baseline.json] [regress-ratio] [simd] [loadgen-conns] [p99-budget-ms]}"
+build_dir="${1:?usage: tools/perf_gate.sh <build-dir> [baseline.json] [regress-ratio] [simd]}"
 baseline="${2:-${repo_root}/BENCH_baseline.json}"
 ratio="${3:-0.5}"
 simd="${4:-auto}"
-loadgen_conns="${5:-${PERF_GATE_LOADGEN:-0}}"
-p99_budget_ms="${6:-${PERF_GATE_P99_BUDGET_MS:-0}}"
 
 bench="${build_dir}/bench/bench_micro"
 cli="${build_dir}/tools/gter_cli"
@@ -95,25 +77,3 @@ if ! "${bench}" --metrics_out="${candidate}" --benchmark_min_time=0.05 \
 fi
 
 "${cli}" report "${baseline}" "${candidate}" --regress_ratio="${ratio}"
-gate_status=$?
-
-if [[ "${loadgen_conns}" -gt 0 ]]; then
-  loadgen="${build_dir}/bench/bench_loadgen"
-  if [[ ! -x "${loadgen}" ]]; then
-    echo "perf_gate: missing binary ${loadgen}" >&2
-    exit 2
-  fi
-  loadgen_args=(--connections="${loadgen_conns}" --requests=200)
-  if [[ "${p99_budget_ms}" != "0" ]]; then
-    # Latency-budget mode: warm each connection up so allocator / page-cache
-    # cold starts don't land in the gated percentiles.
-    loadgen_args+=(--warmup_requests=50 --p99_budget_ms="${p99_budget_ms}")
-  fi
-  echo "perf_gate: running ${loadgen} ${loadgen_args[*]}" >&2
-  if ! "${loadgen}" "${loadgen_args[@]}"; then
-    echo "perf_gate: bench_loadgen failed (protocol errors or latency budget)" >&2
-    exit 1
-  fi
-fi
-
-exit "${gate_status}"
