@@ -10,7 +10,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   const std::vector<double> alphas = {1, 2, 5, 10, 20, 40};
   std::printf("Ablation A1: alpha sweep, F1 at eta=0.98 (scale=%.2f)\n",
               scale);
@@ -21,33 +21,34 @@ void Run(double scale, uint64_t seed) {
 
   // One prepared dataset + round-1 ITER per benchmark; CliqueRank reruns
   // per α on the same similarity graph.
-  struct Ctx {
+  struct Corpus {
     Prepared p;
     RecordGraph graph;
   };
-  std::vector<Ctx> ctxs;
+  std::vector<Corpus> corpora;
   for (BenchmarkKind kind : AllBenchmarks()) {
     Prepared p = Prepare(kind, scale, seed);
     BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
     IterResult iter =
-        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0)).value();
+        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+            .value();
     RecordGraph graph =
         RecordGraph::Build(p.dataset().size(), p.pairs, iter.pair_scores);
-    ctxs.push_back({std::move(p), std::move(graph)});
+    corpora.push_back({std::move(p), std::move(graph)});
   }
 
   for (double alpha : alphas) {
     std::printf("%8.0f", alpha);
-    for (const Ctx& ctx : ctxs) {
+    for (const Corpus& corpus : corpora) {
       CliqueRankOptions options;
       options.alpha = alpha;
       CliqueRankResult result =
-          RunCliqueRank(ctx.graph, ctx.p.pairs, options).value();
-      std::vector<bool> matches(ctx.p.pairs.size());
-      for (PairId pid = 0; pid < ctx.p.pairs.size(); ++pid) {
+          RunCliqueRank(corpus.graph, corpus.p.pairs, options, ctx).value();
+      std::vector<bool> matches(corpus.p.pairs.size());
+      for (PairId pid = 0; pid < corpus.p.pairs.size(); ++pid) {
         matches[pid] = result.pair_probability[pid] >= 0.98;
       }
-      std::printf(" %14.3f", DecisionF1(ctx.p, matches));
+      std::printf(" %14.3f", DecisionF1(corpus.p, matches));
     }
     std::printf("\n");
   }
@@ -63,6 +64,7 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
-                   static_cast<uint64_t>(flags.GetInt("seed")));
+                   static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -16,7 +16,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   std::printf(
       "Ablation A4: dense vs masked-sparse CliqueRank engines (scale=%.2f)\n",
       scale);
@@ -29,7 +29,8 @@ void Run(double scale, uint64_t seed) {
     Prepared p = Prepare(kind, scale, seed);
     BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
     IterResult iter =
-        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0)).value();
+        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+            .value();
     RecordGraph graph =
         RecordGraph::Build(p.dataset().size(), p.pairs, iter.pair_scores);
 
@@ -39,9 +40,9 @@ void Run(double scale, uint64_t seed) {
     masked_options.engine = CliqueRankEngine::kMaskedSparse;
 
     CliqueRankResult dense =
-        RunCliqueRank(graph, p.pairs, dense_options).value();
+        RunCliqueRank(graph, p.pairs, dense_options, ctx).value();
     CliqueRankResult masked =
-        RunCliqueRank(graph, p.pairs, masked_options).value();
+        RunCliqueRank(graph, p.pairs, masked_options, ctx).value();
 
     double max_diff = 0.0;
     for (PairId pid = 0; pid < p.pairs.size(); ++pid) {
@@ -63,22 +64,24 @@ void Run(double scale, uint64_t seed) {
 
 // Seconds of the faster of three runs of one engine.
 double BestSeconds(const RecordGraph& graph, const PairSpace& pairs,
-                   CliqueRankEngine engine) {
+                   CliqueRankEngine engine, const ExecContext& ctx) {
   CliqueRankOptions options;
   options.engine = engine;
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    const double s = RunCliqueRank(graph, pairs, options).value().seconds;
+    const double s =
+        RunCliqueRank(graph, pairs, options, ctx).value().seconds;
     best = rep == 0 ? s : std::min(best, s);
   }
   return best;
 }
 
-void Crossover(double scale, uint64_t seed) {
+void Crossover(double scale, uint64_t seed, const ExecContext& ctx) {
   Prepared p = Prepare(BenchmarkKind::kPaper, scale, seed);
   BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
   IterResult iter =
-      RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0)).value();
+      RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+          .value();
   const size_t n = p.dataset().size();
   const double full =
       RecordGraph::Build(n, p.pairs, iter.pair_scores).Density();
@@ -107,9 +110,10 @@ void Crossover(double scale, uint64_t seed) {
       sims[thin.Find(rp.a, rp.b)] = iter.pair_scores[pid];
     }
     RecordGraph graph = RecordGraph::Build(n, thin, sims);
-    const double dense = BestSeconds(graph, thin, CliqueRankEngine::kDense);
+    const double dense =
+        BestSeconds(graph, thin, CliqueRankEngine::kDense, ctx);
     const double masked =
-        BestSeconds(graph, thin, CliqueRankEngine::kMaskedSparse);
+        BestSeconds(graph, thin, CliqueRankEngine::kMaskedSparse, ctx);
     std::printf("%10.4f %10zu %12.3f %12.3f %14.2f%s\n", graph.Density(),
                 graph.num_edges(), dense, masked, masked / dense,
                 graph.IsBipartite() ? "  (bipartite: no product runs)" : "");
@@ -127,7 +131,8 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   const double scale = flags.GetDouble("scale");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  gter::bench::Run(scale, seed);
-  gter::bench::Crossover(scale, seed);
+  const gter::ExecContext ctx = gter::bench::BenchContext(flags);
+  gter::bench::Run(scale, seed, ctx);
+  gter::bench::Crossover(scale, seed, ctx);
   return 0;
 }

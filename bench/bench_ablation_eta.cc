@@ -11,7 +11,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   const std::vector<double> etas = {0.5,  0.7,  0.9,  0.95,
                                     0.98, 0.99, 0.999};
   std::printf("Ablation A5: eta sweep (scale=%.2f)\n", scale);
@@ -20,28 +20,28 @@ void Run(double scale, uint64_t seed) {
               "Paper");
   Rule(64);
 
-  struct Ctx {
+  struct Corpus {
     Prepared p;
     std::vector<double> probability;
   };
-  std::vector<Ctx> ctxs;
+  std::vector<Corpus> corpora;
   for (BenchmarkKind kind : AllBenchmarks()) {
     Prepared p = Prepare(kind, scale, seed);
     FusionConfig config;
     config.rounds = 3;
     FusionPipeline pipeline(p.dataset(), config);
-    FusionResult result = pipeline.Run().value();
-    ctxs.push_back({std::move(p), std::move(result.pair_probability)});
+    FusionResult result = pipeline.Run(ctx).value();
+    corpora.push_back({std::move(p), std::move(result.pair_probability)});
   }
 
   for (double eta : etas) {
     std::printf("%8.3f", eta);
-    for (const Ctx& ctx : ctxs) {
-      std::vector<bool> matches(ctx.p.pairs.size());
-      for (PairId pid = 0; pid < ctx.p.pairs.size(); ++pid) {
-        matches[pid] = ctx.probability[pid] >= eta;
+    for (const Corpus& corpus : corpora) {
+      std::vector<bool> matches(corpus.p.pairs.size());
+      for (PairId pid = 0; pid < corpus.p.pairs.size(); ++pid) {
+        matches[pid] = corpus.probability[pid] >= eta;
       }
-      std::printf(" %14.3f", DecisionF1(ctx.p, matches));
+      std::printf(" %14.3f", DecisionF1(corpus.p, matches));
     }
     std::printf("\n");
   }
@@ -49,9 +49,9 @@ void Run(double scale, uint64_t seed) {
   // The tuning-free story in one number: distance between the universal
   // 0.98 and each domain's oracle-optimal threshold on p.
   std::printf("%8s", "best");
-  for (const Ctx& ctx : ctxs) {
-    SweepResult sweep =
-        BestF1Threshold(ctx.probability, ctx.p.labels, ctx.p.positives);
+  for (const Corpus& corpus : corpora) {
+    SweepResult sweep = BestF1Threshold(corpus.probability, corpus.p.labels,
+                                        corpus.p.positives);
     std::printf("  %.3f@%.3f", sweep.f1, sweep.threshold);
   }
   std::printf("\n");
@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
-                   static_cast<uint64_t>(flags.GetInt("seed")));
+                   static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

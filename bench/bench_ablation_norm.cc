@@ -9,7 +9,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   std::printf("Ablation A3: ITER normalization variants (scale=%.2f)\n",
               scale);
   Rule(76);
@@ -30,7 +30,7 @@ void Run(double scale, uint64_t seed) {
       iter_options.normalization = norm;
       IterResult iter =
           RunIter(graph, std::vector<double>(p.pairs.size(), 1.0),
-                  iter_options)
+                  iter_options, ctx)
               .value();
       round1[d] = ScoreF1(p, iter.pair_scores);
 
@@ -38,7 +38,7 @@ void Run(double scale, uint64_t seed) {
       config.iter.normalization = norm;
       config.rounds = 3;
       FusionPipeline pipeline(p.dataset(), config);
-      fused[d] = DecisionF1(p, pipeline.Run().value().matches);
+      fused[d] = DecisionF1(p, pipeline.Run(ctx).value().matches);
     }
     std::printf("%-28s %14.3f %14.3f %14.3f\n",
                 (std::string(name) + " (ITER sweep-F1)").c_str(), round1[0],
@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
-                   static_cast<uint64_t>(flags.GetInt("seed")));
+                   static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -10,7 +10,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   std::printf("Ablation A2: walk refinements, F1 at eta=0.98 (scale=%.2f)\n",
               scale);
   Rule(64);
@@ -18,33 +18,34 @@ void Run(double scale, uint64_t seed) {
               "Product", "Paper");
   Rule(64);
 
-  struct Ctx {
+  struct Corpus {
     Prepared p;
     RecordGraph graph;
   };
-  std::vector<Ctx> ctxs;
+  std::vector<Corpus> corpora;
   for (BenchmarkKind kind : AllBenchmarks()) {
     Prepared p = Prepare(kind, scale, seed);
     BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
     IterResult iter =
-        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0)).value();
+        RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+            .value();
     RecordGraph graph =
         RecordGraph::Build(p.dataset().size(), p.pairs, iter.pair_scores);
-    ctxs.push_back({std::move(p), std::move(graph)});
+    corpora.push_back({std::move(p), std::move(graph)});
   }
 
   auto run_cliquerank = [&](bool boost, BoostMode mode) {
-    for (const Ctx& ctx : ctxs) {
+    for (const Corpus& corpus : corpora) {
       CliqueRankOptions options;
       options.use_boost = boost;
       options.boost_mode = mode;
       CliqueRankResult result =
-          RunCliqueRank(ctx.graph, ctx.p.pairs, options).value();
-      std::vector<bool> matches(ctx.p.pairs.size());
-      for (PairId pid = 0; pid < ctx.p.pairs.size(); ++pid) {
+          RunCliqueRank(corpus.graph, corpus.p.pairs, options, ctx).value();
+      std::vector<bool> matches(corpus.p.pairs.size());
+      for (PairId pid = 0; pid < corpus.p.pairs.size(); ++pid) {
         matches[pid] = result.pair_probability[pid] >= 0.98;
       }
-      std::printf(" %12.3f", DecisionF1(ctx.p, matches));
+      std::printf(" %12.3f", DecisionF1(corpus.p, matches));
     }
     std::printf("\n");
   };
@@ -57,7 +58,7 @@ void Run(double scale, uint64_t seed) {
   Rule(64);
 
   // RSS grid on the Restaurant graph (small enough for full sampling).
-  const Ctx& restaurant = ctxs[0];
+  const Corpus& restaurant = corpora[0];
   std::printf("%-36s %12s\n", "RSS variant (Restaurant)", "F1");
   Rule(50);
   for (bool boost : {true, false}) {
@@ -67,7 +68,7 @@ void Run(double scale, uint64_t seed) {
       options.early_stop = early_stop;
       options.num_walks = 100;
       auto probability =
-          RunRss(restaurant.graph, restaurant.p.pairs, options).value();
+          RunRss(restaurant.graph, restaurant.p.pairs, options, ctx).value();
       std::vector<bool> matches(restaurant.p.pairs.size());
       for (PairId pid = 0; pid < restaurant.p.pairs.size(); ++pid) {
         matches[pid] = probability[pid] >= 0.98;
@@ -89,6 +90,7 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
-                   static_cast<uint64_t>(flags.GetInt("seed")));
+                   static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -12,14 +12,16 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed, size_t points) {
+void Run(double scale, uint64_t seed, size_t points,
+         const ExecContext& ctx) {
   std::printf("Figure 4: oracle score(t) vs rank of learned weight "
               "(scale=%.2f)\n", scale);
   for (BenchmarkKind kind : AllBenchmarks()) {
     Prepared p = Prepare(kind, scale, seed);
     BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
     IterResult iter =
-        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0)).value();
+        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+            .value();
     auto oracle = OracleTermScores(graph, p.pairs, p.truth());
 
     struct Entry {
@@ -66,6 +68,7 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   static_cast<size_t>(flags.GetInt("points")));
+                   static_cast<size_t>(flags.GetInt("points")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -9,7 +9,8 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed, size_t iterations) {
+void Run(double scale, uint64_t seed, size_t iterations,
+         const ExecContext& ctx) {
   std::printf("Figure 5: convergence of ITER (scale=%.2f)\n", scale);
 
   std::vector<std::vector<double>> traces;
@@ -21,7 +22,7 @@ void Run(double scale, uint64_t seed, size_t iterations) {
     options.max_iterations = iterations;
     options.tolerance = 0.0;  // run all iterations for the full trace
     IterResult result =
-        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), options)
+        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), options, ctx)
             .value();
     traces.push_back(result.update_trace);
   }
@@ -65,6 +66,7 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   static_cast<size_t>(flags.GetInt("iterations")));
+                   static_cast<size_t>(flags.GetInt("iterations")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -10,7 +10,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(uint64_t seed) {
+void Run(uint64_t seed, const ExecContext& ctx) {
   const std::vector<double> scales = {0.1, 0.2, 0.3, 0.4, 0.5};
   std::printf("Scaling on the Paper benchmark (per component)\n");
   Rule(92);
@@ -29,23 +29,23 @@ void Run(uint64_t seed) {
     iter_options.tolerance = 0.0;
     std::vector<double> uniform(p.pairs.size(), 1.0);
     Stopwatch iter_watch;
-    IterResult iter = RunIter(bipartite, uniform, iter_options).value();
+    IterResult iter = RunIter(bipartite, uniform, iter_options, ctx).value();
     double iter_ms = iter_watch.ElapsedMillis();
 
     // Converged similarities for the graph stages.
-    iter = RunIter(bipartite, uniform).value();
+    iter = RunIter(bipartite, uniform, {}, ctx).value();
     RecordGraph graph =
         RecordGraph::Build(p.dataset().size(), p.pairs, iter.pair_scores);
 
     Stopwatch cr_watch;
-    RunCliqueRank(graph, p.pairs, {}).value();
+    RunCliqueRank(graph, p.pairs, {}, ctx).value();
     double cr_s = cr_watch.ElapsedSeconds();
 
     // RSS estimate from a reduced-walk probe (per-edge independent).
     RssOptions probe;
     probe.num_walks = 4;
     Stopwatch rss_watch;
-    RunRss(graph, p.pairs, probe).value();
+    RunRss(graph, p.pairs, probe, ctx).value();
     double rss_s = rss_watch.ElapsedSeconds() * (100.0 / 4.0);
 
     std::printf("%7.2f %8zu %12zu %12zu %14.1f %14.2f %14.1f\n", scale,
@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   gter::FlagSet flags;
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
-  gter::bench::Run(static_cast<uint64_t>(flags.GetInt("seed")));
+  gter::bench::Run(static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

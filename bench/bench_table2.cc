@@ -18,7 +18,8 @@ struct Row {
   bool is_crowd = false;
 };
 
-void Run(double scale, uint64_t seed, double crowd_error) {
+void Run(double scale, uint64_t seed, double crowd_error,
+         const ExecContext& ctx) {
   std::vector<Prepared> prepared;
   for (BenchmarkKind kind : AllBenchmarks()) {
     prepared.push_back(Prepare(kind, scale, seed));
@@ -148,7 +149,7 @@ void Run(double scale, uint64_t seed, double crowd_error) {
     for (size_t d = 0; d < prepared.size(); ++d) {
       FusionConfig config;  // α=20, S=20, η=0.98, 5 rounds — §VII-C
       FusionPipeline pipeline(prepared[d].dataset(), config);
-      FusionResult result = pipeline.Run().value();
+      FusionResult result = pipeline.Run(ctx).value();
       row.f1[d] = DecisionF1(prepared[d], result.matches);
     }
     rows.push_back(row);
@@ -185,6 +186,7 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   flags.GetDouble("crowd_error"));
+                   flags.GetDouble("crowd_error"),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

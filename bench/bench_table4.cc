@@ -9,7 +9,7 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   std::printf(
       "Table IV: Spearman's rank correlation with oracle score(t) "
       "(scale=%.2f)\n",
@@ -23,11 +23,12 @@ void Run(double scale, uint64_t seed) {
     Prepared p = Prepare(kind, scale, seed);
     BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
     IterResult iter =
-        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0)).value();
+        RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
+            .value();
     FusionConfig config;
     config.rounds = 3;
     FusionPipeline pipeline(p.dataset(), config);
-    FusionResult fused = pipeline.Run().value();
+    FusionResult fused = pipeline.Run(ctx).value();
     TwIdfPageRankScorer pagerank;
     pagerank.Score(p.dataset(), p.pairs);
     auto oracle = OracleTermScores(graph, p.pairs, p.truth());
@@ -66,6 +67,7 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
-                   static_cast<uint64_t>(flags.GetInt("seed")));
+                   static_cast<uint64_t>(flags.GetInt("seed")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

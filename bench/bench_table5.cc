@@ -7,7 +7,8 @@ namespace gter {
 namespace bench {
 namespace {
 
-void Run(double scale, uint64_t seed, size_t rounds) {
+void Run(double scale, uint64_t seed, size_t rounds,
+         const ExecContext& ctx) {
   std::printf("Table V: effect of reinforcement (scale=%.2f, eta=0.98)\n",
               scale);
   Rule(76);
@@ -34,7 +35,7 @@ void Run(double scale, uint64_t seed, size_t rounds) {
           time_s[d].push_back(
               snapshot.round_stats.back().cumulative_seconds);
         });
-    pipeline.Run().value();
+    pipeline.Run(ctx).value();
   }
 
   for (size_t r = 0; r < rounds; ++r) {
@@ -61,6 +62,7 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   static_cast<size_t>(flags.GetInt("rounds")));
+                   static_cast<size_t>(flags.GetInt("rounds")),
+                   gter::bench::BenchContext(flags));
   return 0;
 }

@@ -251,10 +251,9 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
 
 namespace {
 
-// Worklist scratch for RunIterDirty: a mark byte per element plus the
-// sorted id list the parallel passes iterate. Collect() appends unseen ids;
-// the caller sorts once per sweep, so every pass sees a deterministic
-// order regardless of insertion pattern.
+// Worklist scratch for RunIterDirty: a mark byte per element plus the id
+// list in collection order. Collect() appends unseen ids; the caller sorts
+// where the order matters.
 struct MarkedList {
   std::vector<uint8_t> mark;
   std::vector<uint32_t> ids;
@@ -271,11 +270,10 @@ struct MarkedList {
   }
 };
 
-// RunIterDirty's thresholds (DESIGN.md §4g). The subsystem-solve trigger
-// and the stall sweep count are IterDirtyOptions, so tests can force
-// those paths.
+// RunIterDirty's thresholds (DESIGN.md §4g). The stall sweep count is an
+// IterDirtyOptions field, so tests can keep a converge on its worklist.
 
-// A term re-enters the frontier while its sweep-over-sweep change exceeds
+// A term re-enters the frontier while its pass-over-pass change exceeds
 // this. Far tighter than IterOptions::tolerance (a global L1 sum): the
 // frontier rule is per-term, and the incremental-vs-batch differential
 // contract (≤ 1e-10 drift after many ingests) needs each converge to park
@@ -294,32 +292,14 @@ constexpr double kFrontierTolerance = 1e-13;
 // 1e-10 differential contract.
 constexpr double kNoiseFloor = 256.0;
 
-// Stall detector threshold. The worklist's partial refreshes act as time
-// delays between coupled terms, and delayed relaxation can sustain
-// rotation modes of near-unit gain: rounding jitter from hub terms
-// circulates through mid-degree neighbors as a ~1e-11 limit cycle that
-// keeps a small frontier alive to the sweep cap. The signature is a sweep
-// whose largest |Δx| sits below this (numerical dust — far under any real
-// signal, far over the stationary state's exact zeros) while the frontier
-// persists; IterDirtyOptions::stall_sweeps such sweeps escalate the run.
+// Stall detector threshold, a backstop for a worklist that cycles on
+// numerical dust the per-term frontier rule cannot park. The signature is
+// a pass whose largest |Δx| sits below this (far under any real signal,
+// far over the stationary state's exact zeros) while the frontier
+// persists; IterDirtyOptions::stall_sweeps such passes escalate the run.
+// A run that contracts less than about 20x per pass also spends three
+// passes in that band, and trips it too (DESIGN.md §4g).
 constexpr double kStallDelta = 1e-9;
-
-// Parking rule for post-solve verification sweeps. The reduced solve is
-// bitwise stationary in *its own* summation order; the exact gather sums
-// the same mass in a different order, so verification still sees hubs
-// move by their rounding floor (~ε · Σ s_p ≈ 1e-11 at 10k pairs) — dust
-// that sits right at the frontier rule's noise guard and can ping-pong
-// closure subsets indefinitely. After at least one solve, a verification
-// sweep whose largest move is below this parks the run: the distance to
-// the exact fixed point is conditioning-limited rounding, well inside the
-// 1e-10 differential contract.
-constexpr double kSubsystemParkDelta = 1e-10;
-
-// The subsystem solve freezes at most this many terms (a larger closure
-// falls back to the stall path) and runs at most this many times per run
-// (then the stall escalation backstops).
-constexpr size_t kSubsystemMaxTerms = 1024;
-constexpr size_t kSubsystemMaxRounds = 3;
 
 // Parking rule for the post-stall full mode. The full map contracts
 // geometrically toward bitwise stationarity, but grinding out the last
@@ -331,7 +311,7 @@ constexpr size_t kSubsystemMaxRounds = 3;
 // batch build) still run to exact stationarity.
 constexpr double kStallParkDelta = 1e-12;
 
-// Hard sweep cap; the worklist normally drains long before this.
+// Hard pass cap; the worklist normally drains long before this.
 constexpr size_t kMaxSweeps = 1000;
 
 // Escape hatch: when the frontier covers more than this fraction of all
@@ -373,24 +353,15 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   IterDirtyResult result;
   std::vector<uint8_t> term_touched(num_terms, 0);
   std::vector<uint8_t> pair_touched(num_pairs, 0);
-  MarkedList dirty_pairs(num_pairs);
+  MarkedList frontier_pairs(num_pairs);
   MarkedList affected(num_terms);
   std::vector<TermId> next_frontier;
 
-  // s of the listed pairs from the current x (full gathers, so no delta
-  // error ever accumulates). Writes are disjoint per index.
-  const auto refresh_pairs = [&](const std::vector<PairId>& list) {
-    ParallelFor(pool, 0, list.size(), kGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const PairId p = list[i];
-        s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
-      }
-    });
-    for (PairId p : list) pair_touched[p] = 1;
-  };
-  const auto refresh_all_pairs = [&] {
-    ScoreAllPairs(graph, x, &s, pool);
-    std::fill(pair_touched.begin(), pair_touched.end(), 1);
+  // s of one pair from the current x (a full gather, so no delta error
+  // ever accumulates).
+  const auto refresh_pair = [&](PairId p) {
+    s[p] = GatherSum(x.data(), graph.TermsOfPair(p));
+    pair_touched[p] = 1;
   };
 
   // x of one term from the current s: the exact local solve of the prob ≡ 1
@@ -405,8 +376,7 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   // and the remaining cross-term coupling contracts geometrically. The
   // root is the same x the plain sweep converges to, so the global fixed
   // point — the thing the incremental-vs-batch differential pins — is
-  // unchanged; only the approach is accelerated (nonlinear Jacobi with
-  // exact one-dimensional solves).
+  // unchanged; only the approach is accelerated.
   // `scale_out` receives the gathered magnitude Σ_{p∋t} s_p — the
   // conditioning of the update, used by the callers' frontier rule: changes
   // below kNoiseFloor · ε · scale are this update's own rounding noise, not
@@ -429,39 +399,35 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   };
   constexpr double kEps = 2.220446049250313e-16;  // DBL_EPSILON
   const double noise = kNoiseFloor * kEps;
+  // The frontier rule: a move above the update's own noise floor.
+  const auto moved = [&](double delta, double scale) {
+    return delta > std::max(kFrontierTolerance, noise * scale);
+  };
 
-  // Recomputes x over the sorted term list (every term when `list` is
-  // null); chunked at the fixed reduction width with per-chunk frontier
-  // collection concatenated in chunk order, so the next frontier is sorted
-  // and thread-count independent. Returns the largest |Δx| of the sweep
-  // (serial chunk-order max), the signal the stall detector watches.
-  const auto sweep_terms = [&](const std::vector<TermId>* list) {
+  // Full mode's Jacobi sweep: every term from the current s, chunked at the
+  // fixed reduction width with per-chunk frontier collection concatenated
+  // in chunk order, so the next frontier is sorted and thread-count
+  // independent. Returns the largest |Δx| (serial chunk-order max).
+  const auto sweep_all_terms = [&] {
     next_frontier.clear();
-    const size_t n = list != nullptr ? list->size() : num_terms;
-    const size_t num_chunks = (n + kReduceChunk - 1) / kReduceChunk;
-    std::vector<std::vector<TermId>> moved(num_chunks);
+    const size_t num_chunks = (num_terms + kReduceChunk - 1) / kReduceChunk;
+    std::vector<std::vector<TermId>> movers(num_chunks);
     std::vector<double> chunk_max(num_chunks, 0.0);
     ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
       for (size_t chunk = lo; chunk < hi; ++chunk) {
         const size_t begin = chunk * kReduceChunk;
-        const size_t end = std::min(begin + kReduceChunk, n);
-        for (size_t i = begin; i < end; ++i) {
-          const TermId t =
-              list != nullptr ? (*list)[i] : static_cast<TermId>(i);
+        const size_t end = std::min(begin + kReduceChunk, num_terms);
+        for (TermId t = begin; t < end; ++t) {
           const double old = x[t];
           double scale = 0.0;
-          const double v = update_term(t, &scale);
-          x[t] = v;
-          if (v != old) term_touched[t] = 1;
-          const double delta = std::fabs(v - old);
+          x[t] = update_term(t, &scale);
+          const double delta = std::fabs(x[t] - old);
           chunk_max[chunk] = std::max(chunk_max[chunk], delta);
-          if (delta > std::max(kFrontierTolerance, noise * scale)) {
-            moved[chunk].push_back(t);
-          }
+          if (moved(delta, scale)) movers[chunk].push_back(t);
         }
       }
     });
-    for (const auto& chunk : moved) {
+    for (const auto& chunk : movers) {
       next_frontier.insert(next_frontier.end(), chunk.begin(), chunk.end());
     }
     double max_delta = 0.0;
@@ -469,130 +435,33 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
     return max_delta;
   };
 
-  // Direct solve of the hub-coupled subsystem (see IterDirtyOptions). The
-  // frontier's one-hop term closure T is frozen, the exact pair structure
-  // is compressed into co-occurrence counts M[i][j] = |pairs(T_i) ∩
-  // pairs(T_j)| (diagonal = degree), and the reduced map
-  //   total_i = base_i + Σ_j M[i][j]·x_j,   base_i = Σ s − M·x (frozen mass)
-  // is iterated serially to bitwise stationarity with the same exact local
-  // solve as update_term — hub↔hub coupling costs one multiply instead of
-  // thousands of pair reads per sweep. The caller re-verifies the result
-  // with a normal exact sweep over T. Returns false when the closure
-  // exceeds kSubsystemMaxTerms (solve abandoned, nothing written).
-  const auto solve_subsystem = [&](std::vector<TermId>* movers) {
-    // Movers' pairs have not been refreshed since they moved; everything
-    // else is current. One refresh makes every score exact.
-    // The collected pair lists stay in (deterministic) collection order:
-    // the refresh is elementwise and the coefficient accumulation below
-    // adds exact integers, so neither depends on traversal order — and a
-    // hub closure holds tens of thousands of pairs, making the sort the
-    // single most expensive step of the solve.
-    dirty_pairs.Clear();
-    for (TermId t : *movers) {
-      for (PairId p : graph.PairsOfTerm(t)) dirty_pairs.Collect(p);
+  // The worklist's Gauss–Seidel pass over the sorted term list: a term that
+  // moves writes its weight and re-gathers its own pairs at once, so every
+  // later term of the pass reads current scores. A Jacobi pass would read
+  // scores a pass old wherever a neighbor moved below the frontier rule,
+  // and those delays stretch the tails (DESIGN.md §4g). The pass is serial
+  // over ascending ids, so it is bitwise the same at any thread count.
+  // Returns the largest |Δx|, the signal the stall detector watches.
+  const auto gauss_seidel_pass = [&](const std::vector<TermId>& list) {
+    next_frontier.clear();
+    double max_delta = 0.0;
+    for (TermId t : list) {
+      double scale = 0.0;
+      const double v = update_term(t, &scale);
+      if (v == x[t]) continue;
+      const double delta = std::fabs(v - x[t]);
+      x[t] = v;
+      term_touched[t] = 1;
+      for (PairId p : graph.PairsOfTerm(t)) refresh_pair(p);
+      max_delta = std::max(max_delta, delta);
+      if (moved(delta, scale)) next_frontier.push_back(t);
     }
-    refresh_pairs(dirty_pairs.ids);
-
-    // T = movers ∪ terms sharing a pair with a mover.
-    affected.Clear();
-    for (TermId t : *movers) affected.Collect(t);
-    for (PairId p : dirty_pairs.ids) {
-      for (TermId u : graph.TermsOfPair(p)) affected.Collect(u);
-      if (affected.ids.size() > kSubsystemMaxTerms) return false;
-    }
-    std::sort(affected.ids.begin(), affected.ids.end());
-    const std::vector<TermId>& T = affected.ids;
-    const size_t n = T.size();
-
-    std::vector<int32_t> index_of(num_terms, -1);
-    for (size_t i = 0; i < n; ++i) index_of[T[i]] = static_cast<int32_t>(i);
-
-    // Coefficient pass over every pair of every T term (each pair once).
-    for (TermId t : T) {
-      for (PairId p : graph.PairsOfTerm(t)) dirty_pairs.Collect(p);
-    }
-    std::vector<double> m(n * n, 0.0);
-    std::vector<int32_t> inner;
-    for (PairId p : dirty_pairs.ids) {
-      inner.clear();
-      for (TermId u : graph.TermsOfPair(p)) {
-        if (index_of[u] >= 0) inner.push_back(index_of[u]);
-      }
-      for (int32_t a : inner) {
-        for (int32_t b : inner) m[a * n + b] += 1.0;
-      }
-    }
-
-    std::vector<double> deg(n), pt(n), base(n), xs(n);
-    for (size_t i = 0; i < n; ++i) {
-      const TermId t = T[i];
-      deg[i] = static_cast<double>(graph.PairsOfTerm(t).size());
-      pt[i] = graph.Pt(t);
-      xs[i] = x[t];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const double total = GatherSum(s.data(), graph.PairsOfTerm(T[i]));
-      double coupled = 0.0;
-      for (size_t j = 0; j < n; ++j) coupled += m[i * n + j] * xs[j];
-      base[i] = total - coupled;
-    }
-
-    // Gauss–Seidel, not Jacobi: with thousands of shared pairs between two
-    // hubs the synchronous map carries a near-(−1) antisymmetric mode that
-    // period-2 cycles at rounding amplitude and never goes bitwise
-    // stationary. In-place updates collapse that mode (the pair multiplier
-    // becomes the gain product, positive), and the fixed point is the
-    // same. The loop is serial over sorted ids either way.
-    constexpr size_t kSolveCap = 4096;
-    double prev_delta = 0.0;
-    size_t used = 0;
-    double floor_delta = 0.0;
-    for (size_t it = 0; it < kSolveCap; ++it) {
-      used = it + 1;
-      double delta_max = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        double v = 0.0;
-        if (deg[i] != 0.0) {
-          double total = base[i];
-          for (size_t j = 0; j < n; ++j) total += m[i * n + j] * xs[j];
-          const double c = total - deg[i] * xs[i];
-          const double b = pt[i] + c - deg[i];
-          v = c <= 0.0
-                  ? (b < 0.0 ? -b / deg[i] : 0.0)
-                  : 2.0 * c / (b + std::sqrt(b * b + 4.0 * deg[i] * c));
-        }
-        delta_max = std::max(delta_max, std::fabs(v - xs[i]));
-        xs[i] = v;
-      }
-      floor_delta = delta_max;
-      if (delta_max == 0.0) break;
-      if (it > 0 && delta_max >= prev_delta) break;
-      prev_delta = delta_max;
-    }
-
-    double wb_max = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      wb_max = std::max(wb_max, std::fabs(xs[i] - x[T[i]]));
-      if (xs[i] != x[T[i]]) {
-        x[T[i]] = xs[i];
-        term_touched[T[i]] = 1;
-      }
-    }
-    GTER_LOG(Debug) << "  subsystem solve n=" << n << " pairs "
-                    << dirty_pairs.ids.size() << " writeback_max " << wb_max
-                    << " iters " << used << " floor " << floor_delta;
-    // Hand T back as the next frontier: the following sweep refreshes its
-    // pairs and re-tests every T term with exact gathers — the reduced
-    // solve is never trusted unverified, and any neighbor it could not see
-    // gets recruited there.
-    movers->assign(T.begin(), T.end());
-    return true;
+    return max_delta;
   };
 
   bool full = false;
   bool dust_parked = false;
   size_t dust_sweeps = 0;
-  size_t solve_rounds = 0;
   while (result.sweeps < kMaxSweeps) {
     if (frontier.empty() || dust_parked) break;
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
@@ -608,9 +477,8 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
     if (full) {
       // Degraded mode: every pair rescored, then the term sweep over every
       // term — no frontier bookkeeping.
-      refresh_all_pairs();
-      std::fill(term_touched.begin(), term_touched.end(), 1);
-      sweep_max = sweep_terms(nullptr);
+      ScoreAllPairs(graph, x, &s, pool);
+      sweep_max = sweep_all_terms();
       // Post-stall parking: the full map is past the interesting decades —
       // once its largest move is numerical dust, park instead of grinding
       // to exact stationarity. Escape-hatch full runs (stall_escalated
@@ -619,47 +487,28 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
         dust_parked = true;
       }
     } else {
-      // Pairs adjacent to the frontier, then terms adjacent to those pairs
-      // (plus the frontier itself — a frontier term with no pairs still
-      // needs its weight parked at 0).
-      dirty_pairs.Clear();
+      // The frontier plus the terms of its pairs. Only the first pass
+      // refreshes those pairs: new pairs enter with s = 0, and from then on
+      // every pass keeps each score current.
+      frontier_pairs.Clear();
       affected.Clear();
       for (TermId t : frontier) {
         affected.Collect(t);
-        for (PairId p : graph.PairsOfTerm(t)) dirty_pairs.Collect(p);
+        for (PairId p : graph.PairsOfTerm(t)) frontier_pairs.Collect(p);
       }
-      std::sort(dirty_pairs.ids.begin(), dirty_pairs.ids.end());
-      for (PairId p : dirty_pairs.ids) {
+      for (PairId p : frontier_pairs.ids) {
+        if (result.sweeps == 0) refresh_pair(p);
         for (TermId t : graph.TermsOfPair(p)) affected.Collect(t);
       }
       std::sort(affected.ids.begin(), affected.ids.end());
-      refresh_pairs(dirty_pairs.ids);
-      sweep_max = sweep_terms(&affected.ids);
+      sweep_max = gauss_seidel_pass(affected.ids);
 
-      // Stall detection. The worklist's partial refreshes introduce
-      // effective time delays between coupled terms, and a delay system can
-      // carry rotation modes of near-unit gain: hub-term rounding jitter
-      // (~ε · Σ s_p) amplified through mid-degree neighbors circulates as a
-      // self-sustaining ~1e-11 limit cycle the frontier rule cannot park —
-      // per-term thresholds and damping don't break it because each term's
-      // move is driven by its neighbors' noise, not its own. The signature
-      // is unmistakable: the sweep's largest move sits at numerical dust
-      // level, yet the frontier refuses to drain. A genuinely converging
-      // run crosses the dust band in a sweep or two on its way out. After
-      // `stall_sweeps` consecutive dust sweeps, escalate (sticky) to full
-      // synchronous sweeps: the delay-free map has no such modes and
-      // reaches a bitwise-stationary fixed point — the same one the batch
-      // build lands on.
-      // Post-solve parking. The reduced solve lands on *its* bitwise fixed
-      // point, but its summation order differs from the exact gather's, so
-      // the verification sweep still sees the hubs move by their rounding
-      // floor (~ε · Σ s_p, right at the frontier rule's noise guard) and
-      // subsets of the closure ping-pong on that dust forever. Once a solve
-      // has run, a verification sweep whose largest move is below
-      // kSubsystemParkDelta is measuring exactly that floor — park.
-      if (solve_rounds > 0 && sweep_max < kSubsystemParkDelta) {
-        dust_parked = true;
-      } else if (sweep_max < kStallDelta) {
+      // Stall detection: after `stall_sweeps` consecutive passes whose
+      // largest move is dust while the frontier persists, escalate
+      // (sticky) to full synchronous sweeps, which reach a
+      // bitwise-stationary fixed point — the same one the batch build
+      // lands on.
+      if (sweep_max < kStallDelta) {
         ++dust_sweeps;
         if (dust_sweeps >= options.stall_sweeps && !next_frontier.empty()) {
           full = true;
@@ -672,35 +521,6 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
       } else {
         dust_sweeps = 0;
       }
-
-      // Hub-coupled slow tail → direct subsystem solve. Only when the
-      // frontier still carries a hub this deep into the run: a leaf-term
-      // ingest drains in two or three sweeps and never gets here.
-      if (!full && !dust_parked && !next_frontier.empty() &&
-          solve_rounds < kSubsystemMaxRounds &&
-          result.sweeps + 1 >= options.subsystem_min_sweeps &&
-          sweep_max < options.subsystem_delta) {
-        bool has_hub = false;
-        for (TermId t : next_frontier) {
-          if (graph.PairsOfTerm(t).size() >= options.subsystem_hub_degree) {
-            has_hub = true;
-            break;
-          }
-        }
-        if (has_hub) {
-          if (solve_subsystem(&next_frontier)) {
-            ++solve_rounds;
-            ++result.subsystem_solves;
-            dust_sweeps = 0;
-            if (metrics != nullptr) {
-              metrics->AddCounter("iter/subsystem_solves");
-            }
-          } else {
-            // Closure too large to freeze — don't rebuild it every sweep.
-            solve_rounds = kSubsystemMaxRounds;
-          }
-        }
-      }
     }
 
     frontier.swap(next_frontier);
@@ -712,20 +532,13 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   }
   result.converged = frontier.empty() || dust_parked;
 
-  // Exit invariant: every pair adjacent to a touched term gets its score
-  // refreshed against the final weights, so s ≡ Σ_{t∈p} x_t holds exactly
-  // (terms that moved sub-tolerance mid-run would otherwise leave a stale
-  // residue in their pairs).
+  // Exit invariant s ≡ Σ_{t∈p} x_t. The worklist passes re-gather a pair
+  // after every move of its terms, so only full mode, whose last sweep
+  // moved terms after its pair refresh, rescores here.
   if (full) {
-    refresh_all_pairs();
-  } else {
-    dirty_pairs.Clear();
-    for (TermId t = 0; t < num_terms; ++t) {
-      if (!term_touched[t]) continue;
-      for (PairId p : graph.PairsOfTerm(t)) dirty_pairs.Collect(p);
-    }
-    std::sort(dirty_pairs.ids.begin(), dirty_pairs.ids.end());
-    refresh_pairs(dirty_pairs.ids);
+    ScoreAllPairs(graph, x, &s, pool);
+    std::fill(term_touched.begin(), term_touched.end(), 1);
+    std::fill(pair_touched.begin(), pair_touched.end(), 1);
   }
 
   for (TermId t = 0; t < num_terms; ++t) {

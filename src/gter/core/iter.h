@@ -59,52 +59,29 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
                            const ExecContext& ctx = DefaultExecContext());
 
 /// Options for the dirty-region ITER mode (DESIGN.md §4g). The converge's
-/// other thresholds (frontier tolerance, noise floor, parking rules, sweep
-/// cap, full-resweep escape hatch) are constants in iter.cc; these four
-/// stay settable so a test can force the subsystem-solve or stall path.
+/// other thresholds (frontier tolerance, noise floor, parking rule, pass
+/// cap, full-resweep escape hatch) are constants in iter.cc; this one stays
+/// settable so a test can keep a converge on its worklist.
 struct IterDirtyOptions {
-  /// Stall detector. After this many consecutive sweeps whose largest |Δx|
-  /// is numerical dust while the frontier persists, the run escalates
-  /// (sticky) to full synchronous sweeps, which have no delays, no rotation
-  /// modes, and reach a bitwise-stationary fixed point. A genuinely
-  /// converging run crosses the dust band in a sweep or two and never
-  /// trips this.
+  /// Stall detector. After this many consecutive worklist passes whose
+  /// largest |Δx| is numerical dust while the frontier persists, the run
+  /// escalates (sticky) to full synchronous sweeps, which reach a
+  /// bitwise-stationary fixed point.
   size_t stall_sweeps = 3;
-  /// Hub-coupled subsystem solve. A single ingest whose terms include a
-  /// hub (a term on thousands of pairs — street suffixes, shared venue
-  /// words) perturbs a small strongly-coupled set: the hubs plus the
-  /// mid-degree terms they share pairs with. The worklist contracts that
-  /// set only ~half a decade per sweep, and every sweep re-gathers the
-  /// hubs' full adjacencies — tens of thousands of pair reads to move a
-  /// few dozen terms by 1e-8. When the frontier still holds a term of
-  /// degree ≥ `subsystem_hub_degree` after `subsystem_min_sweeps` sweeps
-  /// and the sweep's largest move is under `subsystem_delta` (the slow
-  /// tail — real signal, just converging slowly), the run freezes the
-  /// frontier's one-hop term closure, builds the closed-form reduced
-  /// system total_t = base_t + Σ_u M[t,u]·x_u (M[t,u] = pairs shared by t
-  /// and u — hub↔hub coupling collapses from thousands of pair reads to
-  /// one multiply), and iterates it serially to bitwise stationarity. The
-  /// result is written back and re-verified by a normal exact sweep, which
-  /// recruits any neighbor the reduced system missed. The solve is plain
-  /// serial arithmetic over sorted ids — bit-identical at any thread count.
-  double subsystem_delta = 1e-7;
-  size_t subsystem_min_sweeps = 6;
-  size_t subsystem_hub_degree = 1024;
 };
 
 /// Output of one dirty-region run.
 struct IterDirtyResult {
+  /// Worklist passes plus full sweeps.
   size_t sweeps = 0;
   bool converged = false;
   /// The run degraded to full sweeps (frontier-size escape hatch or stall
   /// escalation).
   bool used_full_resweep = false;
-  /// The stall detector fired: the worklist was cycling on numerical dust
-  /// and the run finished in full synchronous mode.
+  /// The stall detector fired: the worklist spent `stall_sweeps` passes
+  /// moving by numerical dust, and the run finished in full synchronous
+  /// mode.
   bool stall_escalated = false;
-  /// Hub-coupled subsystem solves performed (see
-  /// IterDirtyOptions::subsystem_delta).
-  size_t subsystem_solves = 0;
   /// Terms whose weight changed, ascending.
   std::vector<TermId> touched_terms;
   /// Pairs whose score was refreshed, ascending.
@@ -113,12 +90,14 @@ struct IterDirtyResult {
 
 /// Re-converges ITER over `graph` starting from the invalidated frontier
 /// `dirty_terms`, updating `term_weights` / `pair_scores` in place and
-/// touching only the region reachable from the frontier. Each sweep:
-/// refresh s of pairs adjacent to the frontier, recompute x of terms
-/// adjacent to those pairs (full gathers — never deltas, so no error
-/// accumulates), and the next frontier is the terms that moved more than
-/// the frontier tolerance (1e-13). On exit every touched pair's score is
-/// refreshed against the final weights, so s ≡ Σ_{t∈p} x_t holds exactly.
+/// touching only the region reachable from the frontier. Each pass updates
+/// the frontier and the terms of its pairs in ascending id, Gauss–Seidel:
+/// a term that moves re-gathers its own pairs' scores at once (full
+/// gathers — never deltas, so no error accumulates), so the next term
+/// reads current scores. The first pass also refreshes the frontier's
+/// pairs, since new pairs enter with s = 0. The next frontier is the terms
+/// that moved more than the frontier tolerance (1e-13, or the update's own
+/// rounding floor). So s ≡ Σ_{t∈p} x_t holds exactly on exit.
 ///
 /// The fixed point is the prob ≡ 1 ITER map (the §V-C first-round
 /// semantics, logistic normalization) — a concave monotone map with one
@@ -127,14 +106,14 @@ struct IterDirtyResult {
 /// update solves its own one-dimensional fixed point exactly (splitting
 /// out the term's self-contribution to its scores), which removes the
 /// harmonic tail of the plain sweep for weakly supported terms without
-/// changing the fixed-point equations. Passing a
-/// frontier of *all* terms with weights initialized to any positive
-/// constant therefore IS the batch build (the escape hatch fires
-/// immediately). Gathers are phase-separated over sorted worklists and
-/// chunked at a fixed width, so results are bit-identical at any thread
-/// count. Cancellation is polled at entry and once per sweep; a tripped
-/// token yields the error status with the vectors mid-converge but
-/// structurally valid — re-run with a full frontier to recover.
+/// changing the fixed-point equations. Passing a frontier of *all* terms
+/// with weights initialized to any positive constant therefore IS the
+/// batch build: the escape hatch fires immediately, and its full sweeps
+/// are Jacobi, parallel over fixed-width chunks. The worklist pass is
+/// serial, so results are bit-identical at any thread count. Cancellation
+/// is polled at entry and once per pass; a tripped token yields the error
+/// status with the vectors mid-converge but structurally valid — re-run
+/// with a full frontier to recover.
 Result<IterDirtyResult> RunIterDirty(
     const BipartiteGraph& graph, const std::vector<TermId>& dirty_terms,
     const IterDirtyOptions& options, std::vector<double>* term_weights,

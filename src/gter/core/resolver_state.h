@@ -42,8 +42,7 @@ struct ServedModel {
 struct ResolverStateOptions {
   /// Match threshold on the reciprocal-best pair probability.
   double eta = 0.98;
-  /// Dirty-region re-ITER knobs (the subsystem-solve trigger and the stall
-  /// detector).
+  /// Dirty-region re-ITER knob (the stall detector).
   IterDirtyOptions iter;
 };
 
@@ -59,7 +58,8 @@ struct IngestStats {
   /// Candidate pairs the record added (records sharing ≥ 1 term,
   /// cross-source for two-source datasets).
   size_t new_pairs = 0;
-  /// Dirty-region sweeps the converge took.
+  /// Dirty-region passes the converge took (worklist passes plus full
+  /// sweeps).
   size_t sweeps = 0;
   /// The full-resweep escape hatch fired during the converge.
   bool used_full_resweep = false;

@@ -184,56 +184,6 @@ TEST(IncrementalDifferentialTest, StreamedMatchesBatchEightThreads) {
   EXPECT_EQ(serial.cluster_of(), stream.cluster_of());
 }
 
-TEST(IncrementalDifferentialTest, SubsystemSolvePathMatchesBatch) {
-  // Force the hub-coupled subsystem solve (and its post-solve parking) on
-  // the small corpus by dropping the hub-degree bar and the trigger depth:
-  // street-suffix terms here sit on dozens of pairs, so nearly every
-  // ingest now routes through freeze → reduced solve → verify → park.
-  // The differential contract must survive the solve's different
-  // summation order, and the solve must stay bitwise thread-independent.
-  ResolverStateOptions opts;
-  opts.iter.subsystem_hub_degree = 8;
-  opts.iter.subsystem_min_sweeps = 2;
-  opts.iter.subsystem_delta = 1e-2;
-
-  Dataset data = MakeData();
-  const size_t n = data.size();
-  const size_t base = (n * 2) / 3;
-  const std::vector<RecordId> order = StreamOrder(n, base, 4242);
-
-  ResolverState batch(&data);  // default options: plain batch fixed point
-  ASSERT_TRUE(batch.BuildBatch().ok());
-
-  MetricsRegistry metrics;
-  ExecContext ctx;
-  ctx.metrics = &metrics;
-  Dataset streamed_data = Reorder(data, order);
-  ResolverState stream(&streamed_data, opts);
-  RunStream(&stream, base, ctx);
-  // The forced thresholds must actually exercise the solve path —
-  // otherwise this test silently degrades into StreamedRandomOrder.
-  EXPECT_GT(metrics.Counter("iter/subsystem_solves"), 0u);
-
-  ExpectArmsAgree(batch, stream, order, 1e-10);
-
-  // Bitwise thread-independence with solves in play: the solve itself is
-  // serial over sorted ids, and its surrounding refresh passes are
-  // chunk-deterministic.
-  ThreadPool pool(8);
-  ExecContext pooled = ExecContext::WithPool(&pool);
-  Dataset pooled_data = Reorder(data, order);
-  ResolverState pooled_stream(&pooled_data, opts);
-  RunStream(&pooled_stream, base, pooled);
-  ASSERT_EQ(pooled_stream.term_weights().size(),
-            stream.term_weights().size());
-  for (size_t t = 0; t < stream.term_weights().size(); ++t) {
-    ASSERT_EQ(pooled_stream.term_weights()[t], stream.term_weights()[t])
-        << t;
-  }
-  EXPECT_EQ(pooled_stream.pair_scores(), stream.pair_scores());
-  EXPECT_EQ(pooled_stream.cluster_of(), stream.cluster_of());
-}
-
 TEST(IncrementalDifferentialTest, ServingIngestPathMatchesBatch) {
   // The Ingest(source, raw_text) serving path: batch over N records vs
   // BuildBatch(N-5) plus five tokenizing ingests.

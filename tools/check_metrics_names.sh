@@ -17,6 +17,7 @@
 # Slug sources (kept in sync with where metrics are declared):
 #   * the DeclarePipelineMetrics literal list (src/gter/core/fusion.cc)
 #   * every ScopedTimer name literal under src/
+#   * every GTER_TRACE_SCOPE / GTER_TRACE_SCOPE_TO name literal under src/
 #   * service.cc's per-method "server/..." timer names
 #   * server.cc's kMethodSlotNames x {queue_us, work_us} sliding
 #     histograms, plus the server/uptime_s gauge
@@ -61,6 +62,14 @@ cat "${declared_file}" >> "${slugs_file}"
 #    contributes both.
 grep -rh -A2 'ScopedTimer [a-z_]*(' "${src}" --include='*.cc' \
   | grep -o '"[a-z0-9_/]*/[a-z0-9_/]*"' | tr -d '"' >> "${slugs_file}"
+
+# 2b. GTER_TRACE_SCOPE(name, ...) and GTER_TRACE_SCOPE_TO(registry, name,
+#     ...) expand to a ScopedTimer, so their names are registry timers too
+#     (pairspace/build, bipartite/build). The name is the first literal of
+#     the call; any literal is taken, so the charset rule sees bad names.
+grep -rhoE 'GTER_TRACE_SCOPE(_TO\([^,"]*,|\()[[:space:]]*"[^"]*"' "${src}" \
+    --include='*.cc' \
+  | sed -E 's/.*"([^"]*)"$/\1/' >> "${slugs_file}"
 
 # 3. The per-request "server/..." literals (service.cc timer names,
 #    server.cc's uptime gauge). The bare "server/" composition prefix is

@@ -22,7 +22,8 @@
 //       --metrics_out/--trace_out are still written, and the exit code
 //       is 3 (vs 0 success, 1 failure, 2 usage).
 //       --incremental resolves through the ResolverState engine instead
-//       of the batch fusion rounds (DESIGN.md §4g).
+//       of the batch fusion rounds (DESIGN.md §4g); the --clusterer
+//       endgame then clusters the state's probabilities.
 //   gter_cli evaluate --in data.csv [--sources 1] [--matches out.csv]
 //       Score a match file against the CSV's ground-truth entity column.
 //   gter_cli eval-endgames [--scale 0.25] [--seed 2018] [--rounds 3]
@@ -137,8 +138,7 @@ int RunResolve(int argc, char** argv) {
                "cancel the run after this many milliseconds (0 = none)");
   flags.AddBool("incremental", false,
                 "resolve through the incremental ResolverState engine "
-                "(streaming fixed point; reciprocal-best matching, "
-                "connected-components endgame)");
+                "(streaming fixed point, reciprocal-best probabilities)");
   AddCommonStageFlags(&flags);
   Status s = flags.Parse(argc, argv);
   if (s.ok()) s = ApplyCommonStageFlags(flags);
@@ -208,7 +208,7 @@ int RunResolve(int argc, char** argv) {
   // Either arm fills a FusionResult so the output paths below are shared.
   // The incremental arm resolves through the ResolverState engine
   // (DESIGN.md §4g): same candidate space, streaming-capable fixed point,
-  // reciprocal-best matching with the connected-components closure.
+  // reciprocal-best probabilities, then the same endgame.
   std::optional<FusionPipeline> pipeline;
   std::optional<ResolverState> state;
   auto execute = [&]() -> Result<FusionResult> {
@@ -223,8 +223,23 @@ int RunResolve(int argc, char** argv) {
       out.pair_scores = state->pair_scores();
       out.pair_probability = state->pair_probability();
       out.matches = state->matches();
-      out.cluster_of = state->cluster_of();
-      out.num_clusters = state->num_clusters();
+      // The configured endgame over the state's p, as FusionPipeline::Run
+      // runs it over CliqueRank's.
+      ClusterProblem problem;
+      problem.num_records = dataset.size();
+      problem.pairs = &state->pairs();
+      problem.pair_probability = &out.pair_probability;
+      problem.eta = config.eta;
+      std::vector<uint32_t> source_of;
+      if (dataset.num_sources() > 1) {
+        for (const Record& r : dataset.records()) source_of.push_back(r.source);
+        problem.source_of = &source_of;
+      }
+      Result<Clustering> clustered =
+          Cluster(config.clusterer, problem, config.clusterer_options, ctx);
+      if (!clustered.ok()) return clustered.status();
+      out.num_clusters = clustered.value().num_clusters;
+      out.cluster_of = std::move(clustered).value().cluster_of;
       out.total_seconds = watch.ElapsedSeconds();
       return out;
     }
@@ -263,9 +278,7 @@ int RunResolve(int argc, char** argv) {
     std::printf("resolved %zu records: %zu candidate pairs, %zu matches, "
                 "%zu entities via %s (%.1fs)\n",
                 dataset.size(), pair_space.size(), matched,
-                result.num_clusters,
-                incremental ? "incremental"
-                            : ClustererKindName(config.clusterer),
+                result.num_clusters, ClustererKindName(config.clusterer),
                 result.total_seconds);
     Status write = SaveMatches(flags.GetString("matches"), pair_space,
                                result);

@@ -9,7 +9,7 @@
 //   gterd --in data.csv [--sources 1] [--port 7421] [--bind 127.0.0.1]
 //         [--eta 0.98] [--rounds 5] [--alpha 20] [--steps 20]
 //         [--max_df_ratio 0.12] [--default_deadline_ms 0]
-//         [--threads 0] [--simd auto] [--metrics_out m.json]
+//         [--threads 1] [--simd auto] [--metrics_out m.json]
 //         [--metrics_port -1] [--access_log gterd.log]
 //         [--slow_request_ms 0] [--incremental]
 //
