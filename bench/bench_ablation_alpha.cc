@@ -27,8 +27,8 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   };
   std::vector<Corpus> corpora;
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
-    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(kind, scale, seed, ctx);
+    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
     IterResult iter =
         RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
             .value();
@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

@@ -26,8 +26,8 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   Rule(86);
 
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
-    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(kind, scale, seed, ctx);
+    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
     IterResult iter =
         RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
             .value();
@@ -77,8 +77,8 @@ double BestSeconds(const RecordGraph& graph, const PairSpace& pairs,
 }
 
 void Crossover(double scale, uint64_t seed, const ExecContext& ctx) {
-  Prepared p = Prepare(BenchmarkKind::kPaper, scale, seed);
-  BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
+  Prepared p = Prepare(BenchmarkKind::kPaper, scale, seed, ctx);
+  BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
   IterResult iter =
       RunIter(bipartite, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
           .value();
@@ -102,7 +102,7 @@ void Crossover(double scale, uint64_t seed, const ExecContext& ctx) {
     for (PairId pid = 0; pid < p.pairs.size(); ++pid) {
       if (draw[pid] < keep) kept.push_back(p.pairs.pair(pid));
     }
-    PairSpace thin = PairSpace::FromPairs(kept);
+    PairSpace thin = PairSpace::FromPairs(kept, ctx);
     std::vector<double> sims(thin.size());
     for (PairId pid = 0; pid < p.pairs.size(); ++pid) {
       if (draw[pid] >= keep) continue;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   const double scale = flags.GetDouble("scale");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const gter::ExecContext ctx = gter::bench::BenchContext(flags);
+  const gter::ExecContext& ctx = metrics_scope.ctx();
   gter::bench::Run(scale, seed, ctx);
   gter::bench::Crossover(scale, seed, ctx);
   return 0;

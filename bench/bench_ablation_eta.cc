@@ -26,10 +26,10 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   };
   std::vector<Corpus> corpora;
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
+    Prepared p = Prepare(kind, scale, seed, ctx);
     FusionConfig config;
     config.rounds = 3;
-    FusionPipeline pipeline(p.dataset(), config);
+    FusionPipeline pipeline(p.dataset(), config, ctx);
     FusionResult result = pipeline.Run(ctx).value();
     corpora.push_back({std::move(p), std::move(result.pair_probability)});
   }
@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

@@ -24,8 +24,8 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
     std::vector<double> round1(AllBenchmarks().size());
     std::vector<double> fused(AllBenchmarks().size());
     for (size_t d = 0; d < AllBenchmarks().size(); ++d) {
-      Prepared p = Prepare(AllBenchmarks()[d], scale, seed);
-      BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
+      Prepared p = Prepare(AllBenchmarks()[d], scale, seed, ctx);
+      BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
       IterOptions iter_options;
       iter_options.normalization = norm;
       IterResult iter =
@@ -37,7 +37,7 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
       FusionConfig config;
       config.iter.normalization = norm;
       config.rounds = 3;
-      FusionPipeline pipeline(p.dataset(), config);
+      FusionPipeline pipeline(p.dataset(), config, ctx);
       fused[d] = DecisionF1(p, pipeline.Run(ctx).value().matches);
     }
     std::printf("%-28s %14.3f %14.3f %14.3f\n",
@@ -60,6 +60,6 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

@@ -17,8 +17,8 @@ void Run(double scale, uint64_t seed, size_t points,
   std::printf("Figure 4: oracle score(t) vs rank of learned weight "
               "(scale=%.2f)\n", scale);
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
-    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(kind, scale, seed, ctx);
+    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
     IterResult iter =
         RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
             .value();
@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
                    static_cast<size_t>(flags.GetInt("points")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

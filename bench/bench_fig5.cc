@@ -15,8 +15,8 @@ void Run(double scale, uint64_t seed, size_t iterations,
 
   std::vector<std::vector<double>> traces;
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
-    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(kind, scale, seed, ctx);
+    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
     IterOptions options;
     options.track_convergence = true;
     options.max_iterations = iterations;
@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
                    static_cast<size_t>(flags.GetInt("iterations")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

@@ -24,6 +24,11 @@
 namespace gter {
 namespace {
 
+// The context every benchmark hands the stages it runs (a copy, where it
+// adds a pool): main() puts the --metrics_out registry and the --trace_out
+// recorder in it before any benchmark runs.
+ExecContext g_bench_ctx;
+
 // Pins the SIMD level of the benchmark's "simd" argument (0 = scalar,
 // 2 = avx512) for the benchmark's lifetime, or skips the
 // benchmark when the level exceeds what the CPU/build supports — or what a
@@ -62,9 +67,9 @@ std::string TimerName(const std::string& kernel, SimdLevel level,
 template <typename Body>
 void TimedLoop(benchmark::State& state, const std::string& timer_name,
                Body body) {
-  MetricsRegistry* metrics = MetricsRegistry::Current();
   for (auto _ : state) {
-    ScopedTimer timer(metrics, timer_name.c_str());
+    ScopedTimer timer(g_bench_ctx.metrics, g_bench_ctx.trace,
+                      timer_name.c_str());
     body();
   }
 }
@@ -203,14 +208,16 @@ IterOptions FusionCapIterOptions() {
 }
 
 void BM_IterRun(benchmark::State& state) {
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset);
-  BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
+  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
+  BipartiteGraph graph =
+      BipartiteGraph::Build(data.dataset, pairs, g_bench_ctx);
   std::vector<double> probability(pairs.size(), 1.0);
   const IterOptions options = FusionCapIterOptions();
   TimedLoop(state, TimerName("iter_run", data.dataset.size()), [&] {
-    benchmark::DoNotOptimize(RunIter(graph, probability, options));
+    benchmark::DoNotOptimize(
+        RunIter(graph, probability, options, g_bench_ctx));
   });
   state.counters["bipartite_edges"] = static_cast<double>(graph.num_edges());
 }
@@ -221,11 +228,11 @@ BENCHMARK(BM_IterRun);
 // bipartite, so CliqueRank runs no product and the timer carries the
 // per-round work around it: ITER, the graph's weights, M_t and M_b.
 void BM_FusionRun(benchmark::State& state) {
-  auto data = GenerateBenchmark(BenchmarkKind::kProduct, 0.3, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kProduct, 0.3, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  FusionPipeline pipeline(data.dataset, FusionConfig());
+  FusionPipeline pipeline(data.dataset, FusionConfig(), g_bench_ctx);
   TimedLoop(state, TimerName("fusion_run_product", data.dataset.size()), [&] {
-    auto result = pipeline.Run();
+    auto result = pipeline.Run(g_bench_ctx);
     benchmark::DoNotOptimize(result.value().pair_probability.data());
   });
   state.counters["pairs"] = static_cast<double>(pipeline.pairs().size());
@@ -236,16 +243,16 @@ BENCHMARK(BM_FusionRun);
 // Paper graph has triangles, so all 8 steps run (a bipartite graph would
 // stop after step 1).
 void BM_CliqueRankMasked(benchmark::State& state) {
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset);
+  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
   std::vector<double> sims(pairs.size(), 0.8);
   RecordGraph graph = RecordGraph::Build(data.dataset.size(), pairs, sims);
   CliqueRankOptions options;
   options.engine = CliqueRankEngine::kMaskedSparse;
   options.max_steps = 8;
   TimedLoop(state, TimerName("cliquerank_masked", data.dataset.size()), [&] {
-    auto result = RunCliqueRank(graph, pairs, options);
+    auto result = RunCliqueRank(graph, pairs, options, g_bench_ctx);
     benchmark::DoNotOptimize(result.value().pair_probability.data());
   });
   state.counters["pairs"] = static_cast<double>(pairs.size());
@@ -259,9 +266,9 @@ BENCHMARK(BM_CliqueRankMasked);
 void BM_CliqueRankDense(benchmark::State& state) {
   auto pin = PinSimdLevel(state, state.range(0));
   if (pin == nullptr) return;
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset);
+  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
   std::vector<double> sims(pairs.size(), 0.8);
   RecordGraph graph = RecordGraph::Build(data.dataset.size(), pairs, sims);
   CliqueRankOptions options;
@@ -271,7 +278,7 @@ void BM_CliqueRankDense(benchmark::State& state) {
             TimerName("cliquerank_dense", ActiveSimdLevel(),
                       data.dataset.size()),
             [&] {
-              auto result = RunCliqueRank(graph, pairs, options);
+              auto result = RunCliqueRank(graph, pairs, options, g_bench_ctx);
               benchmark::DoNotOptimize(
                   result.value().pair_probability.data());
             });
@@ -285,22 +292,22 @@ BENCHMARK(BM_CliqueRankDense)->ArgNames({"simd"})->Arg(0)->Arg(2);
 // is the parallel speedup of the hot path.
 void BM_Rss(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset);
+  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
   std::vector<double> sims(pairs.size(), 0.8);
   RecordGraph graph = RecordGraph::Build(data.dataset.size(), pairs, sims);
 
   RssOptions options;
   options.num_walks = 20;
   ThreadPool pool(threads);
-  ExecContext ctx;
+  ExecContext ctx = g_bench_ctx;
   if (threads > 1) ctx.pool = &pool;
 
   // Determinism contract: the parallel run must match the serial run bit
   // for bit before we time anything.
   GTER_CHECK(RunRss(graph, pairs, options, ctx).value() ==
-             RunRss(graph, pairs, options).value());
+             RunRss(graph, pairs, options, g_bench_ctx).value());
 
   for (auto _ : state) {
     auto p = RunRss(graph, pairs, options, ctx).value();
@@ -314,14 +321,15 @@ BENCHMARK(BM_Rss)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // range(0) threads.
 void BM_IterRunParallel(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset);
-  BipartiteGraph graph = BipartiteGraph::Build(data.dataset, pairs);
+  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
+  BipartiteGraph graph =
+      BipartiteGraph::Build(data.dataset, pairs, g_bench_ctx);
   std::vector<double> probability(pairs.size(), 1.0);
   const IterOptions options = FusionCapIterOptions();
   ThreadPool pool(threads);
-  ExecContext ctx;
+  ExecContext ctx = g_bench_ctx;
   if (threads > 1) ctx.pool = &pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(RunIter(graph, probability, options, ctx));
@@ -331,7 +339,7 @@ void BM_IterRunParallel(benchmark::State& state) {
 BENCHMARK(BM_IterRunParallel)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_PageRank(benchmark::State& state) {
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5);
+  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
   TermGraph graph = TermGraph::Build(data.dataset);
   for (auto _ : state) {
@@ -353,11 +361,13 @@ void BM_IncrementalIngest(benchmark::State& state) {
   // tail + a few street-suffix hubs) match the sparse regime streaming
   // ingest targets; kPaper's dense synthetic overlap would make every
   // ingest perturb half the graph and measure the batch path instead.
-  auto data = GenerateBenchmark(BenchmarkKind::kRestaurant, 11.66, 5);
+  auto data =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 11.66, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);
   // Fresh records to stream, generated off a disjoint seed so they are
   // new entities with realistic term overlap.
-  auto extra = GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 77);
+  auto extra =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 77, g_bench_ctx);
   std::vector<std::string> extra_texts;
   for (const Record& r : extra.dataset.records()) {
     extra_texts.push_back(r.raw_text);
@@ -366,18 +376,18 @@ void BM_IncrementalIngest(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(data.dataset.size());
   if (incremental) {
     ResolverState st(&data.dataset, options);
-    GTER_CHECK(st.BuildBatch().ok());
+    GTER_CHECK(st.BuildBatch(g_bench_ctx).ok());
     size_t next = 0;
     TimedLoop(state, "bench/incremental_ingest", [&] {
-      auto ingested =
-          st.Ingest(0, extra_texts[next++ % extra_texts.size()]);
+      auto ingested = st.Ingest(0, extra_texts[next++ % extra_texts.size()],
+                                g_bench_ctx);
       GTER_CHECK(ingested.ok());
       benchmark::DoNotOptimize(ingested.value().cluster);
     });
   } else {
     TimedLoop(state, "bench/batch_rebuild", [&] {
       ResolverState st(&data.dataset, options);
-      GTER_CHECK(st.BuildBatch().ok());
+      GTER_CHECK(st.BuildBatch(g_bench_ctx).ok());
       benchmark::DoNotOptimize(st.matched_count());
     });
   }
@@ -418,26 +428,22 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<gter::MetricsRegistry> metrics;
-  std::unique_ptr<gter::ScopedMetricsInstall> metrics_install;
   if (!metrics_out.empty()) {
     metrics = std::make_unique<gter::MetricsRegistry>();
-    metrics_install = std::make_unique<gter::ScopedMetricsInstall>(
-        metrics.get());
   }
   std::unique_ptr<gter::TraceRecorder> trace;
-  std::unique_ptr<gter::ScopedTraceInstall> trace_install;
   if (!trace_out.empty()) {
     gter::SetCurrentThreadTraceName("main");
     trace = std::make_unique<gter::TraceRecorder>();
-    trace_install = std::make_unique<gter::ScopedTraceInstall>(trace.get());
   }
   gter::EmitCpuInfo(metrics.get(), trace.get());
+  gter::g_bench_ctx.metrics = metrics.get();
+  gter::g_bench_ctx.trace = trace.get();
 
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
   if (metrics != nullptr) {
-    metrics_install.reset();
     gter::Status s = gter::WriteMetricsJson(metrics_out, *metrics);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -446,7 +452,6 @@ int main(int argc, char** argv) {
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   if (trace != nullptr) {
-    trace_install.reset();
     gter::Status s = gter::WriteTraceJson(trace_out, *trace);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());

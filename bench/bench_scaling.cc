@@ -20,8 +20,8 @@ void Run(uint64_t seed, const ExecContext& ctx) {
   Rule(92);
 
   for (double scale : scales) {
-    Prepared p = Prepare(BenchmarkKind::kPaper, scale, seed);
-    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(BenchmarkKind::kPaper, scale, seed, ctx);
+    BipartiteGraph bipartite = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
 
     // One ITER sweep, timed.
     IterOptions iter_options;
@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
   if (!gter::bench::ParseStandardFlags(argc, argv, &flags)) return 1;
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(static_cast<uint64_t>(flags.GetInt("seed")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

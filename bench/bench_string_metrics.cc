@@ -34,7 +34,7 @@ TokenView BuildTokens(const Dataset& dataset) {
   return view;
 }
 
-void Run(double scale, uint64_t seed) {
+void Run(double scale, uint64_t seed, const ExecContext& ctx) {
   std::printf(
       "String-metric comparison (optimal-threshold F1, scale=%.2f)\n",
       scale);
@@ -54,7 +54,7 @@ void Run(double scale, uint64_t seed) {
                            {"SoftTFIDF", {0, 0, 0}}};
 
   for (size_t d = 0; d < AllBenchmarks().size(); ++d) {
-    Prepared p = Prepare(AllBenchmarks()[d], scale, seed);
+    Prepared p = Prepare(AllBenchmarks()[d], scale, seed, ctx);
     TokenView view = BuildTokens(p.dataset());
 
     JaccardScorer jaccard;
@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
   // smaller slice than the table benches.
   double scale = flags.GetDouble("scale");
   if (scale == gter::bench::kDefaultScale) scale = 0.25;
-  gter::bench::Run(scale, static_cast<uint64_t>(flags.GetInt("seed")));
+  gter::bench::Run(scale, static_cast<uint64_t>(flags.GetInt("seed")),
+                   metrics_scope.ctx());
   return 0;
 }

@@ -22,7 +22,7 @@ void Run(double scale, uint64_t seed, double crowd_error,
          const ExecContext& ctx) {
   std::vector<Prepared> prepared;
   for (BenchmarkKind kind : AllBenchmarks()) {
-    prepared.push_back(Prepare(kind, scale, seed));
+    prepared.push_back(Prepare(kind, scale, seed, ctx));
   }
 
   std::vector<Row> rows;
@@ -148,7 +148,7 @@ void Run(double scale, uint64_t seed, double crowd_error,
     row.name = "ITER+CliqueRank";
     for (size_t d = 0; d < prepared.size(); ++d) {
       FusionConfig config;  // α=20, S=20, η=0.98, 5 rounds — §VII-C
-      FusionPipeline pipeline(prepared[d].dataset(), config);
+      FusionPipeline pipeline(prepared[d].dataset(), config, ctx);
       FusionResult result = pipeline.Run(ctx).value();
       row.f1[d] = DecisionF1(prepared[d], result.matches);
     }
@@ -187,6 +187,6 @@ int main(int argc, char** argv) {
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
                    flags.GetDouble("crowd_error"),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

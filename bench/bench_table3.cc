@@ -30,13 +30,13 @@ void Run(double scale, uint64_t seed, bool full_rss,
   std::vector<Col> cols;
 
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
+    Prepared p = Prepare(kind, scale, seed, ctx);
     Col col;
     col.nodes = p.dataset().size();
     col.edges = p.pairs.size();
 
     FusionConfig config;  // 5 rounds, α=20, S=20
-    FusionPipeline pipeline(p.dataset(), config);
+    FusionPipeline pipeline(p.dataset(), config, ctx);
     FusionResult result = pipeline.Run(ctx).value();
     col.total_s = result.total_seconds;
     for (const FusionRoundStats& stats : result.round_stats) {
@@ -107,6 +107,6 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   flags.GetBool("full_rss"), gter::bench::BenchContext(flags));
+                   flags.GetBool("full_rss"), metrics_scope.ctx());
   return 0;
 }

@@ -20,14 +20,14 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
 
   std::vector<double> rho_pagerank, rho_iter, rho_fused;
   for (BenchmarkKind kind : AllBenchmarks()) {
-    Prepared p = Prepare(kind, scale, seed);
-    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs);
+    Prepared p = Prepare(kind, scale, seed, ctx);
+    BipartiteGraph graph = BipartiteGraph::Build(p.dataset(), p.pairs, ctx);
     IterResult iter =
         RunIter(graph, std::vector<double>(p.pairs.size(), 1.0), {}, ctx)
             .value();
     FusionConfig config;
     config.rounds = 3;
-    FusionPipeline pipeline(p.dataset(), config);
+    FusionPipeline pipeline(p.dataset(), config, ctx);
     FusionResult fused = pipeline.Run(ctx).value();
     TwIdfPageRankScorer pagerank;
     pagerank.Score(p.dataset(), p.pairs);
@@ -68,6 +68,6 @@ int main(int argc, char** argv) {
   gter::bench::BenchMetricsScope metrics_scope(flags);
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

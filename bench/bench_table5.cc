@@ -21,10 +21,10 @@ void Run(double scale, uint64_t seed, size_t rounds,
   std::vector<std::vector<double>> f1(AllBenchmarks().size());
   std::vector<std::vector<double>> time_s(AllBenchmarks().size());
   for (size_t d = 0; d < AllBenchmarks().size(); ++d) {
-    Prepared p = Prepare(AllBenchmarks()[d], scale, seed);
+    Prepared p = Prepare(AllBenchmarks()[d], scale, seed, ctx);
     FusionConfig config;
     config.rounds = rounds;
-    FusionPipeline pipeline(p.dataset(), config);
+    FusionPipeline pipeline(p.dataset(), config, ctx);
     pipeline.set_round_observer(
         [&](size_t, const FusionResult& snapshot) {
           std::vector<bool> matches(p.pairs.size());
@@ -63,6 +63,6 @@ int main(int argc, char** argv) {
   gter::bench::Run(flags.GetDouble("scale"),
                    static_cast<uint64_t>(flags.GetInt("seed")),
                    static_cast<size_t>(flags.GetInt("rounds")),
-                   gter::bench::BenchContext(flags));
+                   metrics_scope.ctx());
   return 0;
 }

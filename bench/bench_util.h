@@ -36,11 +36,12 @@ struct Prepared {
   const GroundTruth& truth() const { return data.truth; }
 };
 
-inline Prepared Prepare(BenchmarkKind kind, double scale, uint64_t seed) {
+inline Prepared Prepare(BenchmarkKind kind, double scale, uint64_t seed,
+                        const ExecContext& ctx) {
   Prepared p;
-  p.data = GenerateBenchmark(kind, scale, seed);
+  p.data = GenerateBenchmark(kind, scale, seed, ctx);
   RemoveFrequentTerms(&p.data.dataset);
-  p.pairs = PairSpace::Build(p.data.dataset);
+  p.pairs = PairSpace::Build(p.data.dataset, ctx);
   p.labels = LabelPairs(p.pairs, p.data.truth);
   p.positives = TotalPositives(p.data.dataset, p.data.truth);
   return p;
@@ -74,50 +75,42 @@ inline bool ParseStandardFlags(int argc, char** argv, FlagSet* flags) {
   return true;
 }
 
-/// Pool for --threads, or nullptr for the sequential path. Every stage is
-/// bit-identical for any thread count, so results match --threads=1 runs.
-inline ThreadPool* BenchPool(const FlagSet& flags) {
-  static std::unique_ptr<ThreadPool> pool =
-      MakeThreadPool(flags.GetInt("threads"));
-  return pool.get();
-}
-
-/// ExecContext over BenchPool: the standard context for a bench binary's
-/// stage calls (ambient metrics/trace from BenchMetricsScope, no cancel).
-inline ExecContext BenchContext(const FlagSet& flags) {
-  return ExecContext::WithPool(BenchPool(flags));
-}
-
-/// Installs a MetricsRegistry (--metrics_out) and/or a TraceRecorder
-/// (--trace_out) for the binary's lifetime and writes the JSON dumps on
-/// destruction. Declare one at the top of main(), after ParseStandardFlags:
+/// Owns the context every stage call of a bench binary runs on: the
+/// --threads pool (nullptr for the sequential path), a MetricsRegistry
+/// when --metrics_out is set and a TraceRecorder when --trace_out is set.
+/// Writes the JSON dumps on destruction. Declare one at the top of main(),
+/// after ParseStandardFlags, and pass `ctx()` to every stage:
 ///
-///   bench::BenchMetricsScope metrics(flags);
+///   bench::BenchMetricsScope metrics_scope(flags);
+///   Run(..., metrics_scope.ctx());
 ///
-/// With both flags empty this is a no-op and the pipeline runs with
-/// observability fully disabled (the zero-cost path).
+/// With both flags empty the context carries no sinks and the pipeline
+/// runs with observability fully disabled (the zero-cost path). Every
+/// stage is bit-identical for any thread count, so results match
+/// --threads=1 runs.
 class BenchMetricsScope {
  public:
   explicit BenchMetricsScope(const FlagSet& flags)
       : path_(flags.GetString("metrics_out")),
-        trace_path_(flags.GetString("trace_out")) {
+        trace_path_(flags.GetString("trace_out")),
+        pool_(MakeThreadPool(flags.GetInt("threads"))) {
     if (!path_.empty()) {
       registry_ = std::make_unique<MetricsRegistry>();
       DeclarePipelineMetrics(registry_.get());
-      install_ = std::make_unique<ScopedMetricsInstall>(registry_.get());
     }
     if (!trace_path_.empty()) {
       SetCurrentThreadTraceName("main");
       trace_ = std::make_unique<TraceRecorder>();
-      trace_install_ = std::make_unique<ScopedTraceInstall>(trace_.get());
     }
     // Stamp every metrics dump / trace with the compute path that ran.
     EmitCpuInfo(registry_.get(), trace_.get());
+    ctx_.pool = pool_.get();
+    ctx_.metrics = registry_.get();
+    ctx_.trace = trace_.get();
   }
 
   ~BenchMetricsScope() {
     if (registry_ != nullptr) {
-      install_.reset();
       Status s = WriteMetricsJson(path_, *registry_);
       if (s.ok()) {
         std::printf("metrics written to %s\n", path_.c_str());
@@ -126,7 +119,6 @@ class BenchMetricsScope {
       }
     }
     if (trace_ != nullptr) {
-      trace_install_.reset();
       Status s = WriteTraceJson(trace_path_, *trace_);
       if (s.ok()) {
         std::printf("trace written to %s (%zu events)\n", trace_path_.c_str(),
@@ -137,15 +129,15 @@ class BenchMetricsScope {
     }
   }
 
-  MetricsRegistry* registry() const { return registry_.get(); }
+  const ExecContext& ctx() const { return ctx_; }
 
  private:
   std::string path_;
   std::string trace_path_;
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<MetricsRegistry> registry_;
-  std::unique_ptr<ScopedMetricsInstall> install_;
   std::unique_ptr<TraceRecorder> trace_;
-  std::unique_ptr<ScopedTraceInstall> trace_install_;
+  ExecContext ctx_;
 };
 
 inline const std::vector<BenchmarkKind>& AllBenchmarks() {

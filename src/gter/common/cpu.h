@@ -95,7 +95,7 @@ class ScopedSimdLevel {
 /// 0/1 flags, level as its enum value) into `metrics`, and as "M"
 /// process-label metadata (`simd=avx512 cpu=sse2+...`) into `trace`. Either
 /// sink may be null. The CLI and every bench binary call this right after
-/// installing their registry/recorder, so run reports and Perfetto traces
+/// creating their registry/recorder, so run reports and Perfetto traces
 /// say which path produced them.
 void EmitCpuInfo(MetricsRegistry* metrics, TraceRecorder* trace);
 

@@ -122,16 +122,15 @@ inline bool IsCancellation(const Status& s) {
 }
 
 /// Execution context for one pipeline run: worker pool, observability
-/// sinks, and cancellation — everything that used to be smeared across
-/// per-stage options structs and process-global installs. The SIMD level
-/// is not part of it: every dispatched kernel reads the process-global
-/// `ActiveSimdLevel()`.
+/// sinks, and cancellation. The SIMD level is not part of it: every
+/// dispatched kernel reads the process-global `ActiveSimdLevel()`.
 ///
-/// Plain aggregate; cheap to copy. All fields default to "ambient": a null
-/// pool means sequential execution, null metrics/trace fall back to the
-/// installed thread-local/process-global sinks, and a null cancel token
+/// Plain aggregate; cheap to copy. A null field means "none": a null pool
+/// means sequential execution, a null `metrics` or `trace` records nothing
+/// (one pointer test per instrumentation point), and a null cancel token
 /// makes every poll a single pointer test (the zero-cost uncancellable
-/// path).
+/// path). The context is the only way a sink reaches library code: there
+/// is no installed or global registry or recorder to fall back on.
 ///
 /// Stage entry points take `const ExecContext& = DefaultExecContext()`;
 /// options structs carry only algorithm parameters.
@@ -156,14 +155,6 @@ struct ExecContext {
     return cancel != nullptr ? cancel->Check() : Status::OK();
   }
 
-  /// Explicit registry if set, else the thread-local installed one, else
-  /// nullptr. Resolve once at stage entry (pool workers do not inherit the
-  /// thread-local install).
-  MetricsRegistry* metrics_or_ambient() const;
-
-  /// Explicit recorder if set, else the process-global installed one.
-  TraceRecorder* trace_or_ambient() const;
-
   /// Context carrying only a worker pool — the common test/bench shape.
   static ExecContext WithPool(ThreadPool* pool) {
     ExecContext ctx;
@@ -179,8 +170,8 @@ struct ExecContext {
   }
 };
 
-/// The ambient no-op context: sequential, ambient observability, not
-/// cancellable. Default argument of every stage entry point.
+/// The empty context: no pool, no sinks and no cancel token. Default
+/// argument of every stage entry point.
 const ExecContext& DefaultExecContext();
 
 }  // namespace gter

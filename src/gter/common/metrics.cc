@@ -10,8 +10,6 @@
 namespace gter {
 namespace {
 
-thread_local MetricsRegistry* tls_current_registry = nullptr;
-
 /// Set in a slot's epoch while the recorder that claimed the slot zeroes
 /// it. Recorders wait for the epoch to clear; snapshots skip the slot, as
 /// the flagged value lies past every window.
@@ -463,17 +461,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "\n}\n";
   return out;
-}
-
-MetricsRegistry* MetricsRegistry::Current() { return tls_current_registry; }
-
-ScopedMetricsInstall::ScopedMetricsInstall(MetricsRegistry* registry)
-    : previous_(tls_current_registry) {
-  tls_current_registry = registry;
-}
-
-ScopedMetricsInstall::~ScopedMetricsInstall() {
-  tls_current_registry = previous_;
 }
 
 Status WriteMetricsJson(const std::string& path,

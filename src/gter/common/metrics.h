@@ -20,14 +20,12 @@ namespace gter {
 ///
 /// A `MetricsRegistry` collects named counters, gauges, log-scale
 /// histograms, and aggregated stage timers from every pipeline stage that
-/// was handed one — either explicitly through the `metrics` field of a
-/// stage's options struct, or implicitly through the thread-local registry
-/// installed by `ScopedMetricsInstall` (the path the CLI and the bench
-/// harness use).
+/// was handed one in the `metrics` field of its `ExecContext`. There is no
+/// other way in: a stage whose context carries no registry records nothing.
 ///
-/// Contract: with no registry installed anywhere, every instrumentation
-/// point collapses to one null-pointer test — no clock reads, no locks, no
-/// allocation — so the hot paths keep their uninstrumented cost.
+/// Contract: with a null registry, every instrumentation point collapses to
+/// one null-pointer test — no clock reads, no locks, no allocation — so the
+/// hot paths keep their uninstrumented cost.
 ///
 /// Naming convention: lowercase `stage/metric` slugs (`rss/walks_run`,
 /// `cliquerank/dense_product`). Counters count events, gauges record
@@ -194,15 +192,7 @@ class MetricsRegistry {
   /// given state.
   std::string ToJson() const;
 
-  /// The registry installed on this thread by `ScopedMetricsInstall`, or
-  /// nullptr. Stages resolve this once at entry (on the calling thread —
-  /// pool workers do not inherit it) when their options carry no explicit
-  /// registry.
-  static MetricsRegistry* Current();
-
  private:
-  friend class ScopedMetricsInstall;
-
   mutable std::mutex mutex_;
   // std::map keeps ToJson() key order deterministic; std::less<> enables
   // string_view lookups without temporary strings.
@@ -215,42 +205,15 @@ class MetricsRegistry {
       sliding_;
 };
 
-/// Installs `registry` as the thread-local current registry for the
-/// lifetime of the object; restores the previous one on destruction.
-class ScopedMetricsInstall {
- public:
-  explicit ScopedMetricsInstall(MetricsRegistry* registry);
-  ~ScopedMetricsInstall();
-
-  ScopedMetricsInstall(const ScopedMetricsInstall&) = delete;
-  ScopedMetricsInstall& operator=(const ScopedMetricsInstall&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-};
-
-/// Explicit registry (from an options struct) if set, else the installed
-/// thread-local one, else nullptr. The standard stage-entry resolution.
-inline MetricsRegistry* ResolveMetrics(MetricsRegistry* explicit_registry) {
-  return explicit_registry != nullptr ? explicit_registry
-                                      : MetricsRegistry::Current();
-}
-
 /// RAII stage timer with two sinks: records elapsed wall time into
-/// `registry` under `name`, and — when a `TraceRecorder` is installed —
-/// emits the same interval as a trace span (category "stage", optional
-/// numeric args), off a single shared pair of clock reads so metrics and
-/// traces can never disagree on a stage boundary. With a null registry
-/// and no recorder, constructor and destructor are a pointer test plus
-/// one relaxed atomic load each — no clock is read.
+/// `registry` under `name`, and emits the same interval into `recorder` as
+/// a trace span (category "stage", optional numeric args), off a single
+/// shared pair of clock reads so metrics and traces can never disagree on
+/// a stage boundary. Either sink may be null; with both null, constructor
+/// and destructor are two pointer tests each — no clock is read. Stages
+/// pass their context's sinks: `ScopedTimer t(ctx.metrics, ctx.trace, ...)`.
 class ScopedTimer {
  public:
-  ScopedTimer(MetricsRegistry* registry, const char* name,
-              TraceArg arg0 = TraceArg{}, TraceArg arg1 = TraceArg{})
-      : ScopedTimer(registry, TraceRecorder::Current(), name, arg0, arg1) {}
-
-  /// Explicit-recorder overload for context-carried sinks (ExecContext):
-  /// both sinks are resolved by the caller, no thread-local/global reads.
   ScopedTimer(MetricsRegistry* registry, TraceRecorder* recorder,
               const char* name, TraceArg arg0 = TraceArg{},
               TraceArg arg1 = TraceArg{})
@@ -298,22 +261,6 @@ class ScopedTimer {
 /// sink).
 Status WriteMetricsJson(const std::string& path,
                         const MetricsRegistry& registry);
-
-#define GTER_METRICS_CONCAT_INNER(a, b) a##b
-#define GTER_METRICS_CONCAT(a, b) GTER_METRICS_CONCAT_INNER(a, b)
-
-/// Times the enclosing scope into the thread-local current registry (a
-/// no-op when none is installed). After the name, optional TraceArgs are
-/// attached to the emitted trace span.
-#define GTER_TRACE_SCOPE(...)                                       \
-  ::gter::ScopedTimer GTER_METRICS_CONCAT(gter_trace_, __LINE__)(   \
-      ::gter::MetricsRegistry::Current(), __VA_ARGS__)
-
-/// Times the enclosing scope into an explicit registry (nullptr → metrics
-/// no-op; the trace span still fires when a recorder is installed).
-#define GTER_TRACE_SCOPE_TO(registry, ...)                          \
-  ::gter::ScopedTimer GTER_METRICS_CONCAT(gter_trace_, __LINE__)(   \
-      registry, __VA_ARGS__)
 
 }  // namespace gter
 

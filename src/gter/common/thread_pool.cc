@@ -59,10 +59,7 @@ void ThreadPool::RunTask(std::deque<Task>::iterator it,
   Task task = std::move(*it);
   tasks_.erase(it);
   lock->unlock();
-  {
-    GTER_TRACE_SPAN("pool/task", "pool");
-    task.fn();
-  }
+  task.fn();
   lock->lock();
   if (--task.group->pending_ == 0) wakeup_.notify_all();
 }
@@ -103,11 +100,13 @@ ThreadPool* ThreadPool::Default() {
   return pool;
 }
 
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
+void ParallelFor(const ExecContext& ctx, size_t begin, size_t end,
+                 size_t grain, const std::function<void(size_t, size_t)>& fn) {
   GTER_CHECK(begin <= end);
   if (begin == end) return;
   if (grain == 0) grain = 1;
+  ThreadPool* pool = ctx.pool;
+  TraceRecorder* trace = ctx.trace;
   size_t span = end - begin;
   if (pool == nullptr || pool->num_threads() <= 1 || span <= grain) {
     fn(begin, end);
@@ -119,7 +118,11 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   TaskGroup group;
   for (size_t lo = begin; lo < end; lo += chunk) {
     size_t hi = std::min(lo + chunk, end);
-    if (!pool->Submit(&group, [&fn, lo, hi] { fn(lo, hi); }).ok()) {
+    const auto task = [&fn, trace, lo, hi] {
+      ScopedTraceSpan task_span(trace, "pool/task", "pool");
+      fn(lo, hi);
+    };
+    if (!pool->Submit(&group, task).ok()) {
       // Pool is shutting down; finish the chunk inline so the range is
       // still fully covered.
       fn(lo, hi);

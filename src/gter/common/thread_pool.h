@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "gter/common/exec_context.h"
 #include "gter/common/status.h"
 
 namespace gter {
@@ -111,16 +112,19 @@ class ThreadPool {
 };
 
 /// Splits [begin, end) into contiguous chunks of at least `grain` items and
-/// runs `fn(chunk_begin, chunk_end)` across `pool`. Blocks until complete.
-/// Runs inline when the range is small or the pool has one thread.
+/// runs `fn(chunk_begin, chunk_end)` across `ctx.pool`. Blocks until
+/// complete. Runs inline when there is no pool, the range is small or the
+/// pool has one thread. Each chunk run as a pool task is recorded as a
+/// `pool/task` span into `ctx.trace`, on the track of the thread that ran
+/// it.
 ///
 /// Safe to call concurrently from multiple threads sharing one pool, and
 /// recursively from inside `fn` (the blocked caller drains queued chunks).
 /// Chunk boundaries depend only on (begin, end, grain, num_threads), so any
 /// `fn` whose chunks are independent yields thread-count-independent
 /// results as long as each index's computation is self-contained.
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
+void ParallelFor(const ExecContext& ctx, size_t begin, size_t end,
+                 size_t grain, const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace gter
 

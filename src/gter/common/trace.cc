@@ -14,6 +14,7 @@ namespace internal {
 struct TraceThreadLog {
   explicit TraceThreadLog(size_t capacity) : events(capacity) {}
 
+  uint64_t owner = 0;  // ThisThreadSerial() of the one writing thread
   uint32_t tid = 0;
   std::string name;  // fixed at registration
   std::vector<TraceEvent> events;  // capacity fixed up front, never resized
@@ -27,8 +28,16 @@ namespace {
 
 using internal::TraceThreadLog;
 
-std::atomic<TraceRecorder*> g_current_recorder{nullptr};
 std::atomic<uint64_t> g_next_recorder_id{1};
+std::atomic<uint64_t> g_next_thread_serial{1};
+
+/// Process-unique id of the calling thread. Unlike std::thread::id it is
+/// never reused, so a buffer found by it belongs to this thread alone.
+uint64_t ThisThreadSerial() {
+  thread_local const uint64_t serial =
+      g_next_thread_serial.fetch_add(1, std::memory_order_relaxed);
+  return serial;
+}
 
 /// Thread-name registered by SetCurrentThreadTraceName before the thread's
 /// first span. Function-local static avoids init-order issues.
@@ -93,8 +102,19 @@ TraceRecorder::~TraceRecorder() = default;
 
 TraceThreadLog* TraceRecorder::LogForThisThread() {
   if (tls_log_cache.recorder_id == id_) return tls_log_cache.log;
+  const uint64_t me = ThisThreadSerial();
   std::lock_guard<std::mutex> lock(logs_mutex_);
+  // A pool worker that runs chunks of two runs alternates between their
+  // recorders; it gets its own buffer back here instead of a new one per
+  // switch.
+  for (const auto& log : logs_) {
+    if (log->owner == me) {
+      tls_log_cache = {id_, log.get()};
+      return log.get();
+    }
+  }
   auto log = std::make_unique<TraceThreadLog>(capacity_per_thread_);
+  log->owner = me;
   log->tid = static_cast<uint32_t>(logs_.size());
   log->name = TlsThreadName();
   if (log->name.empty()) log->name = "thread-" + std::to_string(log->tid);
@@ -230,24 +250,11 @@ std::vector<TraceEvent> TraceRecorder::Snapshot() const {
   return out;
 }
 
-TraceRecorder* TraceRecorder::Current() {
-  return g_current_recorder.load(std::memory_order_relaxed);
-}
-
 uint64_t TraceRecorder::NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-ScopedTraceInstall::ScopedTraceInstall(TraceRecorder* recorder)
-    : previous_(g_current_recorder.load(std::memory_order_relaxed)) {
-  g_current_recorder.store(recorder, std::memory_order_release);
-}
-
-ScopedTraceInstall::~ScopedTraceInstall() {
-  g_current_recorder.store(previous_, std::memory_order_release);
 }
 
 void SetCurrentThreadTraceName(std::string name) {

@@ -24,12 +24,18 @@ namespace gter {
 /// per thread — so the schedule of RSS chunks and CliqueRank steps across
 /// the ThreadPool is visible, not just their totals.
 ///
-/// Contract (mirrors the metrics layer): with no recorder installed, every
-/// instrumentation point is one relaxed atomic load — no clock reads, no
-/// locks, no allocation. Recording is lock-free: each thread appends to its
-/// own pre-allocated buffer and publishes the new size with a release
-/// store; the only mutex is taken once per thread (buffer registration)
-/// and per export.
+/// A stage records into the `trace` field of the `ExecContext` it is
+/// handed; there is no global recorder. `ParallelFor` records each pooled
+/// chunk as a `pool/task` span into the same recorder, so a run's chunks
+/// land with the run that scheduled them, whichever worker ran them.
+///
+/// Contract (mirrors the metrics layer): with a null recorder, every
+/// instrumentation point is one pointer test — no clock reads, no locks,
+/// no allocation. Recording is lock-free: each thread appends to its own
+/// pre-allocated buffer and publishes the new size with a release store;
+/// the mutex is taken only when a thread first records into a recorder,
+/// when a thread returns to a recorder after recording into another, and
+/// per export.
 ///
 /// Span naming convention: the same lowercase `stage/span` slugs the
 /// metrics layer uses (`fusion/round`, `iter/sweep`, `rss/chunk`); the
@@ -106,12 +112,6 @@ class TraceRecorder {
   /// spans into its bounded buffer. Same concurrency contract as export.
   std::vector<TraceEvent> Snapshot() const;
 
-  /// The recorder installed by `ScopedTraceInstall`, or nullptr. One
-  /// relaxed atomic load — the whole cost of disabled tracing. Unlike the
-  /// metrics registry this slot is process-global, so ThreadPool workers
-  /// see it too (their spans land on their own tracks).
-  static TraceRecorder* Current();
-
   /// `steady_clock` time_since_epoch in nanoseconds — the time base every
   /// recorded span uses.
   static uint64_t NowNs();
@@ -127,35 +127,19 @@ class TraceRecorder {
   std::vector<std::string> process_labels_;  // guarded by logs_mutex_
 };
 
-/// Installs `recorder` as the process-global current recorder for the
-/// lifetime of the object; restores the previous one on destruction.
-/// Install from the coordinating thread around the run (the CLI/bench
-/// pattern); concurrent installs from different threads are not supported.
-class ScopedTraceInstall {
- public:
-  explicit ScopedTraceInstall(TraceRecorder* recorder);
-  ~ScopedTraceInstall();
-
-  ScopedTraceInstall(const ScopedTraceInstall&) = delete;
-  ScopedTraceInstall& operator=(const ScopedTraceInstall&) = delete;
-
- private:
-  TraceRecorder* previous_;
-};
-
 /// Names the calling thread's track in every recorder it subsequently
 /// registers with ("main", "pool-worker-3"). Threads that never call this
 /// are exported as "thread-<tid>".
 void SetCurrentThreadTraceName(std::string name);
 
-/// RAII span recorded into the installed recorder (no-op, no clock read,
-/// when none is installed). Name/category/arg keys must be string literals.
+/// RAII span recorded into `recorder` (no-op, no clock read, when it is
+/// null). Name/category/arg keys must be string literals.
 class ScopedTraceSpan {
  public:
-  explicit ScopedTraceSpan(const char* name, const char* category = "span",
-                           TraceArg arg0 = TraceArg{},
-                           TraceArg arg1 = TraceArg{})
-      : recorder_(TraceRecorder::Current()),
+  ScopedTraceSpan(TraceRecorder* recorder, const char* name,
+                  const char* category = "span", TraceArg arg0 = TraceArg{},
+                  TraceArg arg1 = TraceArg{})
+      : recorder_(recorder),
         name_(name),
         category_(category),
         arg0_(arg0),
@@ -182,14 +166,6 @@ class ScopedTraceSpan {
 
 /// Writes `recorder.ToChromeJson()` to `path` (the `--trace_out` sink).
 Status WriteTraceJson(const std::string& path, const TraceRecorder& recorder);
-
-#define GTER_TRACE_CONCAT_INNER(a, b) a##b
-#define GTER_TRACE_CONCAT(a, b) GTER_TRACE_CONCAT_INNER(a, b)
-
-/// Trace-only span over the enclosing scope (no metrics timer): name, then
-/// optional category and up to two TraceArgs.
-#define GTER_TRACE_SPAN(...)                                     \
-  ::gter::ScopedTraceSpan GTER_TRACE_CONCAT(gter_span_, __LINE__)(__VA_ARGS__)
 
 }  // namespace gter
 

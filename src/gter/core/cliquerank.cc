@@ -25,8 +25,6 @@ Result<std::vector<double>> RunSteps(const RecordGraph& graph,
                                      const CsrMatrix& trans,
                                      std::vector<double> accum,
                                      CliqueRankEngine engine, size_t steps,
-                                     MetricsRegistry* metrics,
-                                     TraceRecorder* recorder,
                                      const ExecContext& ctx) {
   const CsrMatrix& pattern = graph.AdjacencyMatrix();
   const size_t n = pattern.rows();
@@ -42,19 +40,19 @@ Result<std::vector<double>> RunSteps(const RecordGraph& graph,
     // The panel scratch, or the CSR kernel's O(n) per-chunk accumulator.
     product_bytes = dense ? scratch->bytes() : n * sizeof(double);
   }
-  if (metrics != nullptr) {
+  if (ctx.metrics != nullptr) {
     // accum, plus cur/next and the product's own buffer when one runs.
     const size_t arrays = steps > 1 ? 3 : 1;
-    metrics->SetGauge("cliquerank/scratch_bytes",
-                      static_cast<double>(arrays * accum.size() *
-                                              sizeof(double) +
-                                          product_bytes));
+    ctx.metrics->SetGauge("cliquerank/scratch_bytes",
+                          static_cast<double>(arrays * accum.size() *
+                                                  sizeof(double) +
+                                              product_bytes));
   }
   for (size_t step = 2; step <= steps; ++step) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
     {
       ScopedTimer product_timer(
-          metrics, recorder,
+          ctx.metrics, ctx.trace,
           dense ? "cliquerank/dense_product" : "cliquerank/masked_product",
           TraceArg{"step", static_cast<double>(step)});
       GTER_RETURN_IF_ERROR(
@@ -64,14 +62,14 @@ Result<std::vector<double>> RunSteps(const RecordGraph& graph,
                                           next.data(), ctx));
     }
     cur.swap(next);
-    ParallelFor(ctx.pool, 0, cur.size(), /*grain=*/4096,
+    ParallelFor(ctx, 0, cur.size(), /*grain=*/4096,
                 [&](size_t lo, size_t hi) {
       for (size_t e = lo; e < hi; ++e) accum[e] += cur[e];
     });
   }
 
   std::vector<double> probability(graph.num_edges(), 0.0);
-  ParallelFor(ctx.pool, 0, probability.size(), /*grain=*/256,
+  ParallelFor(ctx, 0, probability.size(), /*grain=*/256,
               [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) {
       const RecordGraph::EdgePositions pos = graph.PositionsOf(p);
@@ -150,9 +148,7 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   GTER_CHECK(options.max_steps >= 1);
   GTER_CHECK(pairs.size() == graph.num_edges());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer total_timer(metrics, recorder, "cliquerank/total");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "cliquerank/total");
   Stopwatch watch;
   CliqueRankEngine engine = options.engine;
   if (engine == CliqueRankEngine::kAuto) {
@@ -170,7 +166,7 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
   std::vector<double> boosted(graph.AdjacencyMatrix().nnz());
   CsrMatrix trans;
   {
-    ScopedTimer setup_timer(metrics, recorder, "cliquerank/setup");
+    ScopedTimer setup_timer(ctx.metrics, ctx.trace, "cliquerank/setup");
     double* transition = boosted.data();
     if (steps > 1) {
       trans = graph.AdjacencyMatrix();
@@ -178,22 +174,21 @@ Result<CliqueRankResult> RunCliqueRank(const RecordGraph& graph,
     }
     WriteTransitionAndBoost(graph, options, transition, boosted.data());
   }
-  if (metrics != nullptr) {
-    metrics->AddCounter("cliquerank/runs");
-    metrics->AddCounter(engine == CliqueRankEngine::kDense
-                            ? "cliquerank/engine_dense"
-                            : "cliquerank/engine_masked");
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("cliquerank/runs");
+    ctx.metrics->AddCounter(engine == CliqueRankEngine::kDense
+                                ? "cliquerank/engine_dense"
+                                : "cliquerank/engine_masked");
   }
 
   CliqueRankResult result;
   result.engine_used = engine;
   Result<std::vector<double>> probability =
-      RunSteps(graph, trans, std::move(boosted), engine, steps, metrics,
-               recorder, ctx);
+      RunSteps(graph, trans, std::move(boosted), engine, steps, ctx);
   GTER_RETURN_IF_ERROR(probability.status());
-  if (metrics != nullptr) {
+  if (ctx.metrics != nullptr) {
     // The matrix products that ran: 0 when the graph is bipartite.
-    metrics->AddCounter("cliquerank/steps", steps - 1);
+    ctx.metrics->AddCounter("cliquerank/steps", steps - 1);
   }
   result.pair_probability = std::move(probability).value();
   result.seconds = watch.ElapsedSeconds();

@@ -70,7 +70,7 @@ struct CliqueRankResult {
 /// stored edge pattern, pair positions and bipartiteness, so a call builds
 /// no structure. Matrix kernels run on `ctx.pool` at `ActiveSimdLevel()`;
 /// metrics (engine chosen, setup and per-step kernel time, matrix steps
-/// run, scratch bytes) go to `ctx.metrics` with ambient fallback.
+/// run, scratch bytes) go to `ctx.metrics`.
 /// Cancellation is polled at entry and once per matrix step in both
 /// engines. A graph with no records gives an empty `pair_probability`.
 Result<CliqueRankResult> RunCliqueRank(

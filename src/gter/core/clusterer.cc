@@ -209,8 +209,7 @@ Result<std::vector<uint32_t>> RunEndgame(ClustererKind kind,
                                          const ExecContext& ctx) {
   if (kind == ClustererKind::kCorrelation) return Correlation(problem, ctx);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  ScopedTimer timer(ctx.metrics_or_ambient(), ctx.trace_or_ambient(),
-                    "cluster/total");
+  ScopedTimer timer(ctx.metrics, ctx.trace, "cluster/total");
   if (kind == ClustererKind::kConnectedComponents) {
     return ConnectedComponents(problem, ctx);
   }
@@ -269,8 +268,7 @@ Result<Clustering> Cluster(ClustererKind kind, const ClusterProblem& problem,
   Clustering out;
   out.cluster_of = std::move(labels).value();
   out.num_clusters = CountClusters(out.cluster_of);
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  if (metrics != nullptr) metrics->AddCounter("cluster/endgame_runs");
+  if (ctx.metrics != nullptr) ctx.metrics->AddCounter("cluster/endgame_runs");
   return out;
 }
 

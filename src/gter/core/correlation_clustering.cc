@@ -120,8 +120,7 @@ Result<CorrelationClusteringResult> CorrelationCluster(
   GTER_CHECK(pair_probability.size() == pairs.size());
   GTER_CHECK(options.restarts >= 1);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  ScopedTimer total_timer(metrics, ctx.trace_or_ambient(), "cluster/total");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "cluster/total");
   VoteGraph graph(num_records, pairs, pair_probability,
                   options.together_threshold);
 
@@ -130,8 +129,9 @@ Result<CorrelationClusteringResult> CorrelationCluster(
   Rng master(options.seed);
   for (size_t restart = 0; restart < options.restarts; ++restart) {
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    GTER_TRACE_SPAN("cluster/restart", "cluster",
-                    TraceArg{"restart", static_cast<double>(restart)});
+    ScopedTraceSpan restart_span(
+        ctx.trace, "cluster/restart", "cluster",
+        TraceArg{"restart", static_cast<double>(restart)});
     Rng rng = master.Fork(restart);
     std::vector<uint32_t> labels = PivotPass(graph, &rng);
     uint32_t next_cluster = 0;
@@ -146,8 +146,8 @@ Result<CorrelationClusteringResult> CorrelationCluster(
     }
   }
   best.cluster_of = Densify(best.cluster_of);
-  if (metrics != nullptr) {
-    metrics->AddCounter("cluster/restarts", options.restarts);
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("cluster/restarts", options.restarts);
   }
   return best;
 }

@@ -45,8 +45,8 @@ struct CorrelationClusteringResult {
 /// Clusters `num_records` records given per-candidate-pair probabilities.
 /// Pairs absent from `pairs` are treated as "apart" votes of weight 0 —
 /// they never pull records together but do not penalize separation.
-/// Metrics go to `ctx.metrics` with ambient fallback; cancellation is
-/// polled at entry and once per restart.
+/// Metrics go to `ctx.metrics` and one `cluster/restart` span per restart
+/// to `ctx.trace`; cancellation is polled at entry and once per restart.
 Result<CorrelationClusteringResult> CorrelationCluster(
     size_t num_records, const PairSpace& pairs,
     const std::vector<double>& pair_probability,

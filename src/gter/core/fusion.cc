@@ -26,17 +26,16 @@ void DeclarePipelineMetrics(MetricsRegistry* registry) {
   registry->SetGauge("ingest/last_touched_pairs", 0.0);
 }
 
-FusionPipeline::FusionPipeline(const Dataset& dataset, FusionConfig config)
+FusionPipeline::FusionPipeline(const Dataset& dataset, FusionConfig config,
+                               const ExecContext& ctx)
     : dataset_(dataset),
       config_(config),
-      pairs_(PairSpace::Build(dataset)),
-      bipartite_(BipartiteGraph::Build(dataset, pairs_)) {}
+      pairs_(PairSpace::Build(dataset, ctx)),
+      bipartite_(BipartiteGraph::Build(dataset, pairs_, ctx)) {}
 
 Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
   GTER_CHECK(config_.rounds >= 1);
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer total_timer(metrics, recorder, "fusion/total");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "fusion/total");
   Stopwatch total_watch;
   // The run accumulates into partial_, so a cancelled run leaves everything
   // completed so far readable through partial().
@@ -56,7 +55,7 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
 
   for (size_t round = 1; round <= config_.rounds; ++round) {
     if (Status s = ctx.CheckCancel(); !s.ok()) return fail(std::move(s));
-    ScopedTimer round_timer(metrics, recorder, "fusion/round",
+    ScopedTimer round_timer(ctx.metrics, ctx.trace, "fusion/round",
                             TraceArg{"round", static_cast<double>(round)});
     FusionRoundStats stats;
     stats.round = round;
@@ -95,7 +94,7 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     stats.probability_seconds = prob_watch.ElapsedSeconds();
     stats.cumulative_seconds = total_watch.ElapsedSeconds();
     result.round_stats.push_back(stats);
-    if (metrics != nullptr) metrics->AddCounter("fusion/rounds");
+    if (ctx.metrics != nullptr) ctx.metrics->AddCounter("fusion/rounds");
 
     if (observer_) observer_(round, result);
   }
@@ -107,7 +106,9 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
     result.matches[p] = result.pair_probability[p] >= config_.eta;
     matched += result.matches[p];
   }
-  if (metrics != nullptr) metrics->AddCounter("fusion/matches", matched);
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("fusion/matches", matched);
+  }
 
   // The clustering endgame: turn pairwise probabilities into entities.
   // A cancellation inside the clusterer still leaves the matches readable
@@ -128,9 +129,9 @@ Result<FusionResult> FusionPipeline::Run(const ExecContext& ctx) {
   if (!clustered.ok()) return fail(clustered.status());
   result.num_clusters = clustered.value().num_clusters;
   result.cluster_of = std::move(clustered).value().cluster_of;
-  if (metrics != nullptr) {
-    metrics->SetGauge("cluster/clusters",
-                      static_cast<double>(result.num_clusters));
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->SetGauge("cluster/clusters",
+                          static_cast<double>(result.num_clusters));
   }
 
   result.total_seconds = total_watch.ElapsedSeconds();

@@ -76,8 +76,10 @@ void DeclarePipelineMetrics(MetricsRegistry* registry);
 class FusionPipeline {
  public:
   /// `dataset` must outlive the pipeline and should already be
-  /// preprocessed (RemoveFrequentTerms).
-  FusionPipeline(const Dataset& dataset, FusionConfig config);
+  /// preprocessed (RemoveFrequentTerms). The pair space and the bipartite
+  /// graph are built, timed and counted on `ctx`'s sinks.
+  FusionPipeline(const Dataset& dataset, FusionConfig config,
+                 const ExecContext& ctx = DefaultExecContext());
 
   /// Observer invoked after round r (1-based) with the in-progress result.
   using RoundObserver =

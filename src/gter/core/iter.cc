@@ -26,7 +26,7 @@ constexpr size_t kGrain = 256;
 
 /// Σ_i f(x[i]) over [0, n) via fixed-width chunks; `f` must be pure.
 template <typename PerElement>
-double ChunkedSum(ThreadPool* pool, size_t n, PerElement f) {
+double ChunkedSum(const ExecContext& ctx, size_t n, PerElement f) {
   const size_t num_chunks = (n + kReduceChunk - 1) / kReduceChunk;
   if (num_chunks <= 1) {
     double acc = 0.0;
@@ -34,7 +34,7 @@ double ChunkedSum(ThreadPool* pool, size_t n, PerElement f) {
     return acc;
   }
   std::vector<double> partial(num_chunks, 0.0);
-  ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
     for (size_t chunk = lo; chunk < hi; ++chunk) {
       const size_t begin = chunk * kReduceChunk;
       const size_t end = std::min(begin + kReduceChunk, n);
@@ -59,8 +59,8 @@ double GatherSum(const double* values, std::span<const uint32_t> idx) {
 /// s(r_i, r_j) ← Σ_{t shared} x_t for every pair (Algorithm 1 lines 3–4).
 /// Each pair gathers its own adjacency, so the chunks are independent.
 void ScoreAllPairs(const BipartiteGraph& graph, const std::vector<double>& x,
-                   std::vector<double>* s, ThreadPool* pool) {
-  ParallelFor(pool, 0, graph.num_pairs(), kGrain, [&](size_t lo, size_t hi) {
+                   std::vector<double>* s, const ExecContext& ctx) {
+  ParallelFor(ctx, 0, graph.num_pairs(), kGrain, [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) {
       (*s)[p] = GatherSum(x.data(), graph.TermsOfPair(p));
     }
@@ -127,8 +127,8 @@ TermSets GroupByTermSet(const BipartiteGraph& graph) {
 /// s of every set from x: the left-to-right GatherSum of its term list.
 void ScoreSets(const BipartiteGraph& graph, const TermSets& sets,
                const std::vector<double>& x, std::vector<double>* score,
-               ThreadPool* pool) {
-  ParallelFor(pool, 0, sets.first_pair.size(), kGrain,
+               const ExecContext& ctx) {
+  ParallelFor(ctx, 0, sets.first_pair.size(), kGrain,
               [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       (*score)[k] = GatherSum(x.data(), graph.TermsOfPair(sets.first_pair[k]));
@@ -137,11 +137,11 @@ void ScoreSets(const BipartiteGraph& graph, const TermSets& sets,
 }
 
 void Normalize(std::vector<double>* x, IterNormalization kind,
-               ThreadPool* pool) {
+               const ExecContext& ctx) {
   if (kind == IterNormalization::kLogistic) {
     // x/(1+x) is the division-safe form of the paper's 1/(1 + 1/x).
     // Elementwise, so the parallel version is trivially bit-identical.
-    ParallelFor(pool, 0, x->size(), kGrain, [&](size_t lo, size_t hi) {
+    ParallelFor(ctx, 0, x->size(), kGrain, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         (*x)[i] = (*x)[i] / (1.0 + (*x)[i]);
       }
@@ -150,10 +150,10 @@ void Normalize(std::vector<double>* x, IterNormalization kind,
   }
   const double* v = x->data();
   double norm_sq =
-      ChunkedSum(pool, x->size(), [v](size_t i) { return v[i] * v[i]; });
+      ChunkedSum(ctx, x->size(), [v](size_t i) { return v[i] * v[i]; });
   if (norm_sq <= 0.0) return;
   const double inv = 1.0 / std::sqrt(norm_sq);
-  ParallelFor(pool, 0, x->size(), kGrain, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, x->size(), kGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) (*x)[i] *= inv;
   });
 }
@@ -169,10 +169,8 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
   const size_t num_terms = graph.num_terms();
   const size_t num_pairs = graph.num_pairs();
 
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer total_timer(metrics, recorder, "iter/total");
-  if (metrics != nullptr) metrics->AddCounter("iter/runs");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "iter/total");
+  if (ctx.metrics != nullptr) ctx.metrics->AddCounter("iter/runs");
 
   IterResult result;
   result.term_weights.resize(num_terms);
@@ -191,22 +189,21 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
   // previous phase's vector and accumulates its own adjacency in storage
   // order — so the parallel chunks are independent and bit-identical to the
   // serial sweep.
-  ThreadPool* pool = ctx.pool;
   for (size_t iteration = 0; iteration < options.max_iterations; ++iteration) {
     // One cancellation poll per sweep: the natural Algorithm 1 boundary —
     // frequent enough for prompt unwinding, far off the inner hot loops.
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    ScopedTimer sweep_timer(metrics, recorder, "iter/sweep",
+    ScopedTimer sweep_timer(ctx.metrics, ctx.trace, "iter/sweep",
                             TraceArg{"sweep", static_cast<double>(iteration)});
 
     // Lines 3–4: s(r_i, r_j) ← Σ_{t shared} x_t, once per shared-term set.
-    ScoreSets(graph, sets, x, &set_score, pool);
+    ScoreSets(graph, sets, x, &set_score, ctx);
 
     x_prev = x;
 
     // Lines 5–6: x_t ← Σ_p p(r_i, r_j)·s(p) / P_t, over the pairs of t in
     // ascending PairId.
-    ParallelFor(pool, 0, num_terms, kGrain, [&](size_t lo, size_t hi) {
+    ParallelFor(ctx, 0, num_terms, kGrain, [&](size_t lo, size_t hi) {
       for (TermId t = lo; t < hi; ++t) {
         auto adjacent = graph.PairsOfTerm(t);
         double acc = 0.0;
@@ -218,17 +215,17 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
     });
 
     // Line 7: normalization keeps the additive rule bounded.
-    Normalize(&x, options.normalization, pool);
+    Normalize(&x, options.normalization, ctx);
 
     const double* xp = x.data();
     const double* xq = x_prev.data();
-    const double change = ChunkedSum(pool, num_terms, [xp, xq](size_t i) {
+    const double change = ChunkedSum(ctx, num_terms, [xp, xq](size_t i) {
       return std::fabs(xp[i] - xq[i]);
     });
     if (options.track_convergence) result.update_trace.push_back(change);
-    if (metrics != nullptr) {
-      metrics->AddCounter("iter/sweeps");
-      metrics->Observe("iter/convergence_delta", change);
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->AddCounter("iter/sweeps");
+      ctx.metrics->Observe("iter/convergence_delta", change);
     }
     result.iterations = iteration + 1;
     if (change < options.tolerance) {
@@ -236,14 +233,14 @@ Result<IterResult> RunIter(const BipartiteGraph& graph,
       break;
     }
   }
-  if (metrics != nullptr && result.converged) {
-    metrics->AddCounter("iter/converged");
+  if (ctx.metrics != nullptr && result.converged) {
+    ctx.metrics->AddCounter("iter/converged");
   }
 
   // Final pair scores from the converged weights, written once.
-  ScoreSets(graph, sets, x, &set_score, pool);
+  ScoreSets(graph, sets, x, &set_score, ctx);
   std::vector<double>& s = result.pair_scores;
-  ParallelFor(pool, 0, num_pairs, kGrain, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, num_pairs, kGrain, [&](size_t lo, size_t hi) {
     for (PairId p = lo; p < hi; ++p) s[p] = set_score[sets.set_of[p]];
   });
   return result;
@@ -334,14 +331,11 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   GTER_CHECK(pair_scores->size() == num_pairs);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
 
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer total_timer(metrics, recorder, "iter/dirty");
-  if (metrics != nullptr) metrics->AddCounter("iter/dirty_runs");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "iter/dirty");
+  if (ctx.metrics != nullptr) ctx.metrics->AddCounter("iter/dirty_runs");
 
   std::vector<double>& x = *term_weights;
   std::vector<double>& s = *pair_scores;
-  ThreadPool* pool = ctx.pool;
 
   // Frontier: sorted unique dirty terms.
   std::vector<TermId> frontier(dirty_terms);
@@ -413,7 +407,7 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
     const size_t num_chunks = (num_terms + kReduceChunk - 1) / kReduceChunk;
     std::vector<std::vector<TermId>> movers(num_chunks);
     std::vector<double> chunk_max(num_chunks, 0.0);
-    ParallelFor(pool, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
+    ParallelFor(ctx, 0, num_chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
       for (size_t chunk = lo; chunk < hi; ++chunk) {
         const size_t begin = chunk * kReduceChunk;
         const size_t end = std::min(begin + kReduceChunk, num_terms);
@@ -471,13 +465,13 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
                      kFullResweepThreshold * static_cast<double>(num_terms)) {
       full = true;
       result.used_full_resweep = true;
-      if (metrics != nullptr) metrics->AddCounter("iter/full_resweeps");
+      if (ctx.metrics != nullptr) ctx.metrics->AddCounter("iter/full_resweeps");
     }
 
     if (full) {
       // Degraded mode: every pair rescored, then the term sweep over every
       // term — no frontier bookkeeping.
-      ScoreAllPairs(graph, x, &s, pool);
+      ScoreAllPairs(graph, x, &s, ctx);
       sweep_max = sweep_all_terms();
       // Post-stall parking: the full map is past the interesting decades —
       // once its largest move is numerical dust, park instead of grinding
@@ -514,8 +508,8 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
           full = true;
           result.used_full_resweep = true;
           result.stall_escalated = true;
-          if (metrics != nullptr) {
-            metrics->AddCounter("iter/stall_escalations");
+          if (ctx.metrics != nullptr) {
+            ctx.metrics->AddCounter("iter/stall_escalations");
           }
         }
       } else {
@@ -525,7 +519,7 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
 
     frontier.swap(next_frontier);
     ++result.sweeps;
-    if (metrics != nullptr) metrics->AddCounter("iter/dirty_sweeps");
+    if (ctx.metrics != nullptr) ctx.metrics->AddCounter("iter/dirty_sweeps");
     GTER_LOG(Debug) << "iter/dirty sweep " << result.sweeps << ": frontier "
                     << frontier.size() << "/" << num_terms << " max_delta "
                     << sweep_max << (full ? " (full)" : "");
@@ -536,7 +530,7 @@ Result<IterDirtyResult> RunIterDirty(const BipartiteGraph& graph,
   // after every move of its terms, so only full mode, whose last sweep
   // moved terms after its pair refresh, rescores here.
   if (full) {
-    ScoreAllPairs(graph, x, &s, pool);
+    ScoreAllPairs(graph, x, &s, ctx);
     std::fill(term_touched.begin(), term_touched.end(), 1);
     std::fill(pair_touched.begin(), pair_touched.end(), 1);
   }

@@ -90,8 +90,7 @@ double ResolverState::PairProbabilityOf(PairId p) const {
 }
 
 void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
-                                     MetricsRegistry* metrics,
-                                     TraceRecorder* recorder) {
+                                     const ExecContext& ctx) {
   // Dense fast path: when most scores moved (the full-resweep regime —
   // every batch build lands here), the sparse bookkeeping below would
   // sort two ids per touched pair just to rediscover "everything". One
@@ -110,7 +109,7 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
       model_.matches[p] = model_.pair_probability[p] >= options_.eta;
       model_.matched_count += model_.matches[p] ? 1 : 0;
     }
-    RebuildClusters(metrics, recorder);
+    RebuildClusters(ctx);
     return;
   }
 
@@ -159,7 +158,7 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   }
 
   if (flips) {
-    RebuildClusters(metrics, recorder);
+    RebuildClusters(ctx);
     return;
   }
   // No decision flipped, so the matched pairs are those the partition was
@@ -174,9 +173,8 @@ void ResolverState::RefreshDecisions(const std::vector<PairId>& touched_pairs,
   }
 }
 
-void ResolverState::RebuildClusters(MetricsRegistry* metrics,
-                                    TraceRecorder* recorder) {
-  ScopedTimer timer(metrics, recorder, "resolver_state/rebuild_clusters");
+void ResolverState::RebuildClusters(const ExecContext& ctx) {
+  ScopedTimer timer(ctx.metrics, ctx.trace, "resolver_state/rebuild_clusters");
   UnionFind uf(ingested_records_);
   const size_t num_pairs = model_.pairs.size();
   for (PairId p = 0; p < num_pairs; ++p) {
@@ -203,9 +201,9 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
   }
 
   ++dirty_reiter_runs_;
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  if (metrics != nullptr) metrics->AddCounter("ingest/dirty_reiter_runs");
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("ingest/dirty_reiter_runs");
+  }
 
   Result<IterDirtyResult> swept =
       RunIterDirty(graph_, dirty, options_.iter, &model_.term_weights,
@@ -223,21 +221,26 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
   last_used_full_ = swept.value().used_full_resweep;
   if (swept.value().used_full_resweep) {
     ++full_resweeps_;
-    if (metrics != nullptr) metrics->AddCounter("ingest/full_resweeps");
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->AddCounter("ingest/full_resweeps");
+    }
   }
-  if (metrics != nullptr) {
-    metrics->SetGauge("ingest/last_converge_sweeps",
-                      static_cast<double>(swept.value().sweeps));
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->SetGauge("ingest/last_converge_sweeps",
+                          static_cast<double>(swept.value().sweeps));
   }
 
   {
-    ScopedTimer refresh(metrics, recorder, "resolver_state/refresh_decisions");
-    RefreshDecisions(swept.value().touched_pairs, metrics, recorder);
+    ScopedTimer refresh(ctx.metrics, ctx.trace,
+                        "resolver_state/refresh_decisions");
+    RefreshDecisions(swept.value().touched_pairs, ctx);
   }
-  if (metrics != nullptr) {
-    metrics->SetGauge("ingest/last_touched_pairs",
-                      static_cast<double>(swept.value().touched_pairs.size()));
-    metrics->SetGauge("cluster/clusters", static_cast<double>(num_clusters()));
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->SetGauge(
+        "ingest/last_touched_pairs",
+        static_cast<double>(swept.value().touched_pairs.size()));
+    ctx.metrics->SetGauge("cluster/clusters",
+                          static_cast<double>(num_clusters()));
   }
   ++version_;
   return Status::OK();
@@ -246,17 +249,21 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
 Status ResolverState::BuildBatch(const ExecContext& ctx,
                                  size_t limit_records) {
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer timer(metrics, recorder, "resolver_state/build");
+  ScopedTimer timer(ctx.metrics, ctx.trace, "resolver_state/build");
 
   const size_t n = std::min(limit_records, dataset_->size());
-  while (ingested_records_ < n) {
-    if (ingested_records_ % 256 == 0) {
-      GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    }
-    StructuralIngest(static_cast<RecordId>(ingested_records_));
+  const size_t pairs_before = model_.pairs.size();
+  Status polled = Status::OK();
+  while (polled.ok() && ingested_records_ < n) {
+    if (ingested_records_ % 256 == 0) polled = ctx.CheckCancel();
+    if (polled.ok()) StructuralIngest(static_cast<RecordId>(ingested_records_));
   }
+  // The appended pairs count once per step, whether or not it was cancelled.
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("pairspace/pairs",
+                            model_.pairs.size() - pairs_before);
+  }
+  GTER_RETURN_IF_ERROR(polled);
   return ConvergeAndRefresh(ctx);
 }
 
@@ -270,7 +277,7 @@ Result<IngestStats> ResolverState::Ingest(uint32_t source,
     return Status::InvalidArgument("source out of range");
   }
   GTER_CHECK(ingested_records_ == dataset_->size());  // no unresolved tail
-  dataset_->AddRecord(source, std::move(raw_text));
+  dataset_->AddRecord(source, std::move(raw_text), {}, ctx);
   // No poll between the append and the structural ingest: a cancel there
   // would leave the dataset one record ahead of the state.
   return IngestNext(ctx);
@@ -283,9 +290,7 @@ Result<IngestStats> ResolverState::IngestExisting(const ExecContext& ctx) {
 }
 
 Result<IngestStats> ResolverState::IngestNext(const ExecContext& ctx) {
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  TraceRecorder* recorder = ctx.trace_or_ambient();
-  ScopedTimer timer(metrics, recorder, "resolver_state/ingest");
+  ScopedTimer timer(ctx.metrics, ctx.trace, "resolver_state/ingest");
 
   const RecordId id = static_cast<RecordId>(ingested_records_);
   IngestStats stats;
@@ -293,14 +298,17 @@ Result<IngestStats> ResolverState::IngestNext(const ExecContext& ctx) {
   const size_t terms_before = graph_.num_terms();
   const size_t pairs_before = model_.pairs.size();
   {
-    ScopedTimer structural(metrics, recorder,
+    ScopedTimer structural(ctx.metrics, ctx.trace,
                            "resolver_state/structural_ingest");
     StructuralIngest(id);
   }
   stats.new_terms = graph_.num_terms() - terms_before;
   stats.new_pairs = model_.pairs.size() - pairs_before;
   ++records_ingested_;
-  if (metrics != nullptr) metrics->AddCounter("ingest/records");
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("ingest/records");
+    ctx.metrics->AddCounter("pairspace/pairs", stats.new_pairs);
+  }
 
   GTER_RETURN_IF_ERROR(ConvergeAndRefresh(ctx));
   stats.sweeps = last_converge_sweeps_;

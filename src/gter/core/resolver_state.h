@@ -186,9 +186,9 @@ class ResolverState {
   /// pass rebuilds the clusters only when a decision flipped; otherwise
   /// records past the labelled prefix join as singletons.
   void RefreshDecisions(const std::vector<PairId>& touched_pairs,
-                        MetricsRegistry* metrics, TraceRecorder* recorder);
+                        const ExecContext& ctx);
   /// Union-find over every matched pair: O(all pairs).
-  void RebuildClusters(MetricsRegistry* metrics, TraceRecorder* recorder);
+  void RebuildClusters(const ExecContext& ctx);
   double PairProbabilityOf(PairId p) const;
   /// Grows every vocabulary-indexed structure to the current vocab size.
   void GrowToVocabulary();

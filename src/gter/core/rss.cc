@@ -19,11 +19,11 @@ struct PoweredRows {
 };
 
 PoweredRows PrecomputeRows(const RecordGraph& graph, double alpha,
-                           ThreadPool* pool) {
+                           const ExecContext& ctx) {
   PoweredRows rows;
   rows.powered.resize(graph.num_nodes());
   rows.row_sum.resize(graph.num_nodes(), 0.0);
-  ParallelFor(pool, 0, graph.num_nodes(), /*grain=*/64,
+  ParallelFor(ctx, 0, graph.num_nodes(), /*grain=*/64,
               [&](size_t lo, size_t hi) {
     for (RecordId r = lo; r < hi; ++r) {
       auto wts = graph.Weights(r);
@@ -129,9 +129,8 @@ Result<std::vector<double>> RunRss(const RecordGraph& graph,
                                    const ExecContext& ctx) {
   GTER_CHECK(options.num_walks >= 2);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  ScopedTimer total_timer(metrics, ctx.trace_or_ambient(), "rss/total");
-  PoweredRows rows = PrecomputeRows(graph, options.alpha, ctx.pool);
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "rss/total");
+  PoweredRows rows = PrecomputeRows(graph, options.alpha, ctx);
   std::vector<double> probability(pairs.size(), 0.0);
   const Rng master(options.seed);
   // Odd walk counts give the extra walk to the forward direction; every
@@ -141,14 +140,15 @@ Result<std::vector<double>> RunRss(const RecordGraph& graph,
   // Each pair forks its own RNG stream off the (const, shared) master and
   // writes only probability[p], so chunks are independent and the result is
   // bit-identical for any thread count.
-  ParallelFor(ctx.pool, 0, pairs.size(), options.grain,
+  ParallelFor(ctx, 0, pairs.size(), options.grain,
               [&](size_t lo, size_t hi) {
-    GTER_TRACE_SPAN("rss/chunk", "rss",
-                    TraceArg{"pairs", static_cast<double>(hi - lo)});
+    ScopedTraceSpan chunk_span(
+        ctx.trace, "rss/chunk", "rss",
+        TraceArg{"pairs", static_cast<double>(hi - lo)});
     // Walk stats accumulate per chunk (no locks in the walk loop) and
     // merge once at chunk end; with no registry nothing is collected.
     WalkStats chunk_stats;
-    WalkStats* stats = metrics != nullptr ? &chunk_stats : nullptr;
+    WalkStats* stats = ctx.metrics != nullptr ? &chunk_stats : nullptr;
     for (PairId p = lo; p < hi; ++p) {
       // Each pair is num_walks × max_steps of walking, so poll here: with
       // no token this is one pointer test; a tripped token abandons the
@@ -166,11 +166,11 @@ Result<std::vector<double>> RunRss(const RecordGraph& graph,
       probability[p] = static_cast<double>(successes) /
                        static_cast<double>(options.num_walks);
     }
-    if (metrics != nullptr) {
-      metrics->AddCounter("rss/walks_run", chunk_stats.walks);
-      metrics->AddCounter("rss/early_stops", chunk_stats.early_stops);
-      metrics->AddCounter("rss/target_hits", chunk_stats.target_hits);
-      metrics->MergeHistogram("rss/steps_per_walk", chunk_stats.steps);
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->AddCounter("rss/walks_run", chunk_stats.walks);
+      ctx.metrics->AddCounter("rss/early_stops", chunk_stats.early_stops);
+      ctx.metrics->AddCounter("rss/target_hits", chunk_stats.target_hits);
+      ctx.metrics->MergeHistogram("rss/steps_per_walk", chunk_stats.steps);
     }
   });
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());

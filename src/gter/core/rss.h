@@ -40,9 +40,9 @@ struct RssOptions {
 /// The pair loop is parallelized over `ctx.pool`; each pair draws from its
 /// own forked RNG stream, so results are bit-identical for any thread
 /// count. Metrics (walks run, early stops, target hits, steps-per-walk
-/// histogram) go to `ctx.metrics`, falling back to the installed
-/// thread-local registry. Cancellation is polled at entry and before every
-/// pair's walk batch (each batch is num_walks × max_steps of work).
+/// histogram) go to `ctx.metrics`. Cancellation is polled at entry and
+/// before every pair's walk batch (each batch is num_walks × max_steps of
+/// work).
 Result<std::vector<double>> RunRss(
     const RecordGraph& graph, const PairSpace& pairs,
     const RssOptions& options = {},

@@ -31,7 +31,7 @@ std::string BenchmarkName(BenchmarkKind kind) {
 }
 
 GeneratedDataset GenerateBenchmark(BenchmarkKind kind, double scale,
-                                   uint64_t seed) {
+                                   uint64_t seed, const ExecContext& ctx) {
   GTER_CHECK(scale > 0.0);
   switch (kind) {
     case BenchmarkKind::kRestaurant: {
@@ -41,7 +41,7 @@ GeneratedDataset GenerateBenchmark(BenchmarkKind kind, double scale,
       config.num_duplicate_pairs =
           std::min(config.num_duplicate_pairs, config.num_records / 2);
       config.seed = seed;
-      return GenerateRestaurant(config);
+      return GenerateRestaurant(config, ctx);
     }
     case BenchmarkKind::kProduct: {
       ProductGenConfig config;
@@ -50,7 +50,7 @@ GeneratedDataset GenerateBenchmark(BenchmarkKind kind, double scale,
       config.num_matches = Scaled(config.num_matches, scale);
       config.num_matches = std::min(config.num_matches, config.num_source1);
       config.seed = seed;
-      return GenerateProduct(config);
+      return GenerateProduct(config, ctx);
     }
     case BenchmarkKind::kPaper: {
       PaperGenConfig config;
@@ -59,7 +59,7 @@ GeneratedDataset GenerateBenchmark(BenchmarkKind kind, double scale,
           std::min(Scaled(config.largest_cluster, scale), config.num_records);
       config.num_big_clusters = Scaled(config.num_big_clusters, scale);
       config.seed = seed;
-      return GeneratePaper(config);
+      return GeneratePaper(config, ctx);
     }
   }
   GTER_CHECK(false);

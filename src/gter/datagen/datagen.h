@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "gter/common/exec_context.h"
 #include "gter/er/dataset.h"
 #include "gter/er/ground_truth.h"
 
@@ -27,8 +28,10 @@ std::string BenchmarkName(BenchmarkKind kind);
 /// Generates a benchmark at `scale` (1.0 = the paper's sizes: 858 records /
 /// 1081+1092 records / 1865 records). Smaller scales shrink record and
 /// match counts proportionally while preserving the cluster-size shape.
-GeneratedDataset GenerateBenchmark(BenchmarkKind kind, double scale = 1.0,
-                                   uint64_t seed = 2018);
+/// Every record is counted into `ctx.metrics` as it is added.
+GeneratedDataset GenerateBenchmark(
+    BenchmarkKind kind, double scale = 1.0, uint64_t seed = 2018,
+    const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

@@ -48,7 +48,7 @@ PaperEntity MakeEntity(Rng* rng) {
 /// Renders one citation string of the entity with the usual bibliography
 /// variation: author format, title noise, venue context, optional year.
 void EmitRecord(const PaperEntity& e, const NoiseOptions& noise, Rng* rng,
-                Dataset* dataset) {
+                Dataset* dataset, const ExecContext& ctx) {
   std::vector<std::string> tokens;
   // Author list; the surname is the stable anchor, the rendering varies.
   size_t author_format = rng->NextBounded(3);
@@ -93,7 +93,7 @@ void EmitRecord(const PaperEntity& e, const NoiseOptions& noise, Rng* rng,
       std::vector<std::string>(e.author_surnames.begin(),
                                e.author_surnames.end()));
   dataset->AddRecord(0, JoinTokens(tokens),
-                     {author_field, JoinTokens(e.title), e.venue, e.year});
+                     {author_field, JoinTokens(e.title), e.venue, e.year}, ctx);
 }
 
 /// Cluster sizes: the largest is `largest`, big-cluster sizes decay as a
@@ -127,7 +127,8 @@ std::vector<size_t> PlanClusterSizes(const PaperGenConfig& config, Rng* rng) {
 
 }  // namespace
 
-GeneratedDataset GeneratePaper(const PaperGenConfig& config) {
+GeneratedDataset GeneratePaper(const PaperGenConfig& config,
+                               const ExecContext& ctx) {
   GTER_CHECK(config.num_records >= config.largest_cluster);
   Rng rng(config.seed);
   Dataset dataset("Paper", /*num_sources=*/1);
@@ -148,7 +149,7 @@ GeneratedDataset GeneratePaper(const PaperGenConfig& config) {
   std::vector<EntityId> entity_of;
   entity_of.reserve(emission.size());
   for (EntityId e : emission) {
-    EmitRecord(entities[e], config.noise, &rng, &dataset);
+    EmitRecord(entities[e], config.noise, &rng, &dataset, ctx);
     entity_of.push_back(e);
   }
   return {std::move(dataset), GroundTruth(std::move(entity_of))};

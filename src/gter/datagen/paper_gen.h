@@ -25,7 +25,8 @@ struct PaperGenConfig {
   NoiseOptions noise;
 };
 
-GeneratedDataset GeneratePaper(const PaperGenConfig& config = {});
+GeneratedDataset GeneratePaper(const PaperGenConfig& config = {},
+                               const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

@@ -84,7 +84,7 @@ struct ProductFactory {
 void EmitRecord(const ProductEntity& e, uint32_t source,
                 const std::vector<std::string>& common_pool,
                 double model_drop_prob, const NoiseOptions& noise, Rng* rng,
-                Dataset* dataset) {
+                Dataset* dataset, const ExecContext& ctx) {
   std::vector<std::string> tokens;
   tokens.push_back(e.brand);
   tokens.push_back(e.series);
@@ -113,12 +113,13 @@ void EmitRecord(const ProductEntity& e, uint32_t source,
   }
   std::vector<std::string> noisy = ApplyNoise(tokens, noise, rng);
   std::string name = e.brand + " " + e.series + " " + e.model + " " + e.category;
-  dataset->AddRecord(source, JoinTokens(noisy), {name});
+  dataset->AddRecord(source, JoinTokens(noisy), {name}, ctx);
 }
 
 }  // namespace
 
-GeneratedDataset GenerateProduct(const ProductGenConfig& config) {
+GeneratedDataset GenerateProduct(const ProductGenConfig& config,
+                                 const ExecContext& ctx) {
   GTER_CHECK(config.num_source0 >= 2 && config.num_source1 >= 2);
   Rng rng(config.seed);
   Dataset dataset("Product", /*num_sources=*/2);
@@ -170,12 +171,12 @@ GeneratedDataset GenerateProduct(const ProductGenConfig& config) {
   for (const Pending& p : plan) {
     if (p.has_abt) {
       EmitRecord(p.entity, /*source=*/0, factory.common_pool,
-                 config.model_drop_prob, config.noise, &rng, &dataset);
+                 config.model_drop_prob, config.noise, &rng, &dataset, ctx);
       entity_of.push_back(p.id);
     }
     for (size_t c = 0; c < p.buy_copies; ++c) {
       EmitRecord(p.entity, /*source=*/1, factory.common_pool,
-                 config.model_drop_prob, config.noise, &rng, &dataset);
+                 config.model_drop_prob, config.noise, &rng, &dataset, ctx);
       entity_of.push_back(p.id);
     }
   }

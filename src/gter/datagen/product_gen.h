@@ -29,7 +29,8 @@ struct ProductGenConfig {
                      /*drop_prob=*/0.10};
 };
 
-GeneratedDataset GenerateProduct(const ProductGenConfig& config = {});
+GeneratedDataset GenerateProduct(const ProductGenConfig& config = {},
+                                 const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

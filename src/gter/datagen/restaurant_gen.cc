@@ -98,7 +98,8 @@ struct EntityFactory {
 /// Renders one record of the entity. `variant` 0 is the canonical form;
 /// variant 1 applies the noise model (the "other source's" rendering).
 void EmitRecord(const RestaurantEntity& e, int variant, bool allow_short,
-                const NoiseOptions& noise, Rng* rng, Dataset* dataset) {
+                const NoiseOptions& noise, Rng* rng, Dataset* dataset,
+                const ExecContext& ctx) {
   std::vector<std::string> name = e.name;
   std::string suffix = e.street_suffix;
   std::string cuisine = e.cuisine;
@@ -131,19 +132,20 @@ void EmitRecord(const RestaurantEntity& e, int variant, bool allow_short,
   if (allow_short && variant == 1 && rng->Bernoulli(0.25)) {
     std::vector<std::string> fields = {name_text, "", e.city, phone, ""};
     std::string text = name_text + " " + e.city + " " + phone;
-    dataset->AddRecord(0, std::move(text), std::move(fields));
+    dataset->AddRecord(0, std::move(text), std::move(fields), ctx);
     return;
   }
   std::vector<std::string> fields = {name_text, address, e.city, phone,
                                      cuisine};
   std::string text =
       name_text + " " + address + " " + e.city + " " + phone + " " + cuisine;
-  dataset->AddRecord(0, std::move(text), std::move(fields));
+  dataset->AddRecord(0, std::move(text), std::move(fields), ctx);
 }
 
 }  // namespace
 
-GeneratedDataset GenerateRestaurant(const RestaurantGenConfig& config) {
+GeneratedDataset GenerateRestaurant(const RestaurantGenConfig& config,
+                                    const ExecContext& ctx) {
   GTER_CHECK(config.num_records >= 2 * config.num_duplicate_pairs);
   Rng rng(config.seed);
   Dataset dataset("Restaurant", /*num_sources=*/1);
@@ -195,11 +197,11 @@ GeneratedDataset GenerateRestaurant(const RestaurantGenConfig& config) {
   for (size_t i = 0; i < num_entities; ++i) {
     bool allow_short = !in_family[i];
     EmitRecord(entities[i], /*variant=*/0, allow_short, config.noise, &rng,
-               &dataset);
+               &dataset, ctx);
     entity_of.push_back(next_entity);
     if (is_dup[i]) {
       EmitRecord(entities[i], /*variant=*/1, allow_short, config.noise, &rng,
-                 &dataset);
+                 &dataset, ctx);
       entity_of.push_back(next_entity);
     }
     ++next_entity;

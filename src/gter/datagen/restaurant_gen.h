@@ -26,7 +26,9 @@ struct RestaurantGenConfig {
                      /*drop_prob=*/0.18};
 };
 
-GeneratedDataset GenerateRestaurant(const RestaurantGenConfig& config = {});
+GeneratedDataset GenerateRestaurant(
+    const RestaurantGenConfig& config = {},
+    const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

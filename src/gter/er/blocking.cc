@@ -66,8 +66,7 @@ Result<BlockingResult> LshBlocking(const Dataset& dataset,
                                    const ExecContext& ctx) {
   GTER_CHECK(options.num_bands >= 1 && options.rows_per_band >= 1);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  ScopedTimer total_timer(metrics, ctx.trace_or_ambient(), "blocking/lsh");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "blocking/lsh");
   const bool two_source = dataset.num_sources() == 2;
   MinHasher hasher(options.num_bands * options.rows_per_band, options.seed);
 
@@ -82,8 +81,8 @@ Result<BlockingResult> LshBlocking(const Dataset& dataset,
     // One poll per band: each band hashes the full dataset, the natural
     // unit of progress for this stage.
     GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-    GTER_TRACE_SPAN("blocking/band", "blocking",
-                    TraceArg{"band", static_cast<double>(band)});
+    ScopedTraceSpan band_span(ctx.trace, "blocking/band", "blocking",
+                              TraceArg{"band", static_cast<double>(band)});
     std::unordered_map<uint64_t, std::vector<RecordId>> buckets;
     for (RecordId r = 0; r < dataset.size(); ++r) {
       if (dataset.record(r).terms.empty()) continue;
@@ -110,9 +109,9 @@ Result<BlockingResult> LshBlocking(const Dataset& dataset,
       }
     }
   }
-  if (metrics != nullptr) {
-    metrics->AddCounter("blocking/lsh_pairs", result.pairs.size());
-    metrics->AddCounter("blocking/lsh_buckets", result.buckets);
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("blocking/lsh_pairs", result.pairs.size());
+    ctx.metrics->AddCounter("blocking/lsh_buckets", result.buckets);
   }
   return result;
 }
@@ -122,8 +121,7 @@ Result<BlockingResult> CanopyBlocking(const Dataset& dataset,
                                       const ExecContext& ctx) {
   GTER_CHECK(options.tight_threshold >= options.loose_threshold);
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
-  MetricsRegistry* metrics = ctx.metrics_or_ambient();
-  ScopedTimer total_timer(metrics, ctx.trace_or_ambient(), "blocking/canopy");
+  ScopedTimer total_timer(ctx.metrics, ctx.trace, "blocking/canopy");
   const bool two_source = dataset.num_sources() == 2;
   auto inverted = dataset.BuildInvertedIndex();
   Rng rng(options.seed);
@@ -189,9 +187,9 @@ Result<BlockingResult> CanopyBlocking(const Dataset& dataset,
       }
     }
   }
-  if (metrics != nullptr) {
-    metrics->AddCounter("blocking/canopy_pairs", result.pairs.size());
-    metrics->AddCounter("blocking/canopies", result.buckets);
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("blocking/canopy_pairs", result.pairs.size());
+    ctx.metrics->AddCounter("blocking/canopies", result.buckets);
   }
   return result;
 }

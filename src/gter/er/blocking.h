@@ -63,8 +63,7 @@ struct BlockingResult {
 };
 
 /// Runs MinHash-LSH blocking over the dataset's term sets. Metrics go to
-/// `ctx.metrics` with ambient fallback; cancellation is polled at entry
-/// and once per band.
+/// `ctx.metrics`; cancellation is polled at entry and once per band.
 Result<BlockingResult> LshBlocking(
     const Dataset& dataset, const LshBlockingOptions& options = {},
     const ExecContext& ctx = DefaultExecContext());

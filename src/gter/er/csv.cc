@@ -183,7 +183,7 @@ Status SaveDatasetCsv(const std::string& path, const Dataset& dataset,
 
 Result<std::pair<Dataset, GroundTruth>> LoadDatasetCsv(
     const std::string& path, const std::string& dataset_name,
-    uint32_t num_sources) {
+    uint32_t num_sources, const ExecContext& ctx) {
   auto rows_result = ReadCsvFile(path);
   if (!rows_result.ok()) return rows_result.status();
   const auto& rows = rows_result.value();
@@ -216,7 +216,7 @@ Result<std::pair<Dataset, GroundTruth>> LoadDatasetCsv(
       if (!text.empty()) text.push_back(' ');
       text += f;
     }
-    dataset.AddRecord(source.value(), std::move(text), std::move(fields));
+    dataset.AddRecord(source.value(), std::move(text), std::move(fields), ctx);
     entity_of.push_back(entity.value());
   }
   return std::make_pair(std::move(dataset), GroundTruth(std::move(entity_of)));

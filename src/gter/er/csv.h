@@ -91,9 +91,10 @@ Status SaveDatasetCsv(const std::string& path, const Dataset& dataset,
 /// Loads a dataset saved by SaveDatasetCsv. All fields are joined with
 /// spaces to form the record text. Entity/source columns are parsed
 /// strictly — a malformed number is InvalidArgument, not silently zero.
+/// Every record is counted into `ctx.metrics` as it is added.
 Result<std::pair<Dataset, GroundTruth>> LoadDatasetCsv(
     const std::string& path, const std::string& dataset_name,
-    uint32_t num_sources);
+    uint32_t num_sources, const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter
 

@@ -8,7 +8,8 @@
 namespace gter {
 
 RecordId Dataset::AddRecord(uint32_t source, std::string raw_text,
-                            std::vector<std::string> fields) {
+                            std::vector<std::string> fields,
+                            const ExecContext& ctx) {
   GTER_CHECK(source < num_sources_);
   Record rec;
   rec.id = static_cast<RecordId>(records_.size());
@@ -22,7 +23,7 @@ RecordId Dataset::AddRecord(uint32_t source, std::string raw_text,
   std::sort(rec.terms.begin(), rec.terms.end());
   rec.terms.erase(std::unique(rec.terms.begin(), rec.terms.end()),
                   rec.terms.end());
-  if (MetricsRegistry* metrics = MetricsRegistry::Current()) {
+  if (MetricsRegistry* metrics = ctx.metrics) {
     metrics->AddCounter("dataset/records");
     metrics->AddCounter("dataset/tokens", rec.tokens.size());
     // Last write wins — ends up as the final vocabulary size.

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "gter/common/exec_context.h"
 #include "gter/er/record.h"
 #include "gter/text/tokenizer.h"
 #include "gter/text/vocabulary.h"
@@ -19,9 +20,11 @@ class Dataset {
 
   /// Tokenizes `raw_text`, interns the tokens, and appends a record.
   /// `fields` is kept verbatim for field-aware baselines; pass {} when the
-  /// dataset has no field structure. Returns the new record's id.
+  /// dataset has no field structure. Counts the record, its tokens and the
+  /// vocabulary size into `ctx.metrics`. Returns the new record's id.
   RecordId AddRecord(uint32_t source, std::string raw_text,
-                     std::vector<std::string> fields = {});
+                     std::vector<std::string> fields = {},
+                     const ExecContext& ctx = DefaultExecContext());
 
   /// Tokenizer used by AddRecord; set before adding records.
   void set_tokenizer_options(TokenizerOptions options) {

@@ -7,8 +7,8 @@
 
 namespace gter {
 
-PairSpace PairSpace::Build(const Dataset& dataset) {
-  GTER_TRACE_SCOPE("pairspace/build");
+PairSpace PairSpace::Build(const Dataset& dataset, const ExecContext& ctx) {
+  ScopedTimer timer(ctx.metrics, ctx.trace, "pairspace/build");
   PairSpace space;
   const bool two_source = dataset.num_sources() == 2;
   auto inverted = dataset.BuildInvertedIndex();
@@ -29,13 +29,14 @@ PairSpace PairSpace::Build(const Dataset& dataset) {
       }
     }
   }
-  if (MetricsRegistry* metrics = MetricsRegistry::Current()) {
-    metrics->AddCounter("pairspace/pairs", space.pairs_.size());
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("pairspace/pairs", space.pairs_.size());
   }
   return space;
 }
 
-PairSpace PairSpace::FromPairs(std::vector<RecordPair> pairs) {
+PairSpace PairSpace::FromPairs(std::vector<RecordPair> pairs,
+                               const ExecContext& ctx) {
   for (RecordPair& rp : pairs) {
     if (rp.a > rp.b) std::swap(rp.a, rp.b);
   }
@@ -50,8 +51,8 @@ PairSpace PairSpace::FromPairs(std::vector<RecordPair> pairs) {
         space.index_.emplace(key, static_cast<PairId>(space.pairs_.size()));
     if (inserted) space.pairs_.push_back(rp);
   }
-  if (MetricsRegistry* metrics = MetricsRegistry::Current()) {
-    metrics->AddCounter("pairspace/pairs", space.pairs_.size());
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->AddCounter("pairspace/pairs", space.pairs_.size());
   }
   return space;
 }
@@ -62,12 +63,7 @@ PairId PairSpace::Append(RecordId a, RecordId b) {
   uint64_t key = Key(a, b);
   auto [it, inserted] =
       index_.emplace(key, static_cast<PairId>(pairs_.size()));
-  if (inserted) {
-    pairs_.push_back(RecordPair{a, b});
-    if (MetricsRegistry* metrics = MetricsRegistry::Current()) {
-      metrics->AddCounter("pairspace/pairs");
-    }
-  }
+  if (inserted) pairs_.push_back(RecordPair{a, b});
   return it->second;
 }
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "gter/common/exec_context.h"
 #include "gter/er/dataset.h"
 
 namespace gter {
@@ -30,14 +31,18 @@ struct RecordPair {
 /// terms — run the frequent-term preprocessing first.
 class PairSpace {
  public:
-  /// Enumerates the candidate pairs of `dataset`.
-  static PairSpace Build(const Dataset& dataset);
+  /// Enumerates the candidate pairs of `dataset`, timed as
+  /// `pairspace/build` and counted into `pairspace/pairs` on `ctx`'s sinks.
+  static PairSpace Build(const Dataset& dataset,
+                         const ExecContext& ctx = DefaultExecContext());
 
   /// Builds a pair space from an explicit pair list — the adapter for
   /// external blockers (LshBlocking/CanopyBlocking output) and for tests
   /// that need graphs with controlled topology. Pairs are canonicalized to
-  /// a < b, deduplicated, and sorted; self-pairs are dropped.
-  static PairSpace FromPairs(std::vector<RecordPair> pairs);
+  /// a < b, deduplicated, and sorted; self-pairs are dropped. Counted into
+  /// `pairspace/pairs` on `ctx.metrics`.
+  static PairSpace FromPairs(std::vector<RecordPair> pairs,
+                             const ExecContext& ctx = DefaultExecContext());
 
   size_t size() const { return pairs_.size(); }
   const RecordPair& pair(PairId id) const { return pairs_[id]; }
@@ -51,7 +56,8 @@ class PairSpace {
   /// the pair is already present, returns the existing id without mutating
   /// the space. This is the incremental-ingest hook: existing PairIds are
   /// stable across Append, so score/probability vectors indexed by PairId
-  /// can simply grow. Self-pairs are a checked error.
+  /// can simply grow. Self-pairs are a checked error. Counts nothing: the
+  /// caller counts each step's new pairs once.
   PairId Append(RecordId a, RecordId b);
 
  private:

@@ -9,8 +9,9 @@
 namespace gter {
 
 BipartiteGraph BipartiteGraph::Build(const Dataset& dataset,
-                                     const PairSpace& pairs) {
-  GTER_TRACE_SCOPE("bipartite/build");
+                                     const PairSpace& pairs,
+                                     const ExecContext& ctx) {
+  ScopedTimer timer(ctx.metrics, ctx.trace, "bipartite/build");
   BipartiteGraph g;
   g.EnsureTerms(dataset.vocabulary().size());
   for (const Record& rec : dataset.records()) g.AddRecordTerms(rec.terms);

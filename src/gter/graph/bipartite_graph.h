@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "gter/common/exec_context.h"
 #include "gter/er/dataset.h"
 #include "gter/er/pair_space.h"
 
@@ -34,9 +35,11 @@ namespace gter {
 /// demand from N_t, so appends can never leave it stale.
 class BipartiteGraph {
  public:
-  /// Builds the graph for every pair in `pairs` over `dataset`. Every pair
-  /// must share at least one term (the §V-B rule PairSpace::Build applies).
-  static BipartiteGraph Build(const Dataset& dataset, const PairSpace& pairs);
+  /// Builds the graph for every pair in `pairs` over `dataset`, timed as
+  /// `bipartite/build` on `ctx`'s sinks. Every pair must share at least one
+  /// term (the §V-B rule PairSpace::Build applies).
+  static BipartiteGraph Build(const Dataset& dataset, const PairSpace& pairs,
+                              const ExecContext& ctx = DefaultExecContext());
 
   /// Grows the term side to at least `num_terms` (new terms start with
   /// N_t = 0 and no adjacent pairs). Never shrinks.

@@ -18,7 +18,7 @@ Status ComputeMaskedProductCsr(const CsrMatrix& trans,
   GTER_CHECK(trans.cols() == pattern.rows());
   GTER_RETURN_IF_ERROR(ctx.CheckCancel());
   const size_t n = pattern.cols();
-  ParallelFor(ctx.pool, 0, pattern.rows(), /*grain=*/8,
+  ParallelFor(ctx, 0, pattern.rows(), /*grain=*/8,
               [&](size_t lo, size_t hi) {
     if (ctx.cancelled()) return;
     // Dense row accumulator, reused (and re-zeroed) across the chunk's
@@ -75,7 +75,7 @@ Status ComputeMaskedProductPanels(const CsrMatrix& trans,
   constexpr size_t kWidth = PanelScratch::kPanelWidth;
   // Row k of every panel is written only from pattern row k, so chunks of
   // the scatter are independent.
-  ParallelFor(ctx.pool, 0, n, /*grain=*/64, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, n, /*grain=*/64, [&](size_t lo, size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
       auto cols = pattern.RowCols(k);
       const double* v = prev_values + pattern.RowStart(k);
@@ -93,7 +93,7 @@ Status ComputeMaskedProductPanels(const CsrMatrix& trans,
     rows = &internal::PanelProductRowsAvx512;
   }
 #endif
-  ParallelFor(ctx.pool, 0, n, /*grain=*/16, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, n, /*grain=*/16, [&](size_t lo, size_t hi) {
     if (ctx.cancelled()) return;  // skip the chunk; reported after the join
     std::vector<size_t> next(hi - lo);
     rows(trans, pattern, *scratch, lo, hi, next.data(), out_values);

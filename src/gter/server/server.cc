@@ -84,7 +84,7 @@ GterdServer::GterdServer(ResolutionService* service,
       base_ctx_(ctx),
       pool_(ctx.pool != nullptr ? ctx.pool : ThreadPool::Default()),
       start_time_(std::chrono::steady_clock::now()) {
-  metrics_ = base_ctx_.metrics_or_ambient();
+  metrics_ = base_ctx_.metrics;
   if (metrics_ == nullptr) {
     // The observability listener and sliding latency histograms always
     // have a registry to land in, even when the embedding context carries

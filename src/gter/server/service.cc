@@ -79,7 +79,7 @@ Status ResolutionService::Train(const ExecContext& ctx) {
     train_seconds_ = watch.ElapsedSeconds();
     return Status::OK();
   }
-  FusionPipeline pipeline(dataset_, options_.fusion);
+  FusionPipeline pipeline(dataset_, options_.fusion, ctx);
   Result<FusionResult> run = pipeline.Run(ctx);
   if (!run.ok()) return run.status();
   FusionResult result = std::move(run).value();
@@ -113,8 +113,7 @@ size_t ResolutionService::num_records() const {
 Result<JsonValue> ResolutionService::Handle(const GterdRequest& request,
                                             const ExecContext& ctx) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
-  ScopedTimer timer(ctx.metrics_or_ambient(), ctx.trace_or_ambient(),
-                    MethodTimerName(request.method));
+  ScopedTimer timer(ctx.metrics, ctx.trace, MethodTimerName(request.method));
   Result<JsonValue> result = [&]() -> Result<JsonValue> {
     // Covers deadline-expired-while-queued: a request admitted before its
     // deadline but scheduled after it answers DeadlineExceeded here.
@@ -401,7 +400,7 @@ Result<JsonValue> ResolutionService::AddRecord(const JsonValue& params,
   } else {
     ServedModel& m = batch_model_;
     const size_t vocab_before = dataset_.vocabulary().size();
-    RecordId id = dataset_.AddRecord(source, text.value());
+    RecordId id = dataset_.AddRecord(source, text.value(), {}, ctx);
     // Terms interned by this record get zero weight until the next
     // training run; the record scores through the terms it shares with
     // the trained vocabulary.
@@ -416,10 +415,9 @@ Result<JsonValue> ResolutionService::AddRecord(const JsonValue& params,
     source_of_.push_back(source);
     // The served partition grew by one singleton; incremental mode sets
     // the same gauge after every converge.
-    MetricsRegistry* metrics = ctx.metrics_or_ambient();
-    if (metrics != nullptr) {
-      metrics->SetGauge("cluster/clusters",
-                        static_cast<double>(m.cluster_members.size()));
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->SetGauge("cluster/clusters",
+                            static_cast<double>(m.cluster_members.size()));
     }
     records_added_.fetch_add(1, std::memory_order_relaxed);
     out.Set("record", JsonValue::MakeNumber(id));
@@ -491,11 +489,11 @@ JsonValue ResolutionService::Stats(const ExecContext& ctx) const {
   out.Set("requests_failed", JsonValue::MakeNumber(requests_failed_.load(
                                  std::memory_order_relaxed)));
   // Live per-method latency percentiles over the server's sliding window
-  // (the same snapshots `/metrics` exposes). The server installs its
-  // registry in every request context, so this resolves to the sliding
+  // (the same snapshots `/metrics` exposes). The server puts its registry
+  // in every request context, so this resolves to the sliding
   // histograms its dispatch epilogue records into; a bare service (unit
   // tests, embedders without a server) just emits an empty object.
-  MetricsRegistry* registry = ctx.metrics_or_ambient();
+  MetricsRegistry* registry = ctx.metrics;
   JsonValue live = JsonValue::MakeObject();
   if (registry != nullptr) {
     static constexpr const char* kMethods[] = {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gter/common/metrics.h"
-#include "gter/common/trace.h"
-
 namespace gter {
 namespace {
 
@@ -110,26 +107,6 @@ TEST(ExecContextTest, WithCancelWiresTheToken) {
   token.Cancel();
   EXPECT_TRUE(ctx.cancelled());
   EXPECT_EQ(ctx.CheckCancel().code(), StatusCode::kCancelled);
-}
-
-TEST(ExecContextTest, ExplicitMetricsBeatTheInstalledRegistry) {
-  MetricsRegistry installed;
-  ScopedMetricsInstall install(&installed);
-  MetricsRegistry explicit_registry;
-  ExecContext ctx;
-  EXPECT_EQ(ctx.metrics_or_ambient(), &installed);
-  ctx.metrics = &explicit_registry;
-  EXPECT_EQ(ctx.metrics_or_ambient(), &explicit_registry);
-}
-
-TEST(ExecContextTest, ExplicitTraceBeatsTheInstalledRecorder) {
-  TraceRecorder installed;
-  ScopedTraceInstall install(&installed);
-  TraceRecorder explicit_recorder;
-  ExecContext ctx;
-  EXPECT_EQ(ctx.trace_or_ambient(), &installed);
-  ctx.trace = &explicit_recorder;
-  EXPECT_EQ(ctx.trace_or_ambient(), &explicit_recorder);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // MetricsRegistry unit tests plus the end-to-end observability contract:
-// a pipeline run with a registry installed emits JSON containing the
+// a pipeline run with a registry in its context emits JSON containing the
 // per-stage timers and counters the CLI's --metrics_out promises. The JSON
 // is checked with a minimal in-test parser, so malformed output (bad
 // escaping, trailing commas, non-numeric values) fails here and not in a
@@ -168,44 +168,12 @@ TEST(HistogramQuantile, ToJsonEmitsPercentiles) {
   EXPECT_FALSE(empty_root.At("histograms").At("h/empty").Has("p50"));
 }
 
-TEST(MetricsRegistry, ScopedInstallNestsAndRestores) {
-  EXPECT_EQ(MetricsRegistry::Current(), nullptr);
-  MetricsRegistry outer, inner;
-  {
-    ScopedMetricsInstall install_outer(&outer);
-    EXPECT_EQ(MetricsRegistry::Current(), &outer);
-    {
-      ScopedMetricsInstall install_inner(&inner);
-      EXPECT_EQ(MetricsRegistry::Current(), &inner);
-    }
-    EXPECT_EQ(MetricsRegistry::Current(), &outer);
-    EXPECT_EQ(ResolveMetrics(nullptr), &outer);
-    EXPECT_EQ(ResolveMetrics(&inner), &inner);
-  }
-  EXPECT_EQ(MetricsRegistry::Current(), nullptr);
-  EXPECT_EQ(ResolveMetrics(nullptr), nullptr);
-}
-
-TEST(MetricsRegistry, InstallIsPerThread) {
-  MetricsRegistry registry;
-  ScopedMetricsInstall install(&registry);
-  MetricsRegistry* seen = &registry;
-  std::thread other([&] { seen = MetricsRegistry::Current(); });
-  other.join();
-  EXPECT_EQ(seen, nullptr);  // workers do not inherit the installation
-}
-
 TEST(MetricsRegistry, ScopedTimerRecordsOnlyWithRegistry) {
-  { ScopedTimer noop(nullptr, "x/y"); }  // must not crash or allocate
+  { ScopedTimer noop(nullptr, nullptr, "x/y"); }  // must not crash
   MetricsRegistry registry;
-  { GTER_TRACE_SCOPE_TO(&registry, "x/y"); }
+  { ScopedTimer timer(&registry, nullptr, "x/y"); }
   EXPECT_EQ(registry.Timer("x/y").count, 1u);
   EXPECT_GE(registry.Timer("x/y").seconds, 0.0);
-  {
-    ScopedMetricsInstall install(&registry);
-    GTER_TRACE_SCOPE("x/y");
-  }
-  EXPECT_EQ(registry.Timer("x/y").count, 2u);
 }
 
 TEST(MetricsRegistry, ConcurrentMutationIsLinearizable) {
@@ -420,15 +388,16 @@ TEST(MetricsRegistry, SlidingSectionInJsonAndSnapshots) {
 TEST(PipelineMetrics, ResolveRunEmitsRequiredKeys) {
   MetricsRegistry registry;
   DeclarePipelineMetrics(&registry);
-  ScopedMetricsInstall install(&registry);
+  ExecContext ctx;
+  ctx.metrics = &registry;
 
   GeneratedDataset data =
-      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 7);
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 7, ctx);
   RemoveFrequentTerms(&data.dataset);
   FusionConfig config;
   config.rounds = 2;
-  FusionPipeline pipeline(data.dataset, config);
-  FusionResult result = pipeline.Run().value();
+  FusionPipeline pipeline(data.dataset, config, ctx);
+  FusionResult result = pipeline.Run(ctx).value();
   EXPECT_EQ(result.round_stats.size(), 2u);
 
   std::string json = registry.ToJson();
@@ -470,7 +439,8 @@ TEST(PipelineMetrics, ResolveRunEmitsRequiredKeys) {
 
 TEST(PipelineMetrics, RssRunRecordsWalkCounters) {
   MetricsRegistry registry;
-  ScopedMetricsInstall install(&registry);
+  ExecContext ctx;
+  ctx.metrics = &registry;
 
   GeneratedDataset data =
       GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 11);
@@ -484,7 +454,7 @@ TEST(PipelineMetrics, RssRunRecordsWalkCounters) {
   RssOptions options;
   options.num_walks = 10;
   options.max_steps = 5;
-  RunRss(graph, pairs, options).value();
+  RunRss(graph, pairs, options, ctx).value();
 
   EXPECT_GT(registry.Counter("rss/walks_run"), 0u);
   EXPECT_GT(registry.Timer("rss/total").count, 0u);

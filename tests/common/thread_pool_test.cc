@@ -68,8 +68,9 @@ TEST(ThreadPoolTest, DefaultPoolIsSingleton) {
 
 TEST(ParallelForTest, CoversWholeRangeExactlyOnce) {
   ThreadPool pool(4);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::vector<std::atomic<int>> touched(1000);
-  ParallelFor(&pool, 0, 1000, 10, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, 1000, 10, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) touched[i].fetch_add(1);
   });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
@@ -77,14 +78,15 @@ TEST(ParallelForTest, CoversWholeRangeExactlyOnce) {
 
 TEST(ParallelForTest, EmptyRangeIsNoop) {
   ThreadPool pool(2);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   bool called = false;
-  ParallelFor(&pool, 5, 5, 1, [&](size_t, size_t) { called = true; });
+  ParallelFor(ctx, 5, 5, 1, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForTest, NullPoolRunsInline) {
   std::vector<int> touched(100, 0);
-  ParallelFor(nullptr, 0, 100, 10, [&](size_t lo, size_t hi) {
+  ParallelFor(DefaultExecContext(), 0, 100, 10, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) ++touched[i];
   });
   EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 100);
@@ -92,8 +94,9 @@ TEST(ParallelForTest, NullPoolRunsInline) {
 
 TEST(ParallelForTest, SmallRangeRunsInline) {
   ThreadPool pool(4);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::vector<int> touched(3, 0);
-  ParallelFor(&pool, 0, 3, 100, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, 3, 100, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) ++touched[i];
   });
   for (int t : touched) EXPECT_EQ(t, 1);
@@ -101,8 +104,9 @@ TEST(ParallelForTest, SmallRangeRunsInline) {
 
 TEST(ParallelForTest, ZeroGrainIsTreatedAsOne) {
   ThreadPool pool(2);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::atomic<int> total{0};
-  ParallelFor(&pool, 0, 50, 0, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, 50, 0, [&](size_t lo, size_t hi) {
     total.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(total.load(), 50);
@@ -141,6 +145,7 @@ TEST(TaskGroupTest, WaiterNeverRunsAnotherGroupsQueuedTask) {
   // A waiter that picked that request up would re-lock the mutex on its
   // own thread (std::system_error, or a self-deadlock).
   ThreadPool pool(2);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   // Park both workers so queued tasks stay queued until a waiter runs them.
   std::atomic<bool> release{false};
   std::atomic<int> parked{0};
@@ -164,7 +169,7 @@ TEST(TaskGroupTest, WaiterNeverRunsAnotherGroupsQueuedTask) {
   std::atomic<int> covered{0};
   {
     std::unique_lock lock(mu);
-    ParallelFor(&pool, 0, 64, 1, [&](size_t lo, size_t hi) {
+    ParallelFor(ctx, 0, 64, 1, [&](size_t lo, size_t hi) {
       covered.fetch_add(static_cast<int>(hi - lo));
     });
     EXPECT_FALSE(other_ran.load());
@@ -219,10 +224,11 @@ TEST(ParallelForTest, NestedFromInsideWorkerDoesNotDeadlock) {
   // The pre-task-group pool deadlocked here: the outer chunks blocked in
   // Wait() while the inner chunks sat unexecuted in the queue.
   ThreadPool pool(4);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::atomic<int> total{0};
-  ParallelFor(&pool, 0, 32, 1, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, 32, 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      ParallelFor(&pool, 0, 32, 1, [&](size_t ilo, size_t ihi) {
+      ParallelFor(ctx, 0, 32, 1, [&](size_t ilo, size_t ihi) {
         total.fetch_add(static_cast<int>(ihi - ilo));
       });
     }
@@ -232,12 +238,13 @@ TEST(ParallelForTest, NestedFromInsideWorkerDoesNotDeadlock) {
 
 TEST(ParallelForTest, DoublyNestedDoesNotDeadlock) {
   ThreadPool pool(3);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::atomic<int> total{0};
-  ParallelFor(&pool, 0, 8, 1, [&](size_t lo, size_t hi) {
+  ParallelFor(ctx, 0, 8, 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      ParallelFor(&pool, 0, 8, 1, [&](size_t mlo, size_t mhi) {
+      ParallelFor(ctx, 0, 8, 1, [&](size_t mlo, size_t mhi) {
         for (size_t m = mlo; m < mhi; ++m) {
-          ParallelFor(&pool, 0, 8, 1, [&](size_t ilo, size_t ihi) {
+          ParallelFor(ctx, 0, 8, 1, [&](size_t ilo, size_t ihi) {
             total.fetch_add(static_cast<int>(ihi - ilo));
           });
         }
@@ -249,6 +256,7 @@ TEST(ParallelForTest, DoublyNestedDoesNotDeadlock) {
 
 TEST(ParallelForTest, ConcurrentCallersAreIndependent) {
   ThreadPool pool(4);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   constexpr int kCallers = 4;
   constexpr size_t kItems = 20000;
   std::vector<std::vector<int>> touched(kCallers,
@@ -256,9 +264,9 @@ TEST(ParallelForTest, ConcurrentCallersAreIndependent) {
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &touched, c] {
+    callers.emplace_back([&ctx, &touched, c] {
       for (int round = 0; round < 10; ++round) {
-        ParallelFor(&pool, 0, kItems, 64, [&touched, c](size_t lo, size_t hi) {
+        ParallelFor(ctx, 0, kItems, 64, [&touched, c](size_t lo, size_t hi) {
           for (size_t i = lo; i < hi; ++i) ++touched[c][i];
         });
       }
@@ -274,13 +282,14 @@ TEST(ParallelForTest, ConcurrentCallersAreIndependent) {
 
 TEST(ParallelForTest, ConcurrentAndNestedCombined) {
   ThreadPool pool(4);
+  const ExecContext ctx = ExecContext::WithPool(&pool);
   std::atomic<int> total{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < 3; ++c) {
     callers.emplace_back([&] {
-      ParallelFor(&pool, 0, 16, 1, [&](size_t lo, size_t hi) {
+      ParallelFor(ctx, 0, 16, 1, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-          ParallelFor(&pool, 0, 16, 1, [&](size_t ilo, size_t ihi) {
+          ParallelFor(ctx, 0, 16, 1, [&](size_t ilo, size_t ihi) {
             total.fetch_add(static_cast<int>(ihi - ilo));
           });
         }

@@ -1,12 +1,14 @@
 // TraceRecorder unit + concurrency tests: Chrome trace-event JSON schema
 // (validated with the independent in-test parser), per-thread buffers and
-// drop accounting, the install/restore contract, ScopedTimer's dual-sink
-// behavior, ThreadPool worker naming and task spans, and an 8-thread
-// recorder stress run with concurrent export (meaningful under -L tsan).
+// drop accounting, ScopedTimer's dual-sink behavior, ThreadPool worker
+// naming and ParallelFor's task spans, an 8-thread recorder stress run
+// with concurrent export (meaningful under -L tsan), and two concurrent
+// pipeline runs on one pool that each keep their own sinks.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,7 +43,6 @@ std::vector<JsonValue> ParseTrace(const TraceRecorder& recorder) {
 
 TEST(TraceRecorder, ChromeJsonSchema) {
   TraceRecorder recorder;
-  ScopedTraceInstall install(&recorder);
   const uint64_t t0 = TraceRecorder::NowNs();
   recorder.RecordSpan("stage/one", "stage", t0, 1500,
                       TraceArg{"round", 3.0});
@@ -104,47 +105,44 @@ TEST(TraceRecorder, FixedCapacityCountsDrops) {
   EXPECT_EQ(complete, 4u);
 }
 
-TEST(TraceRecorder, InstallNestsAndRestores) {
-  EXPECT_EQ(TraceRecorder::Current(), nullptr);
+TEST(TraceRecorder, EachRecorderKeepsItsOwnThreadBuffer) {
+  // A thread that alternates between recorders (a pool worker running
+  // chunks of two runs) writes each span into the recorder it is handed
+  // and returns to its one buffer there.
   TraceRecorder outer, inner;
-  {
-    ScopedTraceInstall install_outer(&outer);
-    EXPECT_EQ(TraceRecorder::Current(), &outer);
-    {
-      ScopedTraceInstall install_inner(&inner);
-      EXPECT_EQ(TraceRecorder::Current(), &inner);
-      GTER_TRACE_SPAN("inner/span");
-    }
-    EXPECT_EQ(TraceRecorder::Current(), &outer);
-    GTER_TRACE_SPAN("outer/span");
-  }
-  EXPECT_EQ(TraceRecorder::Current(), nullptr);
+  { ScopedTraceSpan span(&outer, "outer/span"); }
+  { ScopedTraceSpan span(&inner, "inner/span"); }
+  { ScopedTraceSpan span(&outer, "outer/span"); }
   EXPECT_EQ(inner.event_count(), 1u);
-  EXPECT_EQ(outer.event_count(), 1u);
-  // A fresh recorder on this thread must not see the stale cached buffer
-  // of a previous one (the TLS cache is keyed by recorder id).
-  TraceRecorder fresh;
-  {
-    ScopedTraceInstall install(&fresh);
-    GTER_TRACE_SPAN("fresh/span");
+  EXPECT_EQ(outer.event_count(), 2u);
+  size_t outer_tracks = 0;
+  for (const JsonValue& e : ParseTrace(outer)) {
+    outer_tracks +=
+        e.At("ph").string == "M" && e.At("name").string == "thread_name";
   }
-  EXPECT_EQ(fresh.event_count(), 1u);
-  EXPECT_EQ(outer.event_count(), 1u);
+  EXPECT_EQ(outer_tracks, 1u);
+  // Per-request recorders are created and freed constantly: a fresh one
+  // on this thread, even at a freed one's address, must not see a buffer
+  // cached for another (the cache is keyed by recorder id).
+  for (int i = 0; i < 3; ++i) {
+    auto fresh = std::make_unique<TraceRecorder>();
+    { ScopedTraceSpan span(fresh.get(), "fresh/span"); }
+    EXPECT_EQ(fresh->event_count(), 1u);
+  }
+  EXPECT_EQ(outer.event_count(), 2u);
 }
 
 TEST(TraceRecorder, ScopedSpanIsNoOpWithoutRecorder) {
-  ASSERT_EQ(TraceRecorder::Current(), nullptr);
-  GTER_TRACE_SPAN("nothing/to", "see", TraceArg{"x", 1.0});
-  // Nothing to assert beyond "does not crash, does not install".
-  EXPECT_EQ(TraceRecorder::Current(), nullptr);
+  // Nothing to assert beyond "does not crash".
+  ScopedTraceSpan span(nullptr, "nothing/to", "see", TraceArg{"x", 1.0});
 }
 
 TEST(TraceRecorder, ScopedTimerFeedsBothSinks) {
   MetricsRegistry registry;
   TraceRecorder recorder;
   {
-    ScopedTraceInstall trace_install(&recorder);
-    GTER_TRACE_SCOPE_TO(&registry, "dual/stage", TraceArg{"round", 2.0});
+    ScopedTimer timer(&registry, &recorder, "dual/stage",
+                      TraceArg{"round", 2.0});
   }
   // One timer entry and one span, from the same clock reads.
   EXPECT_EQ(registry.Timer("dual/stage").count, 1u);
@@ -164,13 +162,10 @@ TEST(TraceRecorder, ScopedTimerFeedsBothSinks) {
   EXPECT_TRUE(found);
 
   // Timer-only (no recorder) and span-only (null registry) still work.
-  { GTER_TRACE_SCOPE_TO(&registry, "dual/stage"); }
+  { ScopedTimer timer(&registry, nullptr, "dual/stage"); }
   EXPECT_EQ(registry.Timer("dual/stage").count, 2u);
   EXPECT_EQ(recorder.event_count(), 1u);
-  {
-    ScopedTraceInstall trace_install(&recorder);
-    GTER_TRACE_SCOPE_TO(nullptr, "dual/traced_only");
-  }
+  { ScopedTimer timer(nullptr, &recorder, "dual/traced_only"); }
   EXPECT_EQ(registry.Timer("dual/traced_only").count, 0u);
   EXPECT_EQ(recorder.event_count(), 2u);
 }
@@ -178,27 +173,24 @@ TEST(TraceRecorder, ScopedTimerFeedsBothSinks) {
 TEST(TraceRecorder, ThreadPoolTasksGetNamedTracks) {
   TraceRecorder recorder;
   {
-    ScopedTraceInstall install(&recorder);
     ThreadPool pool(3);
-    // Barrier batch: each task spins until every task in the batch has
-    // started. The help-draining waiter can run at most one of them, so at
-    // least num_threads-1 must land on pool workers — guaranteeing a
+    ExecContext ctx = ExecContext::WithPool(&pool);
+    ctx.trace = &recorder;
+    // Barrier batch: one chunk per worker, each spinning until every chunk
+    // has started. The help-draining waiter can run at most one of them,
+    // so at least num_threads-1 must land on pool workers — guaranteeing a
     // pool-worker-* track regardless of scheduling.
     std::atomic<size_t> started{0};
-    TaskGroup group;
-    for (size_t i = 0; i < pool.num_threads(); ++i) {
-      ASSERT_TRUE(pool.Submit(&group, [&started, &pool] {
-                        started.fetch_add(1, std::memory_order_relaxed);
-                        while (started.load(std::memory_order_relaxed) <
-                               pool.num_threads()) {
-                          std::this_thread::yield();
-                        }
-                      })
-                      .ok());
-    }
-    pool.Wait(&group);
-    ParallelFor(&pool, 0, 64, /*grain=*/4, [](size_t lo, size_t hi) {
-      GTER_TRACE_SPAN("work/chunk", "test");
+    ParallelFor(ctx, 0, pool.num_threads(), /*grain=*/1,
+                [&started, &pool](size_t, size_t) {
+                  started.fetch_add(1, std::memory_order_relaxed);
+                  while (started.load(std::memory_order_relaxed) <
+                         pool.num_threads()) {
+                    std::this_thread::yield();
+                  }
+                });
+    ParallelFor(ctx, 0, 64, /*grain=*/4, [&recorder](size_t lo, size_t hi) {
+      ScopedTraceSpan span(&recorder, "work/chunk", "test");
       volatile double sink = 0.0;
       for (size_t i = lo; i < hi; ++i) sink = sink + static_cast<double>(i);
     });
@@ -214,8 +206,8 @@ TEST(TraceRecorder, ThreadPoolTasksGetNamedTracks) {
     pool_tasks += e.At("name").string == "pool/task";
     chunks += e.At("name").string == "work/chunk";
   }
-  // Every barrier task and every chunk ran as a pool task; the barrier
-  // pinned at least num_threads-1 of them to named worker tracks.
+  // Every barrier chunk and every work chunk ran as a pool task; the
+  // barrier pinned at least num_threads-1 of them to named worker tracks.
   EXPECT_GT(chunks, 0u);
   EXPECT_EQ(pool_tasks, chunks + 3);
   EXPECT_GE(worker_tracks, 2u);
@@ -247,22 +239,21 @@ TEST(TraceRecorder, WriteTraceJsonRoundTrips) {
 }
 
 TEST(TraceRecorder, ConcurrentRecordingAndExportStress) {
-  // 8 writer threads record through the macro while the main thread
-  // repeatedly exports — the reader/writer interleaving TSAN checks.
+  // 8 writer threads record spans while the main thread repeatedly
+  // exports — the reader/writer interleaving TSAN checks.
   TraceRecorder recorder(/*capacity_per_thread=*/1 << 12);
-  ScopedTraceInstall install(&recorder);
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 2000;
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&go, t] {
+    writers.emplace_back([&go, &recorder, t] {
       SetCurrentThreadTraceName("stress-" + std::to_string(t));
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kSpansPerThread; ++i) {
-        GTER_TRACE_SPAN("stress/span", "stress",
-                        TraceArg{"i", static_cast<double>(i)});
+        ScopedTraceSpan span(&recorder, "stress/span", "stress",
+                             TraceArg{"i", static_cast<double>(i)});
       }
     });
   }
@@ -294,19 +285,20 @@ TEST(TraceRecorder, ConcurrentRecordingAndExportStress) {
 }
 
 TEST(PipelineTrace, FusionRunEmitsStageSpans) {
-  // End-to-end wiring: a pipeline run with a recorder installed — and
+  // End-to-end wiring: a pipeline run with a recorder in its context — and
   // deliberately NO metrics registry — produces the documented stage spans
   // with their numeric args.
   TraceRecorder recorder;
   {
-    ScopedTraceInstall install(&recorder);
+    ExecContext ctx;
+    ctx.trace = &recorder;
     GeneratedDataset data =
         GenerateBenchmark(BenchmarkKind::kRestaurant, 0.1, 7);
     RemoveFrequentTerms(&data.dataset);
     FusionConfig config;
     config.rounds = 2;
-    FusionPipeline pipeline(data.dataset, config);
-    pipeline.Run().value();
+    FusionPipeline pipeline(data.dataset, config, ctx);
+    pipeline.Run(ctx).value();
   }
   size_t rounds = 0, sweeps = 0, totals = 0;
   double max_round_arg = 0.0;
@@ -324,6 +316,61 @@ TEST(PipelineTrace, FusionRunEmitsStageSpans) {
   EXPECT_EQ(rounds, 2u);
   EXPECT_DOUBLE_EQ(max_round_arg, 2.0);  // rounds are 1-based
   EXPECT_GT(sweeps, 0u);
+}
+
+/// How often each span name was recorded.
+std::map<std::string, size_t> SpanNameCounts(const TraceRecorder& recorder) {
+  std::map<std::string, size_t> counts;
+  for (const TraceEvent& e : recorder.Snapshot()) ++counts[e.name];
+  return counts;
+}
+
+TEST(PipelineTrace, ConcurrentRunsOnOneSharedPoolKeepTheirOwnSinks) {
+  // Two fusion runs at once on one 4-thread pool, each with its own
+  // registry and recorder. Each recorder must hold exactly the spans its
+  // run records alone — its pool/task chunks included, whichever worker
+  // ran them — and each registry the counters of a solo run.
+  GeneratedDataset restaurant =
+      GenerateBenchmark(BenchmarkKind::kRestaurant, 0.2, 7);
+  GeneratedDataset paper = GenerateBenchmark(BenchmarkKind::kPaper, 0.1, 7);
+  RemoveFrequentTerms(&restaurant.dataset);
+  RemoveFrequentTerms(&paper.dataset);
+  FusionConfig config;
+  config.rounds = 2;
+  FusionPipeline pipelines[] = {FusionPipeline(restaurant.dataset, config),
+                                FusionPipeline(paper.dataset, config)};
+  ThreadPool pool(4);
+  struct Sinks {
+    MetricsRegistry metrics;
+    TraceRecorder trace{/*capacity_per_thread=*/1 << 14};
+  };
+  const auto run = [&](size_t i, Sinks* sinks) {
+    ExecContext ctx = ExecContext::WithPool(&pool);
+    ctx.metrics = &sinks->metrics;
+    ctx.trace = &sinks->trace;
+    EXPECT_TRUE(pipelines[i].Run(ctx).ok());
+  };
+  Sinks solo[2];
+  run(0, &solo[0]);
+  run(1, &solo[1]);
+  Sinks together[2];
+  std::thread first([&] { run(0, &together[0]); });
+  std::thread second([&] { run(1, &together[1]); });
+  first.join();
+  second.join();
+
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "restaurant" : "paper");
+    const std::map<std::string, size_t> spans = SpanNameCounts(solo[i].trace);
+    EXPECT_TRUE(spans.contains("pool/task"));
+    EXPECT_EQ(SpanNameCounts(together[i].trace), spans);
+    EXPECT_EQ(together[i].trace.dropped_events(), 0u);
+    EXPECT_EQ(together[i].metrics.CountersSnapshot(),
+              solo[i].metrics.CountersSnapshot());
+  }
+  // The two runs differ, so a span or counter landing in the other run's
+  // sinks would show above.
+  EXPECT_NE(SpanNameCounts(solo[0].trace), SpanNameCounts(solo[1].trace));
 }
 
 }  // namespace

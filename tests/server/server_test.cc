@@ -54,12 +54,16 @@ struct ServerFixture {
                          const ExecContext& ctx = DefaultExecContext(),
                          const std::vector<std::string>& extra_texts = {}) {
     Dataset dataset("server-test");
-    dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
-    dataset.AddRecord(0, "golden dragon szechuan pasadena 8185551234");
-    dataset.AddRecord(0, "blue lagoon seafood grill marina 3105559876");
-    dataset.AddRecord(0, "blue lagoon seafood grill marina 3105559876");
-    dataset.AddRecord(0, "taco fiesta cantina downtown 2135550000");
-    for (const std::string& text : extra_texts) dataset.AddRecord(0, text);
+    for (const char* text : {"golden dragon szechuan pasadena 8185551234",
+                             "golden dragon szechuan pasadena 8185551234",
+                             "blue lagoon seafood grill marina 3105559876",
+                             "blue lagoon seafood grill marina 3105559876",
+                             "taco fiesta cantina downtown 2135550000"}) {
+      dataset.AddRecord(0, text, {}, ctx);
+    }
+    for (const std::string& text : extra_texts) {
+      dataset.AddRecord(0, text, {}, ctx);
+    }
     auto built = ResolutionService::Create(std::move(dataset),
                                            std::move(service_options), ctx);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -781,6 +785,43 @@ TEST(GterdServerTest, ClusterGaugeTracksServedPartition) {
   }
 }
 
+TEST(GterdServerTest, MetricsAgreeWithStatsAfterIngests) {
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "batch");
+    // Wired like gterd: one declared registry in the context that loads
+    // the corpus, trains and serves. add_record runs on a pool thread, so
+    // its dataset and pair-space counts reach /metrics only through the
+    // request's context.
+    MetricsRegistry metrics;
+    DeclarePipelineMetrics(&metrics);
+    ExecContext ctx;
+    ctx.metrics = &metrics;
+    GterdServerOptions options;
+    options.metrics_port = 0;
+    ResolutionServiceOptions service_options;
+    service_options.incremental = incremental;
+    ServerFixture fx(options, service_options, ctx);
+    GterdClient client = fx.Connect();
+    for (const char* text : {"golden dragon szechuan pasadena 8185551234",
+                             "zanzibar mango treehouse 5105551111",
+                             "blue lagoon seafood marina 3105559876"}) {
+      JsonValue add = JsonValue::MakeObject();
+      add.Set("text", JsonValue::MakeString(text));
+      ASSERT_TRUE(client.Call("add_record", std::move(add)).ok()) << text;
+    }
+    auto stats = client.Call("stats", JsonValue::MakeObject());
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.value().NumberOr("records", -1), 8.0);
+    const uint16_t port = fx.server->metrics_port();
+    EXPECT_EQ(ScrapeGauge(port, "gter_dataset_records"),
+              stats.value().NumberOr("records", -1));
+    EXPECT_EQ(ScrapeGauge(port, "gter_dataset_vocabulary"),
+              stats.value().NumberOr("vocabulary_terms", -1));
+    EXPECT_EQ(ScrapeGauge(port, "gter_pairspace_pairs"),
+              stats.value().NumberOr("candidate_pairs", -1));
+  }
+}
+
 TEST(GterdServerTest, MetricsListenerRejectsNonGet) {
   GterdServerOptions options;
   options.metrics_port = 0;
@@ -975,6 +1016,42 @@ TEST(GterdServerTest, DebugSlowCapturesSlowRequestsWithSpans) {
     }
   }
   EXPECT_TRUE(saw_handler) << dump.value().Serialize();
+}
+
+TEST(GterdServerTest, DebugSlowHoldsTheCorrelationRestartSpans) {
+  // The correlation endgame records each restart as a cluster/restart span
+  // into the request's own recorder, so a slow resolve's capture shows
+  // where its endgame time went. A hub term in every extra record makes
+  // their candidate space complete (~80k pairs), so one resolve takes
+  // several times the 1 ms threshold.
+  std::vector<std::string> hub;
+  for (int i = 0; i < 400; ++i) {
+    hub.push_back("hub entry" + std::to_string(i) + " tag" +
+                  std::to_string(i % 7));
+  }
+  GterdServerOptions options;
+  options.slow_request_ms = 1;
+  ResolutionServiceOptions service_options;
+  service_options.fusion.rounds = 1;
+  service_options.fusion.cliquerank.max_steps = 5;
+  ServerFixture fx(options, service_options, DefaultExecContext(), hub);
+  GterdClient client = fx.Connect();
+
+  JsonValue params = JsonValue::MakeObject();
+  params.Set("text", JsonValue::MakeString("hub entry42"));
+  params.Set("clusterer", JsonValue::MakeString("correlation"));
+  ASSERT_TRUE(client.Call("resolve", std::move(params)).ok());
+
+  auto dump = client.Call("debug_slow", JsonValue::MakeObject());
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  size_t restarts = 0;
+  for (const JsonValue& rec : dump.value().Find("slow")->array()) {
+    if (rec.Find("method")->string() != "resolve") continue;
+    for (const JsonValue& span : rec.Find("spans")->array()) {
+      restarts += span.Find("name")->string() == "cluster/restart";
+    }
+  }
+  EXPECT_GE(restarts, 1u) << dump.value().Serialize();
 }
 
 TEST(GterdServerTest, StopWithIdleConnectionsDoesNotHang) {

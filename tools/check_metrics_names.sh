@@ -16,8 +16,9 @@
 #
 # Slug sources (kept in sync with where metrics are declared):
 #   * the DeclarePipelineMetrics literal list (src/gter/core/fusion.cc)
-#   * every ScopedTimer name literal under src/
-#   * every GTER_TRACE_SCOPE / GTER_TRACE_SCOPE_TO name literal under src/
+#   * the name literal of every MetricsRegistry write (AddCounter,
+#     SetGauge, Observe, MergeHistogram, RecordTime) and of every
+#     ScopedTimer under src/
 #   * service.cc's per-method "server/..." timer names
 #   * server.cc's kMethodSlotNames x {queue_us, work_us} sliding
 #     histograms, plus the server/uptime_s gauge
@@ -55,21 +56,22 @@ awk '/^void DeclarePipelineMetrics/,/^}/' "${fusion_cc}" \
   | grep -o '"[^"]*"' | tr -d '"' > "${declared_file}"
 cat "${declared_file}" >> "${slugs_file}"
 
-# 2. ScopedTimer name literals anywhere under src/: the name is a string
-#    literal in the constructor call, at most two lines below its opening
-#    line, and a call that picks one of two names by a conditional
-#    (cliquerank.cc: cliquerank/dense_product or cliquerank/masked_product)
-#    contributes both.
-grep -rh -A2 'ScopedTimer [a-z_]*(' "${src}" --include='*.cc' \
-  | grep -o '"[a-z0-9_/]*/[a-z0-9_/]*"' | tr -d '"' >> "${slugs_file}"
-
-# 2b. GTER_TRACE_SCOPE(name, ...) and GTER_TRACE_SCOPE_TO(registry, name,
-#     ...) expand to a ScopedTimer, so their names are registry timers too
-#     (pairspace/build, bipartite/build). The name is the first literal of
-#     the call; any literal is taken, so the charset rule sees bad names.
-grep -rhoE 'GTER_TRACE_SCOPE(_TO\([^,"]*,|\()[[:space:]]*"[^"]*"' "${src}" \
-    --include='*.cc' \
-  | sed -E 's/.*"([^"]*)"$/\1/' >> "${slugs_file}"
+# 2. Every name a stage writes: the literals of the name argument of each
+#    MetricsRegistry write call (the first argument) and of each
+#    ScopedTimer (the third, after the two sinks), across line breaks. An
+#    argument that picks one of two names by a conditional (cliquerank.cc:
+#    cliquerank/engine_dense or cliquerank/engine_masked) contributes both,
+#    and any literal is taken, so the charset rule sees bad names.
+find "${src}" \( -name '*.cc' -o -name '*.h' \) -exec cat {} + \
+  | perl -0777 -ne '
+      my @args;
+      push @args, $1 while
+          /\b(?:AddCounter|SetGauge|Observe|MergeHistogram|RecordTime)
+           \s*\(\s*([^,;()]*)/gx;
+      push @args, $1 while
+          /\bScopedTimer\s+\w+\s*\(\s*[^,;]*,\s*[^,;]*,\s*([^,;()]*)/g;
+      for my $arg (@args) { print "$1\n" while $arg =~ /"([^"]*)"/g; }
+    ' >> "${slugs_file}"
 
 # 3. The per-request "server/..." literals (service.cc timer names,
 #    server.cc's uptime gauge). The bare "server/" composition prefix is

@@ -145,28 +145,27 @@ int RunResolve(int argc, char** argv) {
   if (s.ok()) s = RequirePositiveFlags(flags, {"rounds", "steps"});
   if (!s.ok()) return Fail(s);
 
-  // Install the registry before loading so tokenizer/vocabulary and
-  // blocking counters are captured, not just the fusion stages.
+  // The sinks go into the context before the CSV loads, so the loader's
+  // dataset counters land with the stage timers.
   std::unique_ptr<MetricsRegistry> metrics;
-  std::optional<ScopedMetricsInstall> metrics_install;
   if (!flags.GetString("metrics_out").empty()) {
     metrics = std::make_unique<MetricsRegistry>();
     DeclarePipelineMetrics(metrics.get());
-    metrics_install.emplace(metrics.get());
   }
-  // Likewise the trace recorder, so blocking/band spans are captured too.
   std::unique_ptr<TraceRecorder> trace;
-  std::optional<ScopedTraceInstall> trace_install;
   if (!flags.GetString("trace_out").empty()) {
     SetCurrentThreadTraceName("main");
     trace = std::make_unique<TraceRecorder>();
-    trace_install.emplace(trace.get());
   }
   // Record which compute path produced this run in both sinks.
   EmitCpuInfo(metrics.get(), trace.get());
+  ExecContext ctx;
+  ctx.metrics = metrics.get();
+  ctx.trace = trace.get();
 
   auto loaded = LoadDatasetCsv(flags.GetString("in"), "input",
-                               static_cast<uint32_t>(flags.GetInt("sources")));
+                               static_cast<uint32_t>(flags.GetInt("sources")),
+                               ctx);
   if (!loaded.ok()) return Fail(loaded.status());
   auto [dataset, truth] = std::move(loaded).value();
 
@@ -195,10 +194,7 @@ int RunResolve(int argc, char** argv) {
     cancel.SetTimeout(static_cast<double>(flags.GetInt("deadline_ms")) /
                       1000.0);
   }
-  ExecContext ctx;
   ctx.pool = pool.get();
-  ctx.metrics = metrics.get();
-  ctx.trace = trace.get();
   ctx.cancel = &cancel;
 
   // Ctrl-C trips the token; the next stage-boundary poll unwinds the run.
@@ -243,7 +239,7 @@ int RunResolve(int argc, char** argv) {
       out.total_seconds = watch.ElapsedSeconds();
       return out;
     }
-    pipeline.emplace(dataset, config);
+    pipeline.emplace(dataset, config, ctx);
     return pipeline->Run(ctx);
   };
   Result<FusionResult> run = execute();
@@ -304,7 +300,6 @@ int RunResolve(int argc, char** argv) {
                 flags.GetString("metrics_out").c_str());
   }
   if (trace != nullptr) {
-    trace_install.reset();  // stop recording before export
     Status write = WriteTraceJson(flags.GetString("trace_out"), *trace);
     if (!write.ok()) return Fail(write);
     std::printf("trace written to %s (%zu events, %llu dropped)\n",
@@ -394,7 +389,8 @@ int RunEvalEndgames(int argc, char** argv) {
 
   for (const Family& family : kFamilies) {
     auto data = GenerateBenchmark(family.kind, flags.GetDouble("scale"),
-                                  static_cast<uint64_t>(flags.GetInt("seed")));
+                                  static_cast<uint64_t>(flags.GetInt("seed")),
+                                  ctx);
     RemoveFrequentTerms(&data.dataset);
 
     FusionConfig config;
@@ -423,7 +419,7 @@ int RunEvalEndgames(int argc, char** argv) {
         if (!ingested.ok()) return Fail(ingested.status());
       }
     } else {
-      pipeline.emplace(data.dataset, config);
+      pipeline.emplace(data.dataset, config, ctx);
       Result<FusionResult> run = pipeline->Run(ctx);
       if (!run.ok()) return Fail(run.status());
       result = std::move(run).value();

@@ -81,17 +81,28 @@ int Run(int argc, char** argv) {
   Status s = flags.Parse(argc, argv);
   if (s.ok()) s = ApplyCommonStageFlags(flags);
   if (s.ok()) s = RequirePositiveFlags(flags, {"rounds", "steps"});
+  if (s.ok() && !flags.GetString("trace_out").empty()) {
+    // The daemon keeps no process-wide recorder: slow-request capture
+    // records each request's spans into a recorder of its own.
+    s = Status::InvalidArgument(
+        "gterd does not write --trace_out; use --slow_request_ms to capture "
+        "the spans of slow requests (served by the debug_slow method)");
+  }
   if (!s.ok()) return Fail(s);
 
   // The daemon always carries a registry: the serving layer records live
   // latency histograms into it, /metrics and /varz serve it, and
-  // --metrics_out snapshots it at shutdown.
+  // --metrics_out snapshots it at shutdown. The one context that carries
+  // it loads the corpus, trains and serves, so every stage and request
+  // counts into it.
   auto metrics = std::make_unique<MetricsRegistry>();
   DeclarePipelineMetrics(metrics.get());
-  ScopedMetricsInstall metrics_install(metrics.get());
+  ExecContext ctx;
+  ctx.metrics = metrics.get();
 
   auto loaded = LoadDatasetCsv(flags.GetString("in"), "input",
-                               static_cast<uint32_t>(flags.GetInt("sources")));
+                               static_cast<uint32_t>(flags.GetInt("sources")),
+                               ctx);
   if (!loaded.ok()) return Fail(loaded.status());
   auto [dataset, truth] = std::move(loaded).value();
 
@@ -108,9 +119,7 @@ int Run(int argc, char** argv) {
   service_options.incremental = flags.GetBool("incremental");
 
   std::unique_ptr<ThreadPool> pool = MakeThreadPool(flags.GetInt("threads"));
-  ExecContext ctx;
   ctx.pool = pool.get();
-  ctx.metrics = metrics.get();
 
   const size_t num_records = dataset.size();
   std::fprintf(stderr, "gterd: training on %zu records...\n", num_records);
