@@ -30,7 +30,7 @@ void Run(double scale, uint64_t seed, size_t points,
     };
     std::vector<Entry> entries;
     for (TermId t = 0; t < graph.num_terms(); ++t) {
-      if (graph.PairsOfTerm(t).empty()) continue;
+      if (graph.SetsOfTerm(t).empty()) continue;
       entries.push_back({iter.term_weights[t], oracle[t]});
     }
     std::sort(entries.begin(), entries.end(),

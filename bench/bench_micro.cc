@@ -317,27 +317,6 @@ void BM_Rss(benchmark::State& state) {
 }
 BENCHMARK(BM_Rss)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// BM_IterRun's whole RunIter with the propagation loops split across
-// range(0) threads.
-void BM_IterRunParallel(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
-  RemoveFrequentTerms(&data.dataset);
-  PairSpace pairs = PairSpace::Build(data.dataset, g_bench_ctx);
-  BipartiteGraph graph =
-      BipartiteGraph::Build(data.dataset, pairs, g_bench_ctx);
-  std::vector<double> probability(pairs.size(), 1.0);
-  const IterOptions options = FusionCapIterOptions();
-  ThreadPool pool(threads);
-  ExecContext ctx = g_bench_ctx;
-  if (threads > 1) ctx.pool = &pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunIter(graph, probability, options, ctx));
-  }
-  state.counters["bipartite_edges"] = static_cast<double>(graph.num_edges());
-}
-BENCHMARK(BM_IterRunParallel)->Arg(1)->Arg(4)->UseRealTime();
-
 void BM_PageRank(benchmark::State& state) {
   auto data = GenerateBenchmark(BenchmarkKind::kPaper, 0.2, 5, g_bench_ctx);
   RemoveFrequentTerms(&data.dataset);

@@ -35,7 +35,7 @@ void Run(double scale, uint64_t seed, const ExecContext& ctx) {
 
     std::vector<double> iw, fw, pw, ow;
     for (TermId t = 0; t < graph.num_terms(); ++t) {
-      if (graph.PairsOfTerm(t).empty()) continue;
+      if (graph.SetsOfTerm(t).empty()) continue;
       iw.push_back(iter.term_weights[t]);
       fw.push_back(fused.term_weights[t]);
       pw.push_back(pagerank.term_salience()[t]);

@@ -16,8 +16,8 @@ void DeclarePipelineMetrics(MetricsRegistry* registry) {
         "cliquerank/engine_masked", "cliquerank/steps",
         "fusion/rounds", "fusion/matches", "cluster/endgame_runs",
         "iter/dirty_runs", "iter/dirty_sweeps", "iter/full_resweeps",
-        "iter/stall_escalations", "ingest/records",
-        "ingest/dirty_reiter_runs", "ingest/full_resweeps"}) {
+        "ingest/records", "ingest/dirty_reiter_runs",
+        "ingest/full_resweeps"}) {
     registry->DeclareCounter(name);
   }
   registry->SetGauge("cliquerank/scratch_bytes", 0.0);

@@ -47,27 +47,31 @@ struct IterResult {
 /// Eq. 6 — pass a vector of 1.0 for the first fusion round (§V-C), or the
 /// CliqueRank output in later rounds.
 ///
-/// Execution (worker pool, metrics/trace sinks, cancellation) comes from
-/// `ctx`. The propagation sweeps are parallelized over `ctx.pool`; each
-/// term/pair accumulates over its own adjacency in a fixed order, so
-/// results are bit-identical for any thread count and any SIMD level.
-/// Cancellation is polled at entry and once per sweep; a tripped token
-/// yields `Cancelled`/`DeadlineExceeded` instead of a result.
+/// A pair enters Eq. 6 only through its shared-term set σ, so each sweep
+/// walks the graph's term↔set incidences: score_σ = Σ_{t∈σ} x_t, then
+/// x_t = Σ_{σ∋t} W_σ·score_σ / P_t with W_σ = Σ_{q∈σ} p_q summed once per
+/// call. Pair scores are written once, from the final weights. This equals
+/// the per-pair sweep up to summation order (DESIGN.md §4 states the
+/// tolerance).
+///
+/// The metrics/trace sinks and cancellation come from `ctx`. ITER runs on
+/// the calling thread and hands nothing to `ctx.pool` (DESIGN.md §4b), and
+/// every sum adds in a fixed order, so results are bit-identical for any
+/// thread count and any SIMD level. Cancellation is polled at entry and
+/// once per sweep; a tripped token yields `Cancelled`/`DeadlineExceeded`
+/// instead of a result.
 Result<IterResult> RunIter(const BipartiteGraph& graph,
                            const std::vector<double>& edge_probability,
                            const IterOptions& options = {},
                            const ExecContext& ctx = DefaultExecContext());
 
-/// Options for the dirty-region ITER mode (DESIGN.md §4g). The converge's
-/// other thresholds (frontier tolerance, noise floor, parking rule, pass
-/// cap, full-resweep escape hatch) are constants in iter.cc; this one stays
-/// settable so a test can keep a converge on its worklist.
-struct IterDirtyOptions {
-  /// Stall detector. After this many consecutive worklist passes whose
-  /// largest |Δx| is numerical dust while the frontier persists, the run
-  /// escalates (sticky) to full synchronous sweeps, which reach a
-  /// bitwise-stationary fixed point.
-  size_t stall_sweeps = 3;
+/// RunIterDirty's worklist mark bytes, by TermId and by SetId. The caller
+/// owns it and passes the same one to every call over a graph, so a
+/// converge allocates nothing corpus-sized; the marks are all zero between
+/// calls.
+struct IterDirtyScratch {
+  std::vector<uint8_t> term_mark;
+  std::vector<uint8_t> set_mark;
 };
 
 /// Output of one dirty-region run.
@@ -75,29 +79,32 @@ struct IterDirtyResult {
   /// Worklist passes plus full sweeps.
   size_t sweeps = 0;
   bool converged = false;
-  /// The run degraded to full sweeps (frontier-size escape hatch or stall
-  /// escalation).
+  /// The run degraded to full sweeps (the frontier-size escape hatch).
   bool used_full_resweep = false;
-  /// The stall detector fired: the worklist spent `stall_sweeps` passes
-  /// moving by numerical dust, and the run finished in full synchronous
-  /// mode.
-  bool stall_escalated = false;
-  /// Terms whose weight changed, ascending.
-  std::vector<TermId> touched_terms;
-  /// Pairs whose score was refreshed, ascending.
+  /// Pairs whose score was refreshed: the pairs of every refreshed set,
+  /// set by set in ascending SetId (each set's pairs ascending).
   std::vector<PairId> touched_pairs;
 };
 
 /// Re-converges ITER over `graph` starting from the invalidated frontier
-/// `dirty_terms`, updating `term_weights` / `pair_scores` in place and
-/// touching only the region reachable from the frontier. Each pass updates
-/// the frontier and the terms of its pairs in ascending id, Gauss–Seidel:
-/// a term that moves re-gathers its own pairs' scores at once (full
-/// gathers — never deltas, so no error accumulates), so the next term
-/// reads current scores. The first pass also refreshes the frontier's
-/// pairs, since new pairs enter with s = 0. The next frontier is the terms
-/// that moved more than the frontier tolerance (1e-13, or the update's own
-/// rounding floor). So s ≡ Σ_{t∈p} x_t holds exactly on exit.
+/// `dirty_terms`, updating `term_weights` in place and touching only the
+/// region reachable from the frontier. It works on shared-term sets: a
+/// term's update gathers Σ_{σ∋t} count_σ·score_σ over its sets, with
+/// degree Σ_{σ∋t} count_σ. Each pass updates the frontier and the terms of
+/// its sets in ascending id, Gauss–Seidel: a term that moves re-gathers its
+/// own sets' scores at once (full gathers — never deltas, so no error
+/// accumulates), so the next term reads current scores. The first pass
+/// also refreshes the frontier's sets, whose scores may be stale.
+/// The next frontier is the terms that moved more than the frontier
+/// tolerance (1e-13, or the update's own rounding floor). A run stops when
+/// the frontier drains or after 1,000 passes, whichever comes first.
+///
+/// `pair_scores` is both input and output. On entry every pair whose set
+/// has no dirty term must hold s ≡ Σ_{t∈p} x_t, as every call leaves it
+/// (sets with a dirty term are refreshed first, so a new pair may hold
+/// anything). While the run works, score_σ lives in the score of σ's first
+/// pair; on exit the pairs of every refreshed set take it, so s ≡ Σ x
+/// holds exactly again.
 ///
 /// The fixed point is the prob ≡ 1 ITER map (the §V-C first-round
 /// semantics, logistic normalization) — a concave monotone map with one
@@ -109,15 +116,16 @@ struct IterDirtyResult {
 /// changing the fixed-point equations. Passing a frontier of *all* terms
 /// with weights initialized to any positive constant therefore IS the
 /// batch build: the escape hatch fires immediately, and its full sweeps
-/// are Jacobi, parallel over fixed-width chunks. The worklist pass is
-/// serial, so results are bit-identical at any thread count. Cancellation
-/// is polled at entry and once per pass; a tripped token yields the error
-/// status with the vectors mid-converge but structurally valid — re-run
-/// with a full frontier to recover.
+/// are Jacobi. The run is serial (it does not use `ctx.pool`), so results
+/// are bit-identical at any thread count. Cancellation is polled at entry
+/// and once per pass; a tripped token yields the error status with the
+/// weights mid-converge and only the first pairs of refreshed sets
+/// rescored, but the structures valid — re-run with a full frontier, which
+/// rescores every set, to recover.
 Result<IterDirtyResult> RunIterDirty(
     const BipartiteGraph& graph, const std::vector<TermId>& dirty_terms,
-    const IterDirtyOptions& options, std::vector<double>* term_weights,
-    std::vector<double>* pair_scores,
+    std::vector<double>* term_weights, std::vector<double>* pair_scores,
+    IterDirtyScratch* scratch,
     const ExecContext& ctx = DefaultExecContext());
 
 }  // namespace gter

@@ -206,8 +206,8 @@ Status ResolverState::ConvergeAndRefresh(const ExecContext& ctx) {
   }
 
   Result<IterDirtyResult> swept =
-      RunIterDirty(graph_, dirty, options_.iter, &model_.term_weights,
-                   &model_.pair_scores, ctx);
+      RunIterDirty(graph_, dirty, &model_.term_weights, &model_.pair_scores,
+                   &iter_scratch_, ctx);
   if (!swept.ok()) {
     // Weights are mid-flight: scores of pairs adjacent to moved terms may
     // be stale. Escalate the resume to a full frontier — correct from any

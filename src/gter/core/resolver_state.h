@@ -42,8 +42,6 @@ struct ServedModel {
 struct ResolverStateOptions {
   /// Match threshold on the reciprocal-best pair probability.
   double eta = 0.98;
-  /// Dirty-region re-ITER knob (the stall detector).
-  IterDirtyOptions iter;
 };
 
 /// Per-ingest outcome, the add_record response payload.
@@ -70,8 +68,8 @@ struct IngestStats {
 /// §4g). Owns updatable views of every pipeline intermediate:
 ///
 ///  - the shared-term inverted index (posting upsert per ingest),
-///  - the PairSpace and the term ↔ pair BipartiteGraph (append +
-///    N_t/P_t maintenance),
+///  - the PairSpace and the term ↔ pair BipartiteGraph with its
+///    shared-term sets (append + N_t/P_t maintenance),
 ///  - the ITER term weights / pair scores (dirty-region re-converge via
 ///    RunIterDirty),
 ///  - the reciprocal-best pair probabilities, match decisions and
@@ -196,6 +194,8 @@ class ResolverState {
   Dataset* dataset_;
   ResolverStateOptions options_;
   BipartiteGraph graph_;
+  /// RunIterDirty's worklist marks, kept from converge to converge.
+  IterDirtyScratch iter_scratch_;
   ServedModel model_;
   std::vector<std::vector<PairId>> pairs_of_record_;
   /// best_[r] = max s over r's pairs (0 when r has none) — the reciprocal-

@@ -7,15 +7,18 @@ std::vector<double> OracleTermScores(const BipartiteGraph& graph,
                                      const GroundTruth& truth) {
   std::vector<double> scores(graph.num_terms(), 0.0);
   for (TermId t = 0; t < graph.num_terms(); ++t) {
-    auto adjacent = graph.PairsOfTerm(t);
-    if (adjacent.empty()) continue;
+    // The pairs of t are the disjoint union of its sets' pairs.
+    size_t adjacent = 0;
     size_t matching = 0;
-    for (PairId p : adjacent) {
-      const RecordPair& rp = pairs.pair(p);
-      if (truth.IsMatch(rp.a, rp.b)) ++matching;
+    for (SetId k : graph.SetsOfTerm(t)) {
+      graph.ForEachPairOfSet(k, [&](PairId p) {
+        const RecordPair& rp = pairs.pair(p);
+        if (truth.IsMatch(rp.a, rp.b)) ++matching;
+      });
+      adjacent += graph.SetSize(k);
     }
-    scores[t] =
-        static_cast<double>(matching) / static_cast<double>(adjacent.size());
+    if (adjacent == 0) continue;
+    scores[t] = static_cast<double>(matching) / static_cast<double>(adjacent);
   }
   return scores;
 }

@@ -14,7 +14,7 @@
 //     of Ingest leaves the next ingest able to run.
 //  3. The state's term ↔ pair graph, grown record by record, is
 //     structure-for-structure BipartiteGraph::Build over the same dataset
-//     and pairs.
+//     and pairs, down to its shared-term set ids.
 //  4. After every build and ingest, the served partition is exactly the
 //     connected components of matches(), although the sparse decision
 //     pass rebuilds the clusters only when a decision flipped.
@@ -22,12 +22,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/bipartite_graph_equal.h"
 #include "gter/common/exec_context.h"
 #include "gter/common/metrics.h"
 #include "gter/common/random.h"
@@ -258,10 +258,12 @@ TEST(IncrementalCancelTest, EveryEntryPointCancelsAtEntry) {
     graph.EnsureTerms(4);
     std::vector<double> x(4, 0.5);
     std::vector<double> s;
+    IterDirtyScratch scratch;
     token.Reset();
     token.CancelAfterPolls(0);
-    EXPECT_EQ(RunIterDirty(graph, {0, 1}, {}, &x, &s, ctx).status().code(),
-              StatusCode::kCancelled);
+    EXPECT_EQ(
+        RunIterDirty(graph, {0, 1}, &x, &s, &scratch, ctx).status().code(),
+        StatusCode::kCancelled);
   }
 }
 
@@ -461,12 +463,9 @@ TEST(IncrementalClusterTest, SparsePassRebuildsOnlyWhenADecisionFlips) {
   MetricsRegistry metrics;
   ExecContext ctx;
   ctx.metrics = &metrics;
-  // The loss below re-balances three coupled terms slowly enough to trip
-  // the stall escalation, whose full sweeps touch every pair. Keep the
-  // converges on their worklists.
-  ResolverStateOptions options;
-  options.iter.stall_sweeps = std::numeric_limits<size_t>::max();
-  ResolverState state(&data, options);
+  // The loss below re-balances three coupled terms slowly, and its converge
+  // stays on its worklist all the way: a full sweep would touch every pair.
+  ResolverState state(&data);
   ASSERT_TRUE(state.BuildBatch(ctx).ok());
   ASSERT_EQ(state.cluster_of()[first], state.cluster_of()[first + 1]);
 
@@ -499,7 +498,8 @@ TEST(IncrementalClusterTest, SparsePassRebuildsOnlyWhenADecisionFlips) {
 
 // StructuralIngest's shared-term and N_t bookkeeping against the batch
 // builder: batch-build 2/3 of the world, stream the rest, and the state's
-// graph must equal BipartiteGraph::Build over the state's own pairs.
+// graph must equal BipartiteGraph::Build over the state's own pairs, set
+// ids, set term lists, set pairs and term → sets included.
 TEST(ResolverStateTest, StreamedGraphMatchesBuild) {
   Dataset data = MakeData();
   ResolverState state(&data);
@@ -508,21 +508,7 @@ TEST(ResolverStateTest, StreamedGraphMatchesBuild) {
 
   const BipartiteGraph& live = state.graph();
   BipartiteGraph built = BipartiteGraph::Build(state.dataset(), state.pairs());
-  ASSERT_EQ(live.num_terms(), built.num_terms());
-  ASSERT_EQ(live.num_pairs(), built.num_pairs());
-  ASSERT_EQ(live.num_edges(), built.num_edges());
-  for (TermId t = 0; t < built.num_terms(); ++t) {
-    ASSERT_EQ(live.Nt(t), built.Nt(t)) << t;
-    ASSERT_EQ(live.Pt(t), built.Pt(t)) << t;
-    auto a = built.PairsOfTerm(t);
-    auto b = live.PairsOfTerm(t);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
-  }
-  for (PairId p = 0; p < built.num_pairs(); ++p) {
-    auto a = built.TermsOfPair(p);
-    auto b = live.TermsOfPair(p);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
-  }
+  ExpectSameGraph(built, live);
 }
 
 TEST(ResolverStateTest, CountersAndVersionAdvance) {

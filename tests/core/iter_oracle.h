@@ -1,12 +1,14 @@
 #ifndef GTER_TESTS_CORE_ITER_ORACLE_H_
 #define GTER_TESTS_CORE_ITER_ORACLE_H_
 
-// The per-pair ITER sweep (Algorithm 1) that RunIter must reproduce bit for
-// bit: every sweep, every pair gathers its own score s(p) = Σ_{t∈p} x_t left
-// to right, and every term sums p(r_i, r_j)·s(p) over its pairs in ascending
-// PairId. Serial; the reductions (L2 norm, Σ|Δx|) use RunIter's fixed
-// 4096-element chunks, whose partials are added in chunk order. The library
-// has no copy of it.
+// The per-pair ITER sweep (Algorithm 1) that RunIter must reproduce within
+// the tolerance DESIGN.md §4 states: every sweep, every pair gathers its
+// own score s(p) = Σ_{t∈p} x_t left to right, and every term sums
+// p(r_i, r_j)·s(p) over its pairs in ascending PairId. It reads only the
+// graph's TermsOfPair, Pt and sizes, and builds its own term → pairs lists
+// from them. Serial; the reductions (L2 norm, Σ|Δx|) use RunIter's fixed
+// 4096-element chunks, whose partials are added in chunk order. The
+// library has no copy of it.
 
 #include <algorithm>
 #include <cmath>
@@ -41,6 +43,10 @@ inline IterResult IterOracle(const BipartiteGraph& graph,
   s.assign(graph.num_pairs(), 0.0);
   Rng rng(options.seed);
   for (double& v : x) v = rng.OpenUniformDouble();
+  std::vector<std::vector<PairId>> pairs_of_term(graph.num_terms());
+  for (PairId p = 0; p < graph.num_pairs(); ++p) {
+    for (TermId t : graph.TermsOfPair(p)) pairs_of_term[t].push_back(p);
+  }
   const auto score_pairs = [&] {
     for (PairId p = 0; p < graph.num_pairs(); ++p) {
       double acc = 0.0;
@@ -54,8 +60,8 @@ inline IterResult IterOracle(const BipartiteGraph& graph,
     const std::vector<double> x_prev = x;
     for (TermId t = 0; t < graph.num_terms(); ++t) {
       double acc = 0.0;
-      for (PairId p : graph.PairsOfTerm(t)) acc += edge_probability[p] * s[p];
-      x[t] = graph.PairsOfTerm(t).empty() ? 0.0 : acc / graph.Pt(t);
+      for (PairId p : pairs_of_term[t]) acc += edge_probability[p] * s[p];
+      x[t] = pairs_of_term[t].empty() ? 0.0 : acc / graph.Pt(t);
     }
     if (options.normalization == IterNormalization::kLogistic) {
       for (double& v : x) v = v / (1.0 + v);

@@ -1,10 +1,15 @@
 #include "gter/graph/bipartite_graph.h"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/bipartite_graph_equal.h"
+#include "gter/common/random.h"
 #include "gter/text/string_metrics.h"
 
 namespace gter {
@@ -35,14 +40,52 @@ TEST(BipartiteGraphTest, StructureMatchesSharedTerms) {
   EXPECT_EQ(terms[0], f.ds.vocabulary().Lookup("a"));
 }
 
-TEST(BipartiteGraphTest, TermToPairAdjacency) {
+TEST(BipartiteGraphTest, TermToSetAdjacency) {
   Fixture f;
   PairSpace pairs = PairSpace::Build(f.ds);
   BipartiteGraph graph = BipartiteGraph::Build(f.ds, pairs);
+  EXPECT_EQ(graph.num_sets(), 3u);  // {a}, {b}, {c}
+  EXPECT_EQ(graph.num_incidences(), 3u);
   TermId a = f.ds.vocabulary().Lookup("a");
-  auto adj = graph.PairsOfTerm(a);
-  ASSERT_EQ(adj.size(), 1u);
-  EXPECT_EQ(adj[0], pairs.Find(0, 1));
+  auto sets = graph.SetsOfTerm(a);
+  ASSERT_EQ(sets.size(), 1u);
+  EXPECT_EQ(graph.SetSize(sets[0]), 1u);
+  EXPECT_EQ(PairsOfSet(graph, sets[0]),
+            std::vector<PairId>{pairs.Find(0, 1)});
+  EXPECT_EQ(graph.SetOf(pairs.Find(0, 1)), sets[0]);
+}
+
+// Pairs with the same shared terms share one set: ids in first-seen PairId
+// order, each set's pairs ascending, each term's sets ascending.
+TEST(BipartiteGraphTest, PairsWithEqualSharedTermsShareASet) {
+  Dataset ds("test");
+  ds.AddRecord(0, "z w");    // 0
+  ds.AddRecord(0, "x y z");  // 1
+  ds.AddRecord(0, "x y");    // 2
+  ds.AddRecord(0, "x y");    // 3
+  // Sorted: (0,1) shares {z}; (1,2), (1,3), (2,3) share {x, y}.
+  PairSpace pairs = PairSpace::FromPairs({{2, 3}, {0, 1}, {1, 3}, {1, 2}});
+  BipartiteGraph graph = BipartiteGraph::Build(ds, pairs);
+  ASSERT_EQ(graph.num_sets(), 2u);
+  EXPECT_EQ(graph.num_edges(), 7u);       // 1 + 3 pairs × 2 terms
+  EXPECT_EQ(graph.num_incidences(), 3u);  // {z} and {x, y}
+  EXPECT_EQ(graph.SetOf(pairs.Find(0, 1)), 0u);
+  EXPECT_EQ(graph.SetOf(pairs.Find(1, 2)), 1u);
+  EXPECT_EQ(graph.SetOf(pairs.Find(1, 3)), 1u);
+  EXPECT_EQ(graph.SetOf(pairs.Find(2, 3)), 1u);
+  const std::vector<PairId> xy_pairs = {pairs.Find(1, 2), pairs.Find(1, 3),
+                                        pairs.Find(2, 3)};
+  EXPECT_EQ(PairsOfSet(graph, 1), xy_pairs);
+  EXPECT_EQ(graph.SetSize(1), 3u);
+  const TermId x = ds.vocabulary().Lookup("x");
+  const TermId y = ds.vocabulary().Lookup("y");
+  const TermId z = ds.vocabulary().Lookup("z");
+  const std::vector<TermId> xy = {std::min(x, y), std::max(x, y)};
+  EXPECT_TRUE(std::ranges::equal(graph.TermsOfSet(1), xy));
+  EXPECT_TRUE(std::ranges::equal(graph.TermsOfPair(pairs.Find(2, 3)), xy));
+  const std::vector<SetId> z_sets = {0};
+  EXPECT_TRUE(std::ranges::equal(graph.SetsOfTerm(z), z_sets));
+  EXPECT_TRUE(graph.SetsOfTerm(ds.vocabulary().Lookup("w")).empty());
 }
 
 TEST(BipartiteGraphTest, MultiTermPair) {
@@ -78,7 +121,8 @@ TEST(BipartiteGraphTest, PaperPtFormula) {
   ASSERT_EQ(cross.size(), 4u);
   BipartiteGraph two_graph = BipartiteGraph::Build(two, cross);
   TermId t2 = two.vocabulary().Lookup("t");
-  EXPECT_EQ(two_graph.PairsOfTerm(t2).size(), 4u);
+  ASSERT_EQ(two_graph.SetsOfTerm(t2).size(), 1u);
+  EXPECT_EQ(two_graph.SetSize(two_graph.SetsOfTerm(t2)[0]), 4u);
   EXPECT_DOUBLE_EQ(two_graph.Pt(t2), 6.0);
 }
 
@@ -91,7 +135,7 @@ TEST(BipartiteGraphTest, PtFloorIsOne) {
   BipartiteGraph graph = BipartiteGraph::Build(ds, pairs);
   TermId solo = ds.vocabulary().Lookup("solo");
   EXPECT_DOUBLE_EQ(graph.Pt(solo), 1.0);
-  EXPECT_TRUE(graph.PairsOfTerm(solo).empty());
+  EXPECT_TRUE(graph.SetsOfTerm(solo).empty());
 }
 
 // Build and the append API fill the same storage: a two-source world with
@@ -121,23 +165,91 @@ TEST(BipartiteGraphTest, BuildMatchesAppendApi) {
   }
 
   ASSERT_EQ(built.num_terms(), ds.vocabulary().size());
-  ASSERT_EQ(appended.num_terms(), built.num_terms());
-  ASSERT_EQ(appended.num_pairs(), built.num_pairs());
-  ASSERT_EQ(appended.num_edges(), built.num_edges());
-  for (TermId t = 0; t < built.num_terms(); ++t) {
-    EXPECT_EQ(appended.Nt(t), built.Nt(t)) << t;
-    EXPECT_EQ(appended.Pt(t), built.Pt(t)) << t;
-    auto a = built.PairsOfTerm(t);
-    auto b = appended.PairsOfTerm(t);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
-  }
-  for (PairId p = 0; p < built.num_pairs(); ++p) {
-    auto a = built.TermsOfPair(p);
-    auto b = appended.TermsOfPair(p);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << p;
-  }
+  ExpectSameGraph(built, appended);
   EXPECT_EQ(built.Nt(ds.vocabulary().Lookup("acme")), 4u);
-  EXPECT_EQ(built.PairsOfTerm(ds.vocabulary().Lookup("acme")).size(), 4u);
+  size_t acme_pairs = 0;
+  for (SetId k : built.SetsOfTerm(ds.vocabulary().Lookup("acme"))) {
+    acme_pairs += built.SetSize(k);
+  }
+  EXPECT_EQ(acme_pairs, 4u);
+}
+
+// Random worlds over small vocabularies, so pairs repeat term lists. Every
+// pair's set holds exactly the terms its records share, no two sets hold
+// the same list (a set lookup that trusted its hash would merge two lists
+// or split one), each set's pairs are the pairs filed under it, and each
+// term's sets are exactly the sets containing it, ascending.
+TEST(BipartiteGraphPropertyTest, SetsPartitionPairsByTheirSharedTerms) {
+  Rng rng(2024);
+  for (int world = 0; world < 20; ++world) {
+    SCOPED_TRACE(world);
+    Dataset ds("random", world % 2 == 0 ? 1 : 2);
+    const int vocabulary = 4 + world;
+    const int records = 30 + 3 * world;
+    for (int r = 0; r < records; ++r) {
+      std::string text;
+      const int length = 1 + static_cast<int>(rng.NextBounded(5));
+      for (int i = 0; i < length; ++i) {
+        text += 'w';
+        text += std::to_string(rng.NextBounded(vocabulary));
+        text += ' ';
+      }
+      ds.AddRecord(static_cast<uint32_t>(r % ds.num_sources()), text);
+    }
+    const PairSpace pairs = PairSpace::Build(ds);
+    const BipartiteGraph graph = BipartiteGraph::Build(ds, pairs);
+    ASSERT_EQ(graph.num_pairs(), pairs.size());
+
+    std::map<std::vector<TermId>, SetId> set_of_list;
+    std::vector<PairId> filed;  // every set's pairs
+    for (SetId k = 0; k < graph.num_sets(); ++k) {
+      const auto terms = graph.TermsOfSet(k);
+      ASSERT_FALSE(terms.empty());
+      EXPECT_TRUE(std::is_sorted(terms.begin(), terms.end()));
+      EXPECT_TRUE(set_of_list
+                      .emplace(std::vector<TermId>(terms.begin(), terms.end()),
+                               k)
+                      .second)
+          << "two sets hold one term list";
+      const std::vector<PairId> set_pairs = PairsOfSet(graph, k);
+      ASSERT_FALSE(set_pairs.empty());
+      EXPECT_EQ(set_pairs.size(), graph.SetSize(k));
+      EXPECT_EQ(graph.FirstPairOfSet(k), set_pairs.front());
+      EXPECT_TRUE(std::is_sorted(set_pairs.begin(), set_pairs.end()));
+      for (PairId p : set_pairs) EXPECT_EQ(graph.SetOf(p), k);
+      filed.insert(filed.end(), set_pairs.begin(), set_pairs.end());
+    }
+    // Each pair is filed under exactly one set.
+    std::sort(filed.begin(), filed.end());
+    std::vector<PairId> all(graph.num_pairs());
+    std::iota(all.begin(), all.end(), 0);
+    EXPECT_EQ(filed, all);
+    size_t edges = 0;
+    SetId next_new = 0;
+    for (PairId p = 0; p < graph.num_pairs(); ++p) {
+      const RecordPair& rp = pairs.pair(p);
+      const std::vector<TermId> shared =
+          SortedIntersection(ds.record(rp.a).terms, ds.record(rp.b).terms);
+      EXPECT_TRUE(std::ranges::equal(graph.TermsOfSet(graph.SetOf(p)), shared))
+          << "pair " << p;
+      EXPECT_TRUE(std::ranges::equal(graph.TermsOfPair(p), shared));
+      // Ids are assigned in first-seen PairId order.
+      EXPECT_LE(graph.SetOf(p), next_new);
+      if (graph.SetOf(p) == next_new) ++next_new;
+      edges += shared.size();
+    }
+    EXPECT_EQ(next_new, graph.num_sets());
+    EXPECT_EQ(graph.num_edges(), edges);
+    for (TermId t = 0; t < graph.num_terms(); ++t) {
+      std::vector<SetId> want;
+      for (SetId k = 0; k < graph.num_sets(); ++k) {
+        if (std::ranges::binary_search(graph.TermsOfSet(k), t)) {
+          want.push_back(k);
+        }
+      }
+      EXPECT_TRUE(std::ranges::equal(graph.SetsOfTerm(t), want)) << t;
+    }
+  }
 }
 
 }  // namespace

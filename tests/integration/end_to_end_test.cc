@@ -90,7 +90,7 @@ TEST(EndToEndTest, ItersTermRankingBeatsPageRankOnSpearman) {
 
   std::vector<double> iter_w, pr_w, oracle_w;
   for (TermId t = 0; t < graph.num_terms(); ++t) {
-    if (graph.PairsOfTerm(t).empty()) continue;
+    if (graph.SetsOfTerm(t).empty()) continue;
     iter_w.push_back(iter.term_weights[t]);
     pr_w.push_back(pagerank.term_salience()[t]);
     oracle_w.push_back(oracle[t]);
@@ -113,7 +113,7 @@ TEST(EndToEndTest, IterSeparatesDiscriminativeFromNoiseTermsOnRestaurant) {
   double sum_disc = 0.0, sum_noise = 0.0;
   size_t n_disc = 0, n_noise = 0;
   for (TermId t = 0; t < graph.num_terms(); ++t) {
-    if (graph.PairsOfTerm(t).empty()) continue;
+    if (graph.SetsOfTerm(t).empty()) continue;
     if (oracle[t] >= 1.0) {
       sum_disc += iter.term_weights[t];
       ++n_disc;
